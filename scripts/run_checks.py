@@ -20,6 +20,7 @@ from slopes.laws import (  # noqa: E402
     check_exactness,
     check_minmax,
     check_coprime_stability,
+    check_tensor_bounded_rank_one,
     check_tensor_mult_filtered,
 )
 from slopes.lattices import EuclideanLattice, LatticeBackend  # noqa: E402
@@ -48,6 +49,7 @@ def main() -> int:
     )
     rows.append(("minmax/filtered", check_minmax(n, seed)))
     rows.append(("tensor-mult/filtered", check_tensor_mult_filtered(n, seed)))
+    rows.append(("tensor-bounded/diff", check_tensor_bounded_rank_one(n, seed)))
     rows.append(("duality/filtered", check_duality_filtered(n, seed)))
     rows.append(("coprime-stable/filtered", check_coprime_stability(max(4, n // 4), seed)))
     rows.append(("bost-experiment/lattice", bost_experiment(4, seed)))

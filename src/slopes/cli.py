@@ -37,6 +37,7 @@ from .laws import (
     check_exactness,
     check_coprime_stability,
     check_hn_uniqueness,
+    check_tensor_bounded_rank_one,
     check_tensor_mult_filtered,
     sample_filtered_space,
 )
@@ -409,7 +410,7 @@ def cmd_check(args, seed: int):
         report = check_tensor_mult_filtered(samples, seed)
         complete = True
     elif law == "tensor-bounded":
-        report = _law_tensor_bounded(samples, seed)
+        report = check_tensor_bounded_rank_one(samples, seed)
         complete = True
     elif law == "coprime-stable":
         report = check_coprime_stability(max(1, samples // 2), seed)
@@ -476,30 +477,6 @@ def _law_dominance(args, samples, seed):
         "seed": seed,
     }
     return report, complete
-
-
-def _law_tensor_bounded(samples, seed):
-    from .diff import rank_one_break
-
-    rng = random.Random(seed)
-    failures = []
-    for i in range(samples):
-        f = _random_series(rng)
-        g = _random_series(rng)
-        bf, bg = rank_one_break(f), rank_one_break(g)
-        bt = rank_one_break(f + g)
-        if bt > max(bf, bg):
-            failures.append({"index": i, "kind": "tensor-bound"})
-        # dual of a rank-one connection negates it: same break
-        if rank_one_break(-f) != bf:
-            failures.append({"index": i, "kind": "duality"})
-    return {"samples": samples, "failures": failures, "seed": seed}
-
-
-def _random_series(rng) -> Series:
-    vmin = rng.randint(-4, 1)
-    coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
-    return Series.from_coeffs(vmin, coeffs)
 
 
 # -- svg ---------------------------------------------------------------------------

@@ -32,10 +32,6 @@ class Budget:
     depth: int = 8  # closure depth for subspace lattices
     max_candidates: int = 200000
 
-    @staticmethod
-    def default() -> "Budget":
-        return Budget()
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -183,6 +179,9 @@ def universal_destabilizer(cat: SlopeBackend, obj, budget: Budget = Budget()):
 
 
 def destabilizer_from_candidates(cat: SlopeBackend, obj, subs, cert: Certificate):
+    """(subobject, SlopeKey, cert): among the strict candidates, maximal
+    slope, then maximal rank, then least candidate_key; obj itself when no
+    candidate has slope above obj's."""
     mu = cat.slope(obj)
     best = None
     best_key = mu
@@ -192,17 +191,18 @@ def destabilizer_from_candidates(cat: SlopeBackend, obj, subs, cert: Certificate
             continue
         key = SlopeKey(cat.degree(s), r)
         c = key.cmp(best_key)
-        if c > 0:
+        if c > 0 or (
+            c == 0
+            and best is not None
+            and (
+                r > best_key.rk
+                or (r == best_key.rk and cat.candidate_key(s) < cat.candidate_key(best))
+            )
+        ):
             best, best_key = s, key
-        elif c == 0 and best is not None:
-            if r > cat.rank(best) or (
-                r == cat.rank(best)
-                and cat.candidate_key(s) < cat.candidate_key(best)
-            ):
-                best = s
-    if best is None or best_key.cmp(mu) <= 0:
+    if best is None:
         return obj, mu, cert
-    return best, SlopeKey(cat.degree(best), cat.rank(best)), cert
+    return best, best_key, cert
 
 
 def is_semistable(cat: SlopeBackend, obj, budget: Budget = Budget()):

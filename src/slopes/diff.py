@@ -171,6 +171,24 @@ def _power_step(a, b):
     return tuple(out)
 
 
+PRECISION_ATTEMPTS = 5
+
+
+def _doubling_retry(run, name: str, value: int):
+    """run(value), doubling value after each PrecisionError; after
+    PRECISION_ATTEMPTS failures, raise a PrecisionError naming the
+    working-precision parameter and its last value."""
+    for attempt in range(1, PRECISION_ATTEMPTS + 1):
+        try:
+            return run(value)
+        except PrecisionError as exc:
+            if attempt == PRECISION_ATTEMPTS:
+                raise PrecisionError(
+                    f"{exc} ({name}={value} after {attempt} attempts)"
+                ) from exc
+            value *= 2
+
+
 def katz_rank_spectral(
     module: DifferentialModule, n_max: int = 64, window: int = 12
 ):
@@ -185,16 +203,9 @@ def katz_rank_spectral(
     """
     if n_max < 2:
         raise DiffError("n_max must be >= 2")
-    attempts = 0
-    keep = 16
-    while True:
-        attempts += 1
-        try:
-            return _katz_run(module, n_max, window, keep)
-        except PrecisionError:
-            if attempts >= 5:
-                raise
-            keep *= 2
+    return _doubling_retry(
+        lambda keep: _katz_run(module, n_max, window, keep), "keep", 16
+    )
 
 
 def _katz_run(module: DifferentialModule, n_max: int, window: int, keep: int):
@@ -328,16 +339,9 @@ def gerard_levelt_irregularity(
     a = module.matrix
     r = module.rank
     h = max(0, -(_matrix_min_valuation(a) or 0))
-    attempts = 0
-    floor = h * (n_max + 2) + 8
-    while True:
-        attempts += 1
-        try:
-            return _gl_run(a, r, n_max, floor)
-        except PrecisionError:
-            if attempts >= 5:
-                raise
-            floor *= 2
+    return _doubling_retry(
+        lambda floor: _gl_run(a, r, n_max, floor), "floor", h * (n_max + 2) + 8
+    )
 
 
 def _identity_cols(r: int):

@@ -21,8 +21,14 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .core import Budget, Certificate, COMPLETE, SlopeBackend
-from .degrees import DegreeValue, SlopeError, SlopeKey
+from .core import (
+    Budget,
+    Certificate,
+    COMPLETE,
+    SlopeBackend,
+    destabilizer_from_candidates,
+)
+from .degrees import DegreeValue, SlopeError
 
 
 class FilteredError(ValueError):
@@ -292,26 +298,11 @@ def destabilizer_filtered(v: FilteredSpace, budget: Budget = Budget()):
     dimension over the candidate lattice."""
     if v.dim == 0:
         raise SlopeError("zero filtered space")
-    mu = SlopeKey(degree_filtered(v), v.dim)
     cands, cert, _ = candidate_subspaces(v, budget.depth)
-    best: Optional[linalg.Mat] = None
-    best_key = mu
-    for s in cands:
-        k = len(s)
-        if k == 0 or k >= v.dim:
-            continue
-        sub = induced_filtration(v, s, "sub")
-        key = SlopeKey(degree_filtered(sub), k)
-        c = key.cmp(best_key)
-        if c > 0:
-            best, best_key = s, key
-        elif c == 0 and best is not None and (
-            k > len(best) or (k == len(best) and s < best)
-        ):
-            best, best_key = s, key
-    if best is None or best_key.cmp(mu) <= 0:
-        return v.full_space(), mu, cert
-    return best, best_key, cert
+    best, key, cert = destabilizer_from_candidates(
+        FilteredBackend(), v, [(v, s) for s in cands], cert
+    )
+    return (v.full_space() if best is v else best[1]), key, cert
 
 
 def tensor_filtered(v: FilteredSpace, w: FilteredSpace) -> FilteredSpace:

@@ -7,9 +7,12 @@ strict quotients carry the orthogonal-projection metric, so degrees add
 exactly along every (sub, quotient) pair.
 
 The destabilizer search is exact in rank <= 2 via Lagrange-Gauss
-reduction.  In higher rank it enumerates saturations of spans of short
-vectors; the certificate is complete only when a Minkowski-style bound
-shows no destabilizing sublattice can need a longer generator.
+reduction.  In higher rank one search, _span_closure, enumerates
+saturations of spans of short vectors (it also serves strict_subobjects),
+and the destabilizer is picked from that list by the selection rule shared
+by every backend, core.destabilizer_from_candidates.  This module adds
+only the certificate: complete when a Minkowski-style bound shows no
+destabilizing sublattice can need a longer generator.
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .core import Budget, BudgetExhausted, Certificate, COMPLETE, SlopeBackend
+from .core import (
+    Budget,
+    BudgetExhausted,
+    Certificate,
+    COMPLETE,
+    SlopeBackend,
+    destabilizer_from_candidates,
+)
 from .degrees import DegreeValue, SlopeError, SlopeKey
 
 # gamma_k^k for the Hermite constants, k <= 4
@@ -138,8 +148,8 @@ def saturate(ambient: EuclideanLattice, columns) -> Sublattice:
     if rk != len(cols):
         raise LatticeError("saturation input must have full column rank")
     u, d, _ = linalg.smith_normal_form(mat)
-    uinv_cols = _unimodular_inverse(u)
-    basis = tuple(tuple(uinv_cols[i][j] for i in range(len(uinv_cols))) for j in range(rk))
+    uinv = linalg.inverse(u)
+    basis = tuple(tuple(int(uinv[i][j]) for i in range(len(uinv))) for j in range(rk))
     return Sublattice(ambient, basis)
 
 
@@ -151,19 +161,6 @@ def is_saturated(ambient: EuclideanLattice, columns) -> bool:
     return all(f in (1, -1) for f in linalg.invariant_factors(mat))
 
 
-def _unimodular_inverse(u):
-    """Exact inverse of a unimodular integer matrix, as integer rows."""
-    n = len(u)
-    fm = linalg.frac_matrix(u)
-    inv = []
-    for j in range(n):
-        e = tuple(Fraction(1 if i == j else 0) for i in range(n))
-        x = linalg.solve(fm, e)
-        inv.append(x)
-    # columns of u^-1 = solutions; return as row-major integer matrix
-    return [[int(inv[j][i]) for j in range(n)] for i in range(n)]
-
-
 def completion(ambient: EuclideanLattice, sub: Sublattice):
     """Integer columns T with [sub.basis | T] a basis of Z^r."""
     r = ambient.rank
@@ -173,10 +170,10 @@ def completion(ambient: EuclideanLattice, sub: Sublattice):
     for i in range(k):
         if abs(d[i][i]) != 1:
             raise LatticeError("completion requires a saturated sublattice")
-    uinv = _unimodular_inverse(u)
+    uinv = linalg.inverse(u)
     # columns k..r-1 of u^-1 complete the span of the first k columns,
     # which equals the span of sub.basis.
-    return tuple(tuple(uinv[i][j] for i in range(r)) for j in range(k, r))
+    return tuple(tuple(int(uinv[i][j]) for i in range(r)) for j in range(k, r))
 
 
 def quotient_with_metric(
@@ -195,7 +192,7 @@ def quotient_with_metric(
     )
     gtt = [[ambient.inner(a, b) for b in t_cols] for a in t_cols]
     gts = [[ambient.inner(a, b) for b in s_cols] for a in t_cols]
-    gss_inv = _frac_inverse(gss)
+    gss_inv = linalg.inverse(gss)
     m = len(t_cols)
     k = len(s_cols)
     schur = [
@@ -211,15 +208,6 @@ def quotient_with_metric(
         for i in range(m)
     ]
     return EuclideanLattice(tuple(tuple(row) for row in schur))
-
-
-def _frac_inverse(a: linalg.Mat) -> linalg.Mat:
-    n = len(a)
-    cols = []
-    for j in range(n):
-        e = tuple(Fraction(1 if i == j else 0) for i in range(n))
-        cols.append(linalg.solve(a, e))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
 def tensor_lattice(a: EuclideanLattice, b: EuclideanLattice) -> EuclideanLattice:
@@ -332,24 +320,11 @@ def _span_sort_key(s: Sublattice):
     return (s.rank, negative, key)
 
 
-def destabilizer_lattice(lat: EuclideanLattice, budget: Budget = Budget()):
-    """(subobject-or-lattice, SlopeKey, Certificate); exact in rank <= 2."""
-    r = lat.rank
-    if r == 0:
-        raise SlopeError("zero lattice")
-    if r == 1:
-        return lat, lat.slope(), COMPLETE
-    if r == 2:
-        v, m1 = lagrange_gauss(lat)
-        line = saturate(lat, [v])
-        if m1**2 < lat.det():
-            return line, SlopeKey(line.degree(), 1), COMPLETE
-        return lat, lat.slope(), COMPLETE
-
-    bound = Fraction(budget.bound) if budget.bound is not None else default_bound(lat)
+def _span_closure(lat: EuclideanLattice, bound: Fraction, budget: Budget):
+    """Saturations of spans of the short vectors of norm <= bound, grown
+    one vector at a time up to rank r - 1, in _span_sort_key order; raises
+    BudgetExhausted past budget.max_candidates."""
     vecs = short_vectors(lat, bound)
-    m1 = first_minimum(lat)
-    # BFS over saturations of spans of enumerated vectors
     seen = {}
     frontier = []
     for _, v in vecs:
@@ -361,7 +336,7 @@ def destabilizer_lattice(lat: EuclideanLattice, budget: Budget = Budget()):
     while frontier:
         nxt = []
         for s in frontier:
-            if s.rank >= r - 1:
+            if s.rank >= lat.rank - 1:
                 continue
             span = s.span_key()
             for _, v in vecs:
@@ -376,26 +351,31 @@ def destabilizer_lattice(lat: EuclideanLattice, budget: Budget = Budget()):
                 if len(seen) > budget.max_candidates:
                     raise BudgetExhausted("lattice candidate budget exhausted")
         frontier = nxt
-    best = None
-    best_key = lat.slope()
-    for s in sorted(seen.values(), key=_span_sort_key):
-        key = SlopeKey(s.degree(), s.rank)
-        c = key.cmp(best_key)
-        if c > 0 or (
-            c == 0
-            and best is not None
-            and (
-                s.rank > best.rank
-                or (s.rank == best.rank and _span_sort_key(s) < _span_sort_key(best))
-            )
-        ):
-            best, best_key = s, key
-    if best is None:
-        result, key = lat, lat.slope()
-    else:
-        result, key = best, best_key
-    cert = _completeness_certificate(lat, key, m1, bound)
-    return result, key, cert
+    return sorted(seen.values(), key=_span_sort_key)
+
+
+def _search_bound(lat: EuclideanLattice, budget: Budget) -> Fraction:
+    return Fraction(budget.bound) if budget.bound is not None else default_bound(lat)
+
+
+def destabilizer_lattice(lat: EuclideanLattice, budget: Budget = Budget()):
+    """(subobject-or-lattice, SlopeKey, Certificate); exact in rank <= 2."""
+    r = lat.rank
+    if r == 0:
+        raise SlopeError("zero lattice")
+    if r == 1:
+        return lat, lat.slope(), COMPLETE
+    if r == 2:
+        v, m1 = lagrange_gauss(lat)
+        line = saturate(lat, [v])
+        if m1**2 < lat.det():
+            return line, SlopeKey(line.degree(), 1), COMPLETE
+        return lat, lat.slope(), COMPLETE
+
+    bound = _search_bound(lat, budget)
+    subs = _span_closure(lat, bound, budget)
+    result, key, _ = destabilizer_from_candidates(LatticeBackend(), lat, subs, COMPLETE)
+    return result, key, _completeness_certificate(lat, key, first_minimum(lat), bound)
 
 
 def _pow_ceil(base: Fraction, num: int, den: int) -> int:
@@ -487,7 +467,7 @@ class LatticeBackend(SlopeBackend):
         return a.gram == b.gram
 
     def candidate_key(self, sub):
-        return str(sub.span_key()) if isinstance(sub, Sublattice) else ""
+        return _span_sort_key(sub)
 
     def destabilizer(self, obj, budget: Budget = Budget()):
         lat = self._lat(obj)
@@ -498,28 +478,7 @@ class LatticeBackend(SlopeBackend):
 
     def strict_subobjects(self, obj, budget: Budget = Budget()):
         lat = self._lat(obj)
-        bound = Fraction(budget.bound) if budget.bound is not None else default_bound(lat)
-        vecs = short_vectors(lat, bound)
-        seen = {}
-        for _, v in vecs:
-            s = saturate(lat, [v])
-            seen.setdefault(s.span_key(), s)
-        grow = list(seen.values())
-        while grow:
-            nxt = []
-            for s in grow:
-                if s.rank >= lat.rank - 1:
-                    continue
-                for _, v in vecs:
-                    vv = tuple(Fraction(x) for x in v)
-                    if linalg.subspace_contains(s.span_key(), (vv,)):
-                        continue
-                    s2 = saturate(lat, list(s.basis) + [list(v)])
-                    if s2.span_key() not in seen:
-                        seen[s2.span_key()] = s2
-                        nxt.append(s2)
-            grow = nxt
-        subs = sorted(seen.values(), key=_span_sort_key)
+        subs = _span_closure(lat, _search_bound(lat, budget), budget)
         return subs, Certificate(False, "heuristic: norm-bounded enumeration")
 
     def quotient(self, obj, sub: Sublattice) -> EuclideanLattice:

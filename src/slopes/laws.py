@@ -14,6 +14,7 @@ from fractions import Fraction
 from . import linalg
 from .core import Budget, hn_filtration, is_semistable
 from .degrees import SlopeKey
+from .diff import rank_one_break
 from .filtered import (
     FilteredBackend,
     FilteredSpace,
@@ -40,6 +41,7 @@ from .polygon import (
     polygon_dominates,
     polygon_of_flag,
 )
+from .series import Series
 from .tables import TableBackend, ZERO_ID
 
 
@@ -544,6 +546,30 @@ def check_tensor_mult_filtered(samples: int, seed: int, dim_max: int = 3) -> dic
         if got.to_json() != want.to_json():
             failures.append(i)
     return {"samples": samples, "failures": failures, "seed": seed}
+
+
+def check_tensor_bounded_rank_one(samples: int, seed: int) -> dict:
+    """Rank-one connections: the break of a tensor product (sum of the
+    connection forms) is at most the larger break, and the dual (negated
+    form) has the same break."""
+    rng = random.Random(seed)
+    failures = []
+    for i in range(samples):
+        f = _random_series(rng)
+        g = _random_series(rng)
+        bf, bg = rank_one_break(f), rank_one_break(g)
+        bt = rank_one_break(f + g)
+        if bt > max(bf, bg):
+            failures.append({"index": i, "kind": "tensor-bound"})
+        if rank_one_break(-f) != bf:
+            failures.append({"index": i, "kind": "duality"})
+    return {"samples": samples, "failures": failures, "seed": seed}
+
+
+def _random_series(rng: random.Random) -> Series:
+    vmin = rng.randint(-4, 1)
+    coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
+    return Series.from_coeffs(vmin, coeffs)
 
 
 def check_duality_filtered(samples: int, seed: int, dim_max: int = 3) -> dict:

@@ -116,6 +116,17 @@ def solve(a: Mat, b: Row):
     return tuple(x)
 
 
+def inverse(a) -> Mat:
+    """Exact inverse of a square rational or integer matrix, read off the
+    reduced echelon form of [A | I]; raises ValueError when A is singular."""
+    n = len(a)
+    eye = identity(n)
+    red = rref([tuple(Fraction(c) for c in a[i]) + eye[i] for i in range(n)])
+    if tuple(row[:n] for row in red) != eye:
+        raise ValueError("singular matrix has no inverse")
+    return tuple(row[n:] for row in red)
+
+
 def kernel_basis(a: Mat) -> Mat:
     """RREF basis of the right kernel of a."""
     if not a:

@@ -94,10 +94,6 @@ class TwistedPolynomial:
         )
 
 
-def make_poly(coeffs: Sequence[Series], twist: TwistSpec) -> TwistedPolynomial:
-    return TwistedPolynomial(tuple(coeffs), twist)
-
-
 def twisted_mul(p: TwistedPolynomial, q: TwistedPolynomial) -> TwistedPolynomial:
     """Product in K<phi>: (a phi^i)(b phi^j) = a phi^i(b) phi^(i+j)."""
     if p.twist != q.twist:
@@ -107,7 +103,9 @@ def twisted_mul(p: TwistedPolynomial, q: TwistedPolynomial) -> TwistedPolynomial
         if a.is_zero() and a.prec is None:
             continue
         for j, b in enumerate(q.coeffs):
-            term = a * p.twist.apply(b, i)
+            # a zero a gives a zero product whose precision depends only on
+            # b's valuation and precision, which the isometry keeps
+            term = a * (p.twist.apply(b, i) if a.coeffs else b)
             out[i + j] = out[i + j] + term
     return TwistedPolynomial(tuple(out), p.twist)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 Rat = Union[Fraction, int, str]
@@ -28,6 +29,25 @@ class PrecisionError(ArithmeticError):
 
 def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _make(vmin: int, coeffs: tuple, prec: Optional[int]) -> "Series":
+    """Series from a tuple that already holds Fractions, cut to ``prec``;
+    skips the per-coefficient conversion of the public constructor."""
+    if prec is not None and vmin + len(coeffs) > prec:
+        coeffs = coeffs[: max(0, prec - vmin)]
+    s = object.__new__(Series)
+    object.__setattr__(s, "vmin", vmin)
+    object.__setattr__(s, "coeffs", coeffs)
+    object.__setattr__(s, "prec", prec)
+    return s
+
+
+def _integral(coeffs) -> tuple[list[int], int]:
+    """(numerators, d) with coeffs[i] == numerators[i] / d, d the least
+    common denominator."""
+    d = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def _min_prec(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -113,19 +133,21 @@ class Series:
         hi = len(coeffs)
         while hi > lo and coeffs[hi - 1] == 0:
             hi -= 1
-        return Series(self.vmin + lo, coeffs[lo:hi], self.prec)
+        if lo == 0 and hi == len(coeffs):
+            return self
+        return _make(self.vmin + lo, coeffs[lo:hi], self.prec)
 
     def truncate(self, prec: int) -> "Series":
-        return Series(self.vmin, self.coeffs, _min_prec(self.prec, prec))
+        return _make(self.vmin, self.coeffs, _min_prec(self.prec, prec))
 
     # -- ring operations ------------------------------------------------------------
 
     def __add__(self, other: "Series") -> "Series":
         prec = _min_prec(self.prec, other.prec)
         if not self.coeffs:
-            return Series(other.vmin, other.coeffs, prec)
+            return _make(other.vmin, other.coeffs, prec)
         if not other.coeffs:
-            return Series(self.vmin, self.coeffs, prec)
+            return _make(self.vmin, self.coeffs, prec)
         lo = min(self.vmin, other.vmin)
         hi = max(self.vmin + len(self.coeffs), other.vmin + len(other.coeffs))
         out = [Fraction(0)] * (hi - lo)
@@ -133,10 +155,10 @@ class Series:
             out[self.vmin - lo + i] += c
         for i, c in enumerate(other.coeffs):
             out[other.vmin - lo + i] += c
-        return Series(lo, tuple(out), prec).trimmed()
+        return _make(lo, tuple(out), prec).trimmed()
 
     def __neg__(self) -> "Series":
-        return Series(self.vmin, tuple(-c for c in self.coeffs), self.prec)
+        return _make(self.vmin, tuple(-c for c in self.coeffs), self.prec)
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
@@ -153,22 +175,30 @@ class Series:
             prec = _min_prec(prec, p2)
         if not va.coeffs or not vb.coeffs:
             return Series.zero(prec)
-        out = [Fraction(0)] * (len(va.coeffs) + len(vb.coeffs) - 1)
-        for i, a in enumerate(va.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(vb.coeffs):
-                if b != 0:
+        vmin = va.vmin + vb.vmin
+        if prec is not None:
+            # terms at or beyond prec are dropped anyway; never form them
+            va = va.truncate(prec - vb.vmin)
+            vb = vb.truncate(prec - va.vmin)
+        # convolve integer numerators over one common denominator, so each
+        # output coefficient is normalised once
+        na, da = _integral(va.coeffs)
+        nb, db = _integral(vb.coeffs)
+        out = [0] * (len(na) + len(nb) - 1)
+        for i, a in enumerate(na):
+            if a:
+                for j, b in enumerate(nb):
                     out[i + j] += a * b
-        return Series(va.vmin + vb.vmin, tuple(out), prec).trimmed()
+        d = da * db
+        return _make(vmin, tuple([Fraction(c, d) for c in out]), prec).trimmed()
 
     def scale(self, c: Rat) -> "Series":
         c = _frac(c)
-        return Series(self.vmin, tuple(c * a for a in self.coeffs), self.prec)
+        return _make(self.vmin, tuple(c * a for a in self.coeffs), self.prec)
 
     def shift(self, k: int) -> "Series":
         """Multiply by x**k."""
-        return Series(
+        return _make(
             self.vmin + k,
             self.coeffs,
             None if self.prec is None else self.prec + k,
@@ -184,11 +214,15 @@ class Series:
 
     def dilate(self, q: Fraction) -> "Series":
         """Substitute x -> q x (the q-dilation twist); an isometry."""
-        return Series(
-            self.vmin,
-            tuple(c * q ** (self.vmin + i) for i, c in enumerate(self.coeffs)),
-            self.prec,
-        )
+        q = _frac(q)
+        if q == 1 or not self.coeffs:
+            return self
+        out = []
+        pw = q**self.vmin
+        for c in self.coeffs:
+            out.append(c * pw)
+            pw *= q
+        return _make(self.vmin, tuple(out), self.prec)
 
     def inverse(self, prec: int) -> "Series":
         """Multiplicative inverse to O(x^prec); needs a known valuation."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -230,3 +231,60 @@ def test_flag_seed_overrides_env(monkeypatch, capsys):
     )
     assert code == 0
     assert json.loads(out)["seed"] == 7
+
+
+RANK3_LATTICE = {"gram": [["2", "1", "0"], ["1", "2", "1"], ["0", "1", "9"]]}
+
+THREE_FILTRATIONS = {
+    "dim": 3,
+    "filtrations": [
+        {
+            "steps": [
+                {"jump": "2", "basis": [["1", "0", "0"]]},
+                {"jump": "1", "basis": [["1", "0", "0"], ["0", "1", "0"]]},
+                {"jump": "0", "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+            ]
+        },
+        {
+            "steps": [
+                {"jump": "1", "basis": [["0", "1", "1"]]},
+                {"jump": "0", "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+            ]
+        },
+        {
+            "steps": [
+                {"jump": "1", "basis": [["1", "1", "0"], ["0", "0", "1"]]},
+                {"jump": "-1", "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+            ]
+        },
+    ],
+}
+
+# sha256 of the --out artifacts of `hn`; a refactor of the destabilizer
+# searches must keep them byte for byte.
+PINNED_ARTIFACTS = {
+    ("lattice", "z2"):
+        "2a33e30158f88ea37147e43e0bea63537b9fed98f678f625d2acc0ede1bc61d3",
+    ("lattice", "diag14"):
+        "ee613c8d2e2fb7fe24e8ddf645f13df6571cc03b9a1d552def536e125217839d",
+    ("lattice", "rank3"):
+        "a919457967fe187b3e7c2273c3f0bf0880746b357677b31e46c64190059bb2c4",
+    ("filtered", "filtered_two_jumps"):
+        "9f9c07088ab3cfed4ef8b8b8154845b14d579fad081c67b5d5f2cd06c91db242",
+    ("filtered", "three_filtrations"):
+        "ad8b7502792133774ff37eacd2875195258bbbe89e381fb3baf0945c20124630",
+}
+
+
+def test_hn_artifacts_pinned(tmp_path, capsys):
+    inline = {"rank3": RANK3_LATTICE, "three_filtrations": THREE_FILTRATIONS}
+    for (backend, name), digest in PINNED_ARTIFACTS.items():
+        src = FIXTURES / f"{name}.json"
+        if name in inline:
+            src = tmp_path / f"{name}.json"
+            src.write_text(json.dumps(inline[name]))
+        out = tmp_path / f"{name}.out.json"
+        code = main(["hn", "--backend", backend, "--in", str(src), "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0, name
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name

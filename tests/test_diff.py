@@ -16,7 +16,7 @@ from slopes.diff import (
     rank_one_break,
     tensor_rank_one,
 )
-from slopes.series import Series
+from slopes.series import PrecisionError, Series
 
 
 def op(*vals):
@@ -129,6 +129,25 @@ def test_gerard_levelt_examples():
     o = DifferentialOperator((Series.monomial(1, -3), Series.monomial(1, -1)))
     ir, stab, _ = gerard_levelt_irregularity(companion(o), 12)
     assert (ir, stab) == (3, True)
+
+
+def test_gl_precision_retry_names_what_ran_out(monkeypatch):
+    import slopes.diff as diff_mod
+
+    floors = []
+    errors = []
+
+    def starved(a, r, n_max, floor):
+        floors.append(floor)
+        errors.append(PrecisionError("column reduction ran out"))
+        raise errors[-1]
+
+    monkeypatch.setattr(diff_mod, "_gl_run", starved)
+    m = DifferentialModule(((Series.monomial(1, -2),),))
+    with pytest.raises(PrecisionError, match="floor=576") as info:
+        gerard_levelt_irregularity(m, 12)
+    assert floors == [36, 72, 144, 288, 576]
+    assert info.value.__cause__ is errors[-1]
 
 
 def test_gl_rejects_tiny_budget():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slopes import linalg
-from slopes.core import Budget, hn_filtration
+from slopes.core import Budget, BudgetExhausted, hn_filtration
 from slopes.degrees import DegreeValue, SlopeKey
 from slopes.lattices import (
     EuclideanLattice,
@@ -102,6 +102,13 @@ def test_destabilizer_rank3_complete():
     assert cert.complete
     # the best sublattice is the unimodular plane, slope 0 > -1/6 log 9
     assert key.deg.cmp(DegreeValue.log_positive(1)) == 0
+
+
+def test_strict_subobjects_respects_candidate_budget():
+    with pytest.raises(BudgetExhausted):
+        LatticeBackend().strict_subobjects(
+            EuclideanLattice.standard(4), Budget(bound=4, max_candidates=3)
+        )
 
 
 def test_tensor_examples():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+
+from hypothesis import assume, given, settings, strategies as st
 
 from slopes import linalg
 
@@ -56,6 +58,26 @@ def test_solve_solves(m):
     x = linalg.solve(m, b)
     if x is not None:
         assert linalg.mat_vec(m, x) == b
+
+
+@given(matrices(3, 3))
+def test_inverse_is_two_sided(m):
+    assume(linalg.det(m) != 0)
+    inv = linalg.inverse(m)
+    assert linalg.mat_mul(m, inv) == linalg.identity(3)
+    assert linalg.mat_mul(inv, m) == linalg.identity(3)
+
+
+def test_inverse_rejects_singular():
+    with pytest.raises(ValueError):
+        linalg.inverse(linalg.frac_matrix([[1, 2], [2, 4]]))
+
+
+def test_inverse_of_unimodular_is_integral():
+    u = [[2, 3, 1], [1, 2, 1], [1, 1, 1]]  # det 1
+    inv = linalg.inverse(u)
+    assert all(c.denominator == 1 for row in inv for c in row)
+    assert inv == linalg.frac_matrix([[1, -2, 1], [0, 1, -1], [-1, 1, 1]])
 
 
 @settings(max_examples=60)

@@ -80,3 +80,36 @@ def test_json_roundtrip():
     s = Series(-1, (Fraction(1), Fraction(0), Fraction(-2)), prec=7)
     t = Series.from_json(s.to_json())
     assert t.eq_to_precision(s) and t.prec == 7
+
+
+truncated_strategy = st.builds(
+    lambda s, extra: s if extra is None else s.truncate(s.vmin + extra),
+    series_strategy,
+    st.one_of(st.none(), st.integers(min_value=-1, max_value=4)),
+)
+
+
+@given(truncated_strategy, truncated_strategy)
+def test_mul_matches_schoolbook(a, b):
+    """Coefficients known in the product equal the termwise Fraction sums."""
+    p = a * b
+    for k in range(p.vmin, p.vmin + len(p.coeffs)):
+        want = sum(
+            (
+                ca * cb
+                for i, ca in enumerate(a.coeffs)
+                for j, cb in enumerate(b.coeffs)
+                if a.vmin + i + b.vmin + j == k
+            ),
+            Fraction(0),
+        )
+        assert p.coeff(k) == want
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+@given(series_strategy, st.fractions(min_value=-5, max_value=5).filter(bool))
+def test_dilate_matches_termwise(a, q):
+    d = a.dilate(q)
+    assert d.prec == a.prec
+    for i, c in enumerate(a.coeffs):
+        assert d.coeff(a.vmin + i) == c * q ** (a.vmin + i)
