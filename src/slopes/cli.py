@@ -1,46 +1,42 @@
 """Command line front end.
 
-Subcommands: hn, np, factor, check, swan, combine.  All randomness is
-seeded (flag --seed, env SLOPES_SEED, default 0) and recorded in the
-output, so identical invocations produce byte-identical artifacts.
+Subcommands: hn, np, factor, check, swan, combine.  SUBCOMMANDS gives each
+one its handler and the flags that handler reads, plus the flags main reads
+for all of them.  All randomness is seeded (flag --seed, env SLOPES_SEED,
+default 0) and recorded in the output, so identical invocations produce
+byte-identical artifacts.
 
-Exit codes: 0 success, 2 domain/schema error, 3 heuristic-only result
-under --require-complete or budget exhaustion.
+Exit codes: 0 success; 2 bad input (a SlopesError) or bad usage; 3
+heuristic-only result under --require-complete, or budget exhaustion.  Any
+other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
+import random
 import sys
 from fractions import Fraction
 
+from . import laws
 from .core import Budget, BudgetExhausted, hn_filtration
-from .degrees import LOG_POSITIVE, SlopeError
+from .degrees import LOG_POSITIVE
 from .diff import (
+    DifferentialModule,
     DifferentialOperator,
     gerard_levelt_irregularity,
     irregularity_cyclic,
     katz_rank_spectral,
     np_diff,
 )
+from .errors import SchemaError, SlopesError
 from .filtered import FilteredBackend, FilteredSpace
-from .lattices import EuclideanLattice, LatticeBackend, LatticeError
-from .laws import (
-    bost_experiment,
-    check_degree_axioms,
-    check_dominance,
-    check_duality_filtered,
-    check_exactness,
-    check_coprime_stability,
-    check_hn_uniqueness,
-    check_tensor_bounded_rank_one,
-    check_tensor_mult_filtered,
-    sample_filtered_space,
-)
+from .lattices import EuclideanLattice, LatticeBackend, Sublattice
 from .phi import (
     PhiMatrix,
     TwistSpec,
@@ -52,31 +48,19 @@ from .phi import (
     twisted_mul,
 )
 from .polygon import NewtonPolygon, polygon_combine
-from .ramification import galois_polygon, load_ramification, swan
+from .ramification import galois_polygon, herbrand_breaks, load_ramification, swan
 from .series import PrecisionError, Series
-from .tables import TableBackend, TableError, load_table
-import random
-
-DOMAIN_ERRORS = (
-    SlopeError,
-    TableError,
-    LatticeError,
-    PrecisionError,
-    ValueError,
-    KeyError,
-    ZeroDivisionError,
-)
+from .tables import ZERO_ID, TableBackend, TableError, load_table
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         result, complete = dispatch(args)
     except BudgetExhausted as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except DOMAIN_ERRORS as exc:
+    except SlopesError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if args.require_complete and not complete:
@@ -94,28 +78,23 @@ def main(argv=None) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="slopes",
         description="slope filtrations, Newton polygons and their laws",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("hn", "np", "factor", "check", "swan", "combine"):
+    for name, (_, flags) in SUBCOMMANDS.items():
         s = sub.add_parser(name)
-        s.add_argument("--backend", default=None)
-        s.add_argument("--in", dest="infile", default=None)
-        s.add_argument("--out", default=None)
-        s.add_argument("--svg", default=None)
-        s.add_argument("--bound", default=None)
-        s.add_argument("--prec", type=int, default=40)
-        s.add_argument("--depth", type=int, default=8)
-        s.add_argument("--samples", type=int, default=50)
-        s.add_argument("--seed", type=int, default=None)
-        s.add_argument("--require-complete", action="store_true")
-        s.add_argument("--object", default=None, help="table object id")
-        s.add_argument("--law", default=None)
-        s.add_argument("--mode", default=None, help="combine mode")
+        for flag, options in flags + COMMON_FLAGS:
+            s.add_argument(flag, **options)
     return p
+
+
+def dispatch(args):
+    handler, _ = SUBCOMMANDS[args.command]
+    return handler(args, _seed(args))
 
 
 def _seed(args) -> int:
@@ -126,55 +105,61 @@ def _seed(args) -> int:
 
 
 def _budget(args) -> Budget:
-    bound = Fraction(args.bound) if args.bound is not None else None
-    return Budget(bound=bound, depth=args.depth)
+    return Budget(bound=args.bound, depth=args.depth)
 
 
-def _load(args):
-    if not args.infile:
-        raise ValueError("missing --in input file")
-    with open(args.infile) as fh:
-        return json.load(fh)
+# OSError: unreadable file; ValueError: JSON syntax, bad numbers;
+# AttributeError, TypeError: a document of the wrong shape
+DECODE_ERRORS = (
+    OSError,
+    ValueError,
+    KeyError,
+    TypeError,
+    AttributeError,
+    IndexError,
+    ZeroDivisionError,
+    StopIteration,
+)
 
 
-def dispatch(args):
-    seed = _seed(args)
-    if args.command == "hn":
-        return cmd_hn(args, seed)
-    if args.command == "np":
-        return cmd_np(args, seed)
-    if args.command == "factor":
-        return cmd_factor(args, seed)
-    if args.command == "check":
-        return cmd_check(args, seed)
-    if args.command == "swan":
-        return cmd_swan(args, seed)
-    if args.command == "combine":
-        return cmd_combine(args, seed)
-    raise ValueError(f"unknown command {args.command!r}")
+def _load(args, decode):
+    """decode(JSON of --in).  The one place that reads and decodes the
+    input file: any failure there becomes a SchemaError naming the file."""
+    if args.infile is None:
+        raise SchemaError("missing --in input file")
+    try:
+        with open(args.infile) as fh:
+            return decode(json.load(fh))
+    except SlopesError:
+        raise
+    except DECODE_ERRORS as exc:
+        raise SchemaError(f"{args.infile}: {type(exc).__name__}: {exc}") from exc
 
 
-def _backend_object(args, doc):
-    backend_name = args.backend or "lattice"
-    if backend_name == "lattice":
-        return LatticeBackend(), EuclideanLattice.from_json(doc)
-    if backend_name == "filtered":
-        return FilteredBackend(), FilteredSpace.from_json(doc)
-    if backend_name == "table":
-        backend = TableBackend(load_table(doc))
-        oid = args.object or next(
-            o for o in backend.cat.objects if o != "0"
-        )
-        return backend, oid
-    raise ValueError(f"no hn backend named {backend_name!r}")
+# -- hn, np --------------------------------------------------------------------
+
+
+def _table_object(args, doc):
+    backend = TableBackend(load_table(doc))
+    oid = args.object or next(o for o in backend.cat.objects if o != ZERO_ID)
+    if oid not in backend.cat.objects:
+        raise TableError(f"no object {oid!r} in the table")
+    return backend, oid
+
+
+# hn backend name -> decode(args, doc) -> (backend, object); "diff" reads
+# its flag off the Newton polygon instead
+HN_OBJECTS = {
+    "lattice": lambda args, doc: (LatticeBackend(), EuclideanLattice.from_json(doc)),
+    "filtered": lambda args, doc: (FilteredBackend(), FilteredSpace.from_json(doc)),
+    "table": _table_object,
+}
 
 
 def cmd_hn(args, seed: int):
-    doc = _load(args)
-    backend_name = args.backend or "lattice"
-    if backend_name == "diff":
-        op = _load_diff_operator(doc)
-        poly = np_diff(op)
+    header = {"command": "hn", "backend": args.backend, "seed": seed}
+    if args.backend == "diff":
+        poly = np_diff(_load(args, _load_diff_operator))
         steps = []
         r, d = 0, Fraction(0)
         for seg in poly.segments:
@@ -183,38 +168,15 @@ def cmd_hn(args, seed: int):
             steps.append(
                 {"rank": r, "degree": str(d), "subobject": f"slope-part-{len(steps)}"}
             )
-        result = {
-            "command": "hn",
-            "backend": "diff",
-            "seed": seed,
-            "polygon": poly.to_json(),
-            "flag": steps,
-            "certificates": [{"complete": True, "detail": "polygon-derived"}],
-        }
-        return result, True
-    backend, obj = _backend_object(args, doc)
+        certificates = [{"complete": True, "detail": "polygon-derived"}]
+        result = {**header, "polygon": poly.to_json(), "flag": steps}
+        return {**result, "certificates": certificates}, True
+    backend, obj = _load(args, lambda doc: HN_OBJECTS[args.backend](args, doc))
     res = hn_filtration(backend, obj, _budget(args))
-    result = {
-        "command": "hn",
-        "backend": backend_name,
-        "seed": seed,
-        "polygon": res.polygon.to_json(),
-        "flag": [
-            {
-                "rank": s.rank,
-                "degree": s.degree.to_json(),
-                "subobject": _handle_repr(backend_name, s.handle),
-            }
-            for s in res.flag.steps
-        ],
-        "certificates": [c.to_json() for c in res.certificates],
-    }
-    return result, res.certificate.complete
+    return {**header, **res.to_json(_handle_repr)}, res.certificate.complete
 
 
-def _handle_repr(backend_name, handle):
-    from .lattices import Sublattice
-
+def _handle_repr(handle):
     if isinstance(handle, Sublattice):
         return {"basis_columns": [list(map(int, c)) for c in handle.basis]}
     if isinstance(handle, EuclideanLattice):
@@ -224,6 +186,14 @@ def _handle_repr(backend_name, handle):
     if isinstance(handle, tuple) and len(handle) == 2:
         return {"subspace": [[str(c) for c in row] for row in handle[1]]}
     return str(handle)
+
+
+def _load_series_matrix(doc):
+    return tuple(tuple(Series.from_json(c) for c in row) for row in doc["matrix"])
+
+
+def _load_twist(doc) -> TwistSpec:
+    return TwistSpec(Fraction(str(doc["twist"]["q"])))
 
 
 def _load_diff_operator(doc) -> DifferentialOperator:
@@ -236,86 +206,68 @@ def _load_diff_operator(doc) -> DifferentialOperator:
     )
 
 
-def _load_diff_module(doc):
-    from .diff import DifferentialModule
-
-    return DifferentialModule(
-        tuple(tuple(Series.from_json(c) for c in row) for row in doc["matrix"])
-    )
+def _load_diff_input(doc):
+    """A matrix-presented DifferentialModule or a DifferentialOperator."""
+    if "matrix" in doc:
+        return DifferentialModule(_load_series_matrix(doc))
+    return _load_diff_operator(doc)
 
 
 def _load_twisted(doc) -> TwistedPolynomial:
-    twist = TwistSpec(Fraction(str(doc["twist"]["q"])))
     coeffs = [Series.from_json(c) for c in doc["coeffs"]]
     prec = doc.get("precision")
     if prec is not None:
         coeffs = [c.truncate(int(prec)) for c in coeffs]
-    return TwistedPolynomial(tuple(coeffs), twist)
+    return TwistedPolynomial(tuple(coeffs), _load_twist(doc))
+
+
+def _load_twisted_input(doc):
+    """Coefficient valuations (leading coefficient first in the file,
+    returned constant term first), a PhiMatrix or a TwistedPolynomial."""
+    if "valuations" in doc:
+        return [None if v is None else int(v) for v in reversed(doc["valuations"])]
+    if "matrix" in doc:
+        return PhiMatrix(_load_series_matrix(doc), _load_twist(doc))
+    return _load_twisted(doc)
 
 
 def cmd_np(args, seed: int):
-    doc = _load(args)
-    backend = args.backend or "twisted"
-    if backend == "twisted":
-        if "valuations" in doc:
-            # leading-coefficient-first in the file format
-            vals = [None if v is None else int(v) for v in doc["valuations"]]
-            poly = np_twisted(list(reversed(vals)))
-        elif "matrix" in doc:
-            twist = TwistSpec(Fraction(str(doc["twist"]["q"])))
-            entries = tuple(
-                tuple(Series.from_json(c) for c in row) for row in doc["matrix"]
-            )
-            cyc = cyclic_form(PhiMatrix(entries, twist), args.prec)
-            poly = np_of_poly(cyc)
-        else:
-            poly = np_of_poly(_load_twisted(doc))
-        return (
-            {"command": "np", "backend": "twisted", "seed": seed, "polygon": poly.to_json()},
-            True,
-        )
-    if backend == "diff":
-        if "matrix" in doc:
-            # matrix-presented module: report the numeric invariants
-            module = _load_diff_module(doc)
-            ir, stabilized, _ = gerard_levelt_irregularity(module)
-            est, diag = katz_rank_spectral(module)
-            return (
-                {
-                    "command": "np",
-                    "backend": "diff",
-                    "seed": seed,
-                    "gerard_levelt_irregularity": ir,
-                    "stabilized": stabilized,
-                    "katz_rank_estimate": str(est),
-                    "katz_converged": diag["converged"],
-                },
-                stabilized,
-            )
-        op = _load_diff_operator(doc)
-        poly = np_diff(op)
-        return (
-            {
-                "command": "np",
-                "backend": "diff",
-                "seed": seed,
-                "polygon": poly.to_json(),
-                "irregularity": irregularity_cyclic(op),
-            },
-            True,
-        )
-    if backend in ("lattice", "filtered", "table"):
-        sub_args = argparse.Namespace(**vars(args))
-        sub_args.backend = backend
-        result, complete = cmd_hn(sub_args, seed)
-        result["command"] = "np"
-        return result, complete
-    raise ValueError(f"no np backend named {backend!r}")
+    if args.backend in HN_OBJECTS:
+        result, complete = cmd_hn(args, seed)
+        return {**result, "command": "np"}, complete
+    header = {"command": "np", "backend": args.backend, "seed": seed}
+    if args.backend == "twisted":
+        src = _load(args, _load_twisted_input)
+        if isinstance(src, PhiMatrix):
+            src = cyclic_form(src, args.prec)
+        poly = np_of_poly(src) if isinstance(src, TwistedPolynomial) else np_twisted(src)
+        return {**header, "polygon": poly.to_json()}, True
+    src = _load(args, _load_diff_input)
+    if isinstance(src, DifferentialModule):
+        # matrix-presented module: report the numeric invariants
+        ir, stabilized, _ = gerard_levelt_irregularity(src)
+        est, diag = katz_rank_spectral(src)
+        result = {
+            **header,
+            "gerard_levelt_irregularity": ir,
+            "stabilized": stabilized,
+            "katz_rank_estimate": str(est),
+            "katz_converged": diag["converged"],
+        }
+        return result, stabilized
+    result = {
+        **header,
+        "polygon": np_diff(src).to_json(),
+        "irregularity": irregularity_cyclic(src),
+    }
+    return result, True
+
+
+# -- factor, swan, combine -----------------------------------------------------
 
 
 def cmd_factor(args, seed: int):
-    doc = _load(args)
-    poly = _load_twisted(doc)
+    poly = _load(args, _load_twisted)
     prec = args.prec
     factors = slope_factor(poly, prec)
     product = factors[0]
@@ -327,18 +279,14 @@ def cmd_factor(args, seed: int):
     )
     if not verified:
         raise PrecisionError("factor product failed verification")
-    canonical = json.dumps(
-        [f.to_json() for f in factors], sort_keys=True
-    ).encode()
+    canonical = json.dumps([f.to_json() for f in factors], sort_keys=True).encode()
     result = {
         "command": "factor",
         "seed": seed,
         "precision": prec,
         "polygon": np_of_poly(poly).to_json(),
         "factors": [f.to_json() for f in factors],
-        "factor_slopes": [
-            np_of_poly(f).segments[0].slope_json() for f in factors
-        ],
+        "factor_slopes": [np_of_poly(f).segments[0].slope_json() for f in factors],
         "product_verification": {
             "verified_mod_x_prec": verified,
             "sha256": hashlib.sha256(canonical).hexdigest(),
@@ -348,21 +296,13 @@ def cmd_factor(args, seed: int):
 
 
 def cmd_swan(args, seed: int):
-    doc = _load(args)
-    data, reps = load_ramification(doc)
-    from .ramification import herbrand_breaks
-
+    data, reps = _load(args, load_ramification)
     out_reps = []
     for rep in reps:
-        poly = galois_polygon(data, rep)
         value, integral = swan(data, rep)
+        poly = galois_polygon(data, rep).to_json()
         out_reps.append(
-            {
-                "dim": rep.dim,
-                "polygon": poly.to_json(),
-                "swan": str(value),
-                "integral": integral,
-            }
+            {"dim": rep.dim, "polygon": poly, "swan": str(value), "integral": integral}
         )
     result = {
         "command": "swan",
@@ -377,82 +317,46 @@ def cmd_swan(args, seed: int):
 
 
 def cmd_combine(args, seed: int):
-    doc = _load(args)
-    mode = args.mode or doc.get("mode")
-    if mode is None:
-        raise ValueError("combine needs --mode or a mode field")
-    p = NewtonPolygon.from_json(doc["p"])
-    q = NewtonPolygon.from_json(doc["q"]) if "q" in doc else None
+    def decode(doc):
+        q = NewtonPolygon.from_json(doc["q"]) if "q" in doc else None
+        return args.mode or doc["mode"], NewtonPolygon.from_json(doc["p"]), q
+
+    mode, p, q = _load(args, decode)
     out = polygon_combine(p, q, mode)
-    return (
-        {"command": "combine", "seed": seed, "mode": mode, "polygon": out.to_json()},
-        True,
-    )
+    return {"command": "combine", "seed": seed, "mode": mode, "polygon": out.to_json()}, True
+
+
+# -- check ---------------------------------------------------------------------
 
 
 def cmd_check(args, seed: int):
-    law = args.law
-    if law is None:
-        raise ValueError("check needs --law")
-    backend = args.backend or "filtered"
-    samples = args.samples
-    if law == "axioms":
-        tb = None
-        if backend == "table":
-            tb = TableBackend(load_table(_load(args)))
-        report = check_degree_axioms(backend, samples, seed, table=tb)
-        complete = True
-    elif law == "exactness":
-        report, complete = _law_exactness(args, backend, samples, seed)
-    elif law == "dominance":
-        report, complete = _law_dominance(args, samples, seed)
-    elif law == "tensor-mult":
-        report = check_tensor_mult_filtered(samples, seed)
-        complete = True
-    elif law == "tensor-bounded":
-        report = check_tensor_bounded_rank_one(samples, seed)
-        complete = True
-    elif law == "coprime-stable":
-        report = check_coprime_stability(max(1, samples // 2), seed)
-        complete = True
-    elif law == "bost-experiment":
-        report = bost_experiment(min(samples, 8), seed, bound=args.bound)
-        complete = True
-    elif law == "duality":
-        report = check_duality_filtered(samples, seed)
-        complete = True
-    else:
-        raise ValueError(f"unknown law {law!r}")
-    result = {"command": "check", "law": law, "backend": backend, "seed": seed, "report": report}
-    return result, complete
+    report, complete = LAWS[args.law](args, seed)
+    header = {"command": "check", "law": args.law, "backend": args.backend, "seed": seed}
+    return {**header, "report": report}, complete
 
 
-def _law_exactness(args, backend_name, samples, seed):
-    if backend_name == "lattice":
+def _law_axioms(args, seed):
+    table = TableBackend(_load(args, load_table)) if args.backend == "table" else None
+    return laws.check_degree_axioms(args.backend, args.samples, seed, table=table), True
+
+
+def _law_exactness(args, seed):
+    if args.backend == "lattice":
         backend = LatticeBackend()
         objects = [EuclideanLattice.standard(2), EuclideanLattice.standard(3)]
         if args.infile:
-            objects.insert(0, EuclideanLattice.from_json(_load(args)))
-        report = check_exactness(backend, objects, _budget(args))
-        return report, True
-    if backend_name == "filtered":
+            objects.insert(0, _load(args, EuclideanLattice.from_json))
+    elif args.backend == "filtered":
         rng = random.Random(seed)
         backend = FilteredBackend()
-        objects = [
-            sample_filtered_space(rng, dim_max=3, n=1) for _ in range(samples)
-        ]
-        report = check_exactness(backend, objects, _budget(args))
-        return report, True
-    if backend_name == "table":
-        doc = _load(args)
-        backend = TableBackend(load_table(doc))
-        objects = [o for o in backend.cat.objects if o != "0"]
-        report = check_exactness(backend, objects, _budget(args))
-        return report, True
-    raise ValueError(f"no exactness sampler for {backend_name!r}")
+        objects = [laws.sample_filtered_space(rng, dim_max=3, n=1) for _ in range(args.samples)]
+    else:
+        backend = TableBackend(_load(args, load_table))
+        objects = [o for o in backend.cat.objects if o != ZERO_ID]
+    return laws.check_exactness(backend, objects, _budget(args)), True
 
 
-def _law_dominance(args, samples, seed):
+def _law_dominance(args, seed):
     rng = random.Random(seed)
     backend = FilteredBackend()
     budget = _budget(args)
@@ -460,23 +364,83 @@ def _law_dominance(args, samples, seed):
     failures = 0
     unique_failures = 0
     complete = True
-    for _ in range(samples):
-        v = sample_filtered_space(rng, dim_max=3, n=2)
-        rep = check_dominance(backend, v, budget)
-        uni = check_hn_uniqueness(backend, v, budget)
+    for _ in range(args.samples):
+        v = laws.sample_filtered_space(rng, dim_max=3, n=2)
+        rep = laws.check_dominance(backend, v, budget)
+        uni = laws.check_hn_uniqueness(backend, v, budget)
         total_flags += rep["flags"]
         failures += rep["dominance_failures"]
         if not uni["matches_hn"]:
             unique_failures += 1
         complete = complete and uni["complete"]
     report = {
-        "samples": samples,
+        "samples": args.samples,
         "flags_checked": total_flags,
         "dominance_failures": failures,
         "uniqueness_failures": unique_failures,
         "seed": seed,
     }
     return report, complete
+
+
+# law name -> run(args, seed) -> (report, complete)
+LAWS = {
+    "axioms": _law_axioms,
+    "exactness": _law_exactness,
+    "dominance": _law_dominance,
+    "tensor-mult": lambda a, seed: (laws.check_tensor_mult_filtered(a.samples, seed), True),
+    "tensor-bounded": lambda a, seed: (laws.check_tensor_bounded_rank_one(a.samples, seed), True),
+    "coprime-stable": lambda a, seed: (
+        laws.check_coprime_stability(max(1, a.samples // 2), seed), True
+    ),
+    "bost-experiment": lambda a, seed: (
+        laws.bost_experiment(min(a.samples, 8), seed, bound=a.bound), True
+    ),
+    "duality": lambda a, seed: (laws.check_duality_filtered(a.samples, seed), True),
+}
+
+
+# -- the subcommand table ------------------------------------------------------
+
+# (flag, add_argument options) for each flag a handler reads
+IN = ("--in", dict(dest="infile", required=True, help="JSON input file"))
+BOUND = ("--bound", dict(type=Fraction, help="lattice norm bound"))
+DEPTH = ("--depth", dict(type=int, default=8, help="subspace closure depth"))
+PREC = ("--prec", dict(type=int, default=40, help="series precision"))
+OBJECT = ("--object", dict(help="table object id"))
+
+
+def _backend(*choices):
+    return ("--backend", dict(choices=choices, default=choices[0]))
+
+
+# the flags main reads, on every subcommand
+COMMON_FLAGS = (
+    ("--out", dict(help="write the JSON artifact here instead of stdout")),
+    ("--svg", dict(help="write a presentation polygon here")),
+    ("--seed", dict(type=int, help="default: env SLOPES_SEED, else 0")),
+    ("--require-complete", dict(action="store_true")),
+)
+
+# subcommand -> (handler(args, seed) -> (result, complete), its own flags)
+SUBCOMMANDS = {
+    "hn": (cmd_hn, (_backend(*HN_OBJECTS, "diff"), IN, BOUND, DEPTH, OBJECT)),
+    "np": (cmd_np, (_backend("twisted", "diff", *HN_OBJECTS), IN, PREC, BOUND, DEPTH, OBJECT)),
+    "factor": (cmd_factor, (IN, PREC)),
+    "check": (
+        cmd_check,
+        (
+            ("--law", dict(choices=tuple(LAWS), required=True)),
+            _backend("filtered", "lattice", "table"),
+            ("--samples", dict(type=int, default=50)),
+            ("--in", dict(dest="infile", help="JSON input file (table, lattice)")),
+            BOUND,
+            DEPTH,
+        ),
+    ),
+    "swan": (cmd_swan, (IN,)),
+    "combine": (cmd_combine, (IN, ("--mode", dict(help="default: the file's mode field")))),
+}
 
 
 # -- svg ---------------------------------------------------------------------------

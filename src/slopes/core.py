@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .degrees import DegreeValue, SlopeError, SlopeKey
+from .errors import SlopesError
 from .polygon import NewtonPolygon, polygon_of_flag
 
 
@@ -20,7 +21,7 @@ class CapabilityError(RuntimeError):
     """The backend lacks an operation the caller needs."""
 
 
-class BudgetExhausted(RuntimeError):
+class BudgetExhausted(SlopesError, RuntimeError):
     """A search ran out of budget before producing any result."""
 
 

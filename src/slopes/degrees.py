@@ -20,13 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .errors import SlopesError
+
 RATIONAL = "rational"
 LOG_POSITIVE = "log_positive"
 
 Rat = Union[Fraction, int, str]
 
 
-class SlopeError(ValueError):
+class SlopeError(SlopesError, ValueError):
     """Raised for undefined slopes (zero objects) and domain errors."""
 
 

@@ -16,11 +16,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .degrees import DegreeValue, SlopeKey
+from .errors import SlopesError
 from .polygon import NewtonPolygon, polygon_from_points
 from .series import PrecisionError, Series
 
 
-class DiffError(ValueError):
+class DiffError(SlopesError, ValueError):
     pass
 
 

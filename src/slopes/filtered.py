@@ -29,9 +29,10 @@ from .core import (
     destabilizer_from_candidates,
 )
 from .degrees import DegreeValue, SlopeError
+from .errors import SlopesError
 
 
-class FilteredError(ValueError):
+class FilteredError(SlopesError, ValueError):
     pass
 
 

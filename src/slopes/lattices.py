@@ -31,12 +31,13 @@ from .core import (
     destabilizer_from_candidates,
 )
 from .degrees import DegreeValue, SlopeError, SlopeKey
+from .errors import SlopesError
 
 # gamma_k^k for the Hermite constants, k <= 4
 _HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2), 4: Fraction(4)}
 
 
-class LatticeError(ValueError):
+class LatticeError(SlopesError, ValueError):
     pass
 
 
@@ -323,31 +324,29 @@ def _span_sort_key(s: Sublattice):
 def _span_closure(lat: EuclideanLattice, bound: Fraction, budget: Budget):
     """Saturations of spans of the short vectors of norm <= bound, grown
     one vector at a time up to rank r - 1, in _span_sort_key order; raises
-    BudgetExhausted past budget.max_candidates."""
-    vecs = short_vectors(lat, bound)
+    BudgetExhausted past budget.max_candidates.  Spans are keyed by their
+    rref before saturating (saturation keeps the rational span), so each
+    distinct span is saturated once."""
+    vecs = [(v, tuple(Fraction(x) for x in v)) for _, v in short_vectors(lat, bound)]
     seen = {}
     frontier = []
-    for _, v in vecs:
-        s = saturate(lat, [v])
-        key = s.span_key()
+    for v, vv in vecs:
+        key = linalg.rref([vv])
         if key not in seen:
-            seen[key] = s
-            frontier.append(s)
+            seen[key] = saturate(lat, [v])
+            frontier.append(key)
     while frontier:
         nxt = []
-        for s in frontier:
-            if s.rank >= lat.rank - 1:
+        for span in frontier:
+            if len(span) >= lat.rank - 1:
                 continue
-            span = s.span_key()
-            for _, v in vecs:
-                vv = tuple(Fraction(x) for x in v)
-                if linalg.subspace_contains(span, (vv,)):
+            for v, vv in vecs:
+                key = linalg.subspace_sum(span, (vv,))
+                if key == span:
                     continue
-                s2 = saturate(lat, list(s.basis) + [list(v)])
-                key = s2.span_key()
                 if key not in seen:
-                    seen[key] = s2
-                    nxt.append(s2)
+                    seen[key] = saturate(lat, list(seen[span].basis) + [list(v)])
+                    nxt.append(key)
                 if len(seen) > budget.max_candidates:
                     raise BudgetExhausted("lattice candidate budget exhausted")
         frontier = nxt

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .degrees import DegreeValue, SlopeError, SlopeKey
+from .errors import SlopesError
 from .polygon import NewtonPolygon, polygon_from_points
 from .series import PrecisionError, Series
 
@@ -29,7 +30,7 @@ DEFAULT_PRECISION = 40
 NEWTON_CAP = 64
 
 
-class TwistError(ValueError):
+class TwistError(SlopesError, ValueError):
     pass
 
 

@@ -232,8 +232,9 @@ def polygon_combine(
     dual              breaks negated, order reversed (q ignored),
     tensor_bounded_max one-segment witness (max highest break, product rank).
     """
+    if q is None and mode in (DIRECT_SUM, TENSOR_MULT, TENSOR_BOUNDED_MAX):
+        raise SlopeError(f"combine mode {mode!r} needs a second polygon q")
     if mode == DIRECT_SUM:
-        assert q is not None
         return NewtonPolygon(_merge_equal_breaks(list(p.segments) + list(q.segments)))
     if mode == DUAL:
         if p.variant == LOG_POSITIVE:
@@ -242,7 +243,6 @@ def polygon_combine(
             tuple(SlopeKey(-s.deg, s.rk) for s in reversed(p.segments))
         )
     if mode == TENSOR_MULT:
-        assert q is not None
         if p.variant == LOG_POSITIVE or q.variant == LOG_POSITIVE:
             raise VariantMismatchError(
                 "tensor polygon calculus needs rational slopes; "
@@ -256,7 +256,6 @@ def polygon_combine(
                 segs.append(SlopeKey(deg, mult))
         return NewtonPolygon(_merge_equal_breaks(segs))
     if mode == TENSOR_BOUNDED_MAX:
-        assert q is not None
         if p.is_empty() or q.is_empty():
             raise SlopeError("highest-break bound needs nonempty polygons")
         rho = max(p.highest_break(), q.highest_break(), key=_SlopeSortKey).reduced()

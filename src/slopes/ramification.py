@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .degrees import DegreeValue, SlopeKey
+from .errors import SlopesError
 from .polygon import NewtonPolygon
 
 
-class RamificationError(ValueError):
+class RamificationError(SlopesError, ValueError):
     pass
 
 

@@ -18,12 +18,14 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
+from .errors import SlopesError
+
 Rat = Union[Fraction, int, str]
 
 INF = None  # precision sentinel for exact series
 
 
-class PrecisionError(ArithmeticError):
+class PrecisionError(SlopesError, ArithmeticError):
     """A quantity is indeterminate at the working precision."""
 
 

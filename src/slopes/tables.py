@@ -17,11 +17,12 @@ from typing import Optional
 
 from .core import Budget, COMPLETE, SlopeBackend
 from .degrees import DegreeValue
+from .errors import SlopesError
 
 ZERO_ID = "0"
 
 
-class TableError(ValueError):
+class TableError(SlopesError, ValueError):
     pass
 
 

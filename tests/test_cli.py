@@ -1,12 +1,19 @@
+import argparse
 import hashlib
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from slopes import cli
 from slopes.cli import main
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "slopes" / "fixtures"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args, capsys):
@@ -288,3 +295,147 @@ def test_hn_artifacts_pinned(tmp_path, capsys):
         capsys.readouterr()
         assert code == 0, name
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["hn", "--backend", "lattice"], None),
+        (["hn", "--backend", "lattice"], {"gram": 5}),
+        (["hn", "--backend", "table"], {"objects": []}),
+        (["hn", "--backend", "table"], ["not", "an", "object"]),
+        (
+            ["combine", "--mode", "direct_sum"],
+            {"p": {"segments": [{"slope": "1", "mult": 1}]}},
+        ),
+    ],
+    ids=[
+        "missing-file",
+        "gram-not-a-matrix",
+        "table-without-objects",
+        "table-not-an-object",
+        "sum-without-q",
+    ],
+)
+def test_bad_input_exit_2(tmp_path, capsys, argv, doc):
+    f = tmp_path / "in.json"
+    if doc is not None:
+        f.write_text(json.dumps(doc))
+    code = main(argv + ["--in", str(f)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bug_is_not_bad_input(monkeypatch):
+    def broken(*args):
+        raise KeyError("a defect, not an input")
+
+    monkeypatch.setattr(cli, "hn_filtration", broken)
+    with pytest.raises(KeyError):
+        main(["hn", "--backend", "lattice", "--in", str(FIXTURES / "z2.json")])
+
+
+def test_error_classes_share_one_root():
+    from slopes.core import BudgetExhausted, CapabilityError
+    from slopes.degrees import SlopeError
+    from slopes.diff import DiffError
+    from slopes.errors import SchemaError, SlopesError
+    from slopes.filtered import FilteredError
+    from slopes.lattices import LatticeError
+    from slopes.phi import TwistError
+    from slopes.ramification import RamificationError
+    from slopes.series import PrecisionError
+    from slopes.tables import TableError
+
+    for cls in (
+        SlopeError,
+        TableError,
+        LatticeError,
+        TwistError,
+        DiffError,
+        FilteredError,
+        RamificationError,
+        PrecisionError,
+        BudgetExhausted,
+        SchemaError,
+    ):
+        assert issubclass(cls, SlopesError), cls
+    assert issubclass(SchemaError, ValueError)
+    assert not issubclass(CapabilityError, SlopesError)
+
+
+def _parser_flags():
+    """subcommand -> the option strings its parser accepts."""
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_subcommand_flag_sets():
+    common = {"--out", "--svg", "--seed", "--require-complete"}
+    own = {
+        "hn": {"--backend", "--in", "--bound", "--depth", "--object"},
+        "np": {"--backend", "--in", "--prec", "--bound", "--depth", "--object"},
+        "factor": {"--in", "--prec"},
+        "check": {"--law", "--backend", "--samples", "--in", "--bound", "--depth"},
+        "swan": {"--in"},
+        "combine": {"--in", "--mode"},
+    }
+    flags = _parser_flags()
+    assert flags == {name: own[name] | common for name in own}
+    assert sum(map(len, flags.values())) == 46
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["swan", "--in", str(FIXTURES / "artin_schreier.json"), "--depth", "3"],
+        ["factor", "--in", str(FIXTURES / "twisted_two_slopes.json"), "--law", "x"],
+        ["hn", "--backend", "bogus", "--in", str(FIXTURES / "z2.json")],
+        ["check", "--backend", "filtered"],
+    ],
+    ids=["swan-depth", "factor-law", "hn-bogus-backend", "check-without-law"],
+)
+def test_usage_errors_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: slopes" in capsys.readouterr().err
+
+
+def test_parser_built_once(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["swan", "--in", str(FIXTURES / "artin_schreier.json")]) == 0
+    capsys.readouterr()
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def _readme_invocations():
+    """Each `slopes <cmd> ...` line of the README, with its indented
+    continuation lines."""
+    found, current = [], None
+    for line in README.read_text().splitlines():
+        if line.startswith("slopes "):
+            current = line
+            found.append(current)
+        elif current is not None and line.startswith(" ") and line.strip():
+            found[-1] += " " + line.strip()
+        else:
+            current = None
+    return found
+
+
+def test_readme_usage_matches_parser():
+    flags = _parser_flags()
+    invocations = _readme_invocations()
+    assert {text.split()[1] for text in invocations} == set(flags)
+    for text in invocations:
+        cmd = text.split()[1]
+        assert set(re.findall(r"--[a-z][a-z-]*", text)) <= flags[cmd], text
+        if "|" not in text and "[" not in text:
+            cli.build_parser().parse_args(shlex.split(text)[1:])

@@ -111,6 +111,22 @@ def test_strict_subobjects_respects_candidate_budget():
         )
 
 
+def test_span_closure_saturates_each_span_once(monkeypatch):
+    import slopes.lattices as lattices
+
+    results = []
+
+    def recording(ambient, columns):
+        results.append(saturate(ambient, columns))
+        return results[-1]
+
+    monkeypatch.setattr(lattices, "saturate", recording)
+    lat = EuclideanLattice([[2, 1, 0], [1, 2, 1], [0, 1, 9]])
+    subs = lattices._span_closure(lat, lattices.default_bound(lat), Budget())
+    keys = [s.span_key() for s in results]
+    assert len(keys) == len(set(keys)) == len(subs)
+
+
 def test_tensor_examples():
     assert tensor_lattice(
         EuclideanLattice([[Fraction(2)]]), EuclideanLattice([[Fraction(3)]])
