@@ -13,6 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from slopes.cli import positive_int  # noqa: E402
 from slopes.laws import (  # noqa: E402
     bost_experiment,
     check_degree_axioms,
@@ -31,7 +32,7 @@ FIXTURES = Path(__file__).resolve().parents[1] / "src" / "slopes" / "fixtures"
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--samples", type=int, default=40)
+    ap.add_argument("--samples", type=positive_int, default=40)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     n, seed = args.samples, args.seed

@@ -402,11 +402,20 @@ LAWS = {
 
 # -- the subcommand table ------------------------------------------------------
 
+
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (a precision or a sample count)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # (flag, add_argument options) for each flag a handler reads
 IN = ("--in", dict(dest="infile", required=True, help="JSON input file"))
 BOUND = ("--bound", dict(type=Fraction, help="lattice norm bound"))
 DEPTH = ("--depth", dict(type=int, default=8, help="subspace closure depth"))
-PREC = ("--prec", dict(type=int, default=40, help="series precision"))
+PREC = ("--prec", dict(type=positive_int, default=40, help="series precision"))
 OBJECT = ("--object", dict(help="table object id"))
 
 
@@ -432,7 +441,7 @@ SUBCOMMANDS = {
         (
             ("--law", dict(choices=tuple(LAWS), required=True)),
             _backend("filtered", "lattice", "table"),
-            ("--samples", dict(type=int, default=50)),
+            ("--samples", dict(type=positive_int, default=50)),
             ("--in", dict(dest="infile", help="JSON input file (table, lattice)")),
             BOUND,
             DEPTH,

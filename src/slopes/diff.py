@@ -254,8 +254,9 @@ def _katz_run(module: DifferentialModule, n_max: int, window: int, keep: int):
 # -- Gerard-Levelt lattice growth ----------------------------------------------------
 
 
-def _approx_quotient(e: Series, p: Series, floor_prec: int) -> Series:
-    """f in Q[[x]] with e - f p zero to the available precision.
+def _pivot_inverse(p: Series, floor_prec: int) -> Series:
+    """Inverse of the pivot p, for the quotients f = e p^-1 of one
+    elimination step (e - f p is then zero to the available precision).
 
     The pivot p is the global minimum-valuation entry, so inverting it to
     its maximal achievable precision (prec - 2 v(p)) makes the column
@@ -266,8 +267,7 @@ def _approx_quotient(e: Series, p: Series, floor_prec: int) -> Series:
         inv_prec = p.prec - 2 * vp
     else:
         inv_prec = floor_prec - 2 * vp + 4
-    inv = p.inverse(inv_prec)
-    return e * inv
+    return p.inverse(inv_prec)
 
 
 def _safe_valuation(s: Series):
@@ -312,11 +312,14 @@ def _reduce_columns(cols, r: int, floor_prec: int):
             raise PrecisionError("column reduction ran out of certified pivots")
         v, row, ci = best
         pivot = active.pop(ci)
+        inv = None  # formed at the first column that needs it
         for col in active:
             e = col[row]
             if _safe_valuation(e) is None:
                 continue
-            f = _approx_quotient(e, pivot[row], floor_prec)
+            if inv is None:
+                inv = _pivot_inverse(pivot[row], floor_prec)
+            f = e * inv
             for i in range(r):
                 col[i] = (col[i] - f * pivot[i]).truncate(floor_prec)
         rows_left.remove(row)

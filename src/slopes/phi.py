@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .degrees import DegreeValue, SlopeError, SlopeKey
 from .errors import SlopesError
 from .polygon import NewtonPolygon, polygon_from_points
-from .series import PrecisionError, Series
+from .series import PrecisionError, Series, _make
 
 DEFAULT_PRECISION = 40
 NEWTON_CAP = 64
@@ -172,7 +172,7 @@ def _representative(s: Series, prec: int) -> Series:
     ``prec``; exact series pass through unchanged."""
     if s.prec is None or s.prec >= prec:
         return s
-    return Series(s.vmin, s.coeffs, prec)
+    return _make(s.vmin, s.coeffs, prec)
 
 
 def _split_once(

@@ -24,6 +24,8 @@ Rat = Union[Fraction, int, str]
 
 INF = None  # precision sentinel for exact series
 
+_ZERO = Fraction(0)
+
 
 class PrecisionError(SlopesError, ArithmeticError):
     """A quantity is indeterminate at the working precision."""
@@ -151,12 +153,14 @@ class Series:
         if not other.coeffs:
             return _make(self.vmin, self.coeffs, prec)
         lo = min(self.vmin, other.vmin)
-        hi = max(self.vmin + len(self.coeffs), other.vmin + len(other.coeffs))
-        out = [Fraction(0)] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.vmin - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.vmin - lo + i] += c
+        end = self.vmin + len(self.coeffs)
+        hi = max(end, other.vmin + len(other.coeffs))
+        # copy the first window, padded to [lo, hi), and add into it only
+        # the nonzero coefficients of the second
+        out = [_ZERO] * (self.vmin - lo) + list(self.coeffs) + [_ZERO] * (hi - end)
+        for i, c in enumerate(other.coeffs, other.vmin - lo):
+            if c:
+                out[i] = out[i] + c if out[i] else c
         return _make(lo, tuple(out), prec).trimmed()
 
     def __neg__(self) -> "Series":
@@ -208,7 +212,7 @@ class Series:
 
     def dlog_derivative(self) -> "Series":
         """Apply x d/dx: c_k x^k -> k c_k x^k.  Valuation never drops."""
-        return Series(
+        return _make(
             self.vmin,
             tuple(c * (self.vmin + i) for i, c in enumerate(self.coeffs)),
             self.prec,
@@ -232,23 +236,37 @@ class Series:
         if v is None:
             raise ZeroDivisionError("inverse of the zero series")
         t = self.trimmed()
-        lead = t.coeffs[0]
         nterms = prec - (-v)
         if nterms <= 0:
             return Series.zero(prec)
-        # u = t / (lead x^v) is 1 + higher; invert by the standard recursion.
-        u = [c / lead for c in t.coeffs]
         if t.prec is not None and t.prec - v < nterms:
             raise PrecisionError("not enough terms to invert at this precision")
-        u += [Fraction(0)] * max(0, nterms - len(u))
-        inv = [Fraction(0)] * nterms
-        inv[0] = Fraction(1)
+        # With t = (n_0 + n_1 x + ...) x^v / d, the k-th inverse coefficient
+        # is d m_k / n_0^(k+1), where m_0 = 1 and
+        # m_k = -sum_{j>=1} n_j n_0^(j-1) m_{k-j}: integers only, and one
+        # normalisation per output coefficient.
+        nums, d = _integral(t.coeffs[:nterms])
+        n0 = nums[0]
+        terms = []  # (j, n_j n_0^(j-1)) for the nonzero n_j, j >= 1
+        pw = 1
+        for j in range(1, len(nums)):
+            if nums[j]:
+                terms.append((j, nums[j] * pw))
+            pw *= n0
+        m = [1]
         for k in range(1, nterms):
-            acc = Fraction(0)
-            for j in range(1, min(k, len(u) - 1) + 1):
-                acc += u[j] * inv[k - j]
-            inv[k] = -acc
-        return Series(-v, tuple(c / lead for c in inv), prec)
+            acc = 0
+            for j, aj in terms:
+                if j > k:
+                    break
+                acc += aj * m[k - j]
+            m.append(-acc)
+        out = []
+        den = n0
+        for mk in m:
+            out.append(Fraction(d * mk, den))
+            den *= n0
+        return _make(-v, tuple(out), prec)
 
     def eq_to_precision(self, other: "Series", prec: Optional[int] = None) -> bool:
         d = (self - other).trimmed()

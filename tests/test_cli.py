@@ -407,6 +407,33 @@ def test_usage_errors_exit_2(argv, capsys):
     assert "usage: slopes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "--in", str(FIXTURES / "twisted_two_slopes.json"), "--prec", "-3"],
+        ["factor", "--in", str(FIXTURES / "twisted_two_slopes.json"), "--prec", "0"],
+        ["np", "--in", str(FIXTURES / "twisted_two_slopes.json"), "--prec", "0"],
+        ["check", "--law", "dominance", "--samples", "-1"],
+        ["check", "--law", "axioms", "--samples", "0"],
+    ],
+    ids=["factor-prec-neg", "factor-prec-0", "np-prec-0", "check-samples-neg", "check-samples-0"],
+)
+def test_nonpositive_prec_and_samples_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_run_checks_rejects_nonpositive_samples():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_checks.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--samples", "0"], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "must be at least 1" in proc.stderr
+
+
 def test_parser_built_once(capsys):
     cli.build_parser.cache_clear()
     for _ in range(2):

@@ -177,3 +177,42 @@ def test_rank_one_break_and_duality():
     g = Series.from_coeffs(-2, [-1, 1])  # cancels the leading pole of f
     assert rank_one_break(f + g) == 1
     assert rank_one_break(f + g) <= max(rank_one_break(f), rank_one_break(g))
+
+
+def test_reduce_columns_inverts_each_pivot_once(monkeypatch):
+    """Each elimination step inverts its pivot at most once; the lattice
+    growth gives the same irregularity and dims as before."""
+    import slopes.diff as diff_mod
+
+    inverses = []
+    real_inverse = Series.inverse
+    real_reduce = diff_mod._reduce_columns
+    per_call = []  # (inverse calls, pivots) of each _reduce_columns call
+
+    def counting_inverse(self, prec):
+        inverses.append(prec)
+        return real_inverse(self, prec)
+
+    def counting_reduce(cols, r, floor_prec):
+        before = len(inverses)
+        total, pivots = real_reduce(cols, r, floor_prec)
+        per_call.append((len(inverses) - before, len(pivots)))
+        return total, pivots
+
+    monkeypatch.setattr(Series, "inverse", counting_inverse)
+    monkeypatch.setattr(diff_mod, "_reduce_columns", counting_reduce)
+    mixed = DifferentialOperator(
+        (
+            Series.from_coeffs(-3, [2, -1, Fraction(3, 2)]),
+            Series.from_coeffs(-1, [-3, 0, Fraction(1, 3)]),
+        )
+    )
+    cases = [(op(-3, -1), 3), (op(-5, -3, -4), 5), (op(-2, None, -1, None), 2), (mixed, 3)]
+    for o, ir in cases:
+        per_call.clear()
+        gl, stabilized, diag = gerard_levelt_irregularity(companion(o), 12)
+        assert (gl, stabilized) == (ir, True)
+        assert diag["dims"] == [ir * k for k in range(1, 13)]
+        assert len(per_call) == 12
+        assert all(n_inv <= n_piv for n_inv, n_piv in per_call), per_call
+        assert any(n_inv for n_inv, _ in per_call)

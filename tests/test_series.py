@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -113,3 +114,112 @@ def test_dilate_matches_termwise(a, q):
     assert d.prec == a.prec
     for i, c in enumerate(a.coeffs):
         assert d.coeff(a.vmin + i) == c * q ** (a.vmin + i)
+
+
+def reference_inverse(s, prec):
+    """Termwise Fraction recurrence for the inverse: (vmin, coeffs, prec)."""
+    v = s.valuation()
+    if v is None:
+        raise ZeroDivisionError("inverse of the zero series")
+    t = s.trimmed()
+    nterms = prec + v
+    if nterms <= 0:
+        return 0, (), prec
+    if t.prec is not None and t.prec - v < nterms:
+        raise PrecisionError("not enough terms")
+    lead = t.coeffs[0]
+    u = [c / lead for c in t.coeffs] + [Fraction(0)] * nterms
+    inv = [Fraction(1)]
+    for k in range(1, nterms):
+        inv.append(-sum((u[j] * inv[k - j] for j in range(1, k + 1)), Fraction(0)))
+    return -v, tuple(c / lead for c in inv), prec
+
+
+def random_window(rng, max_len=8):
+    """Coefficients with frequent zeros (leading, inner and trailing)."""
+    coeffs = [
+        Fraction(0)
+        if rng.random() < 0.35
+        else Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 4, 9, 12]))
+        for _ in range(rng.randint(0, max_len))
+    ]
+    vmin = rng.randint(-5, 4)
+    prec = None if rng.random() < 0.5 else vmin + rng.randint(-1, len(coeffs) + 3)
+    return Series(vmin, tuple(coeffs), prec)
+
+
+def outcome(fn):
+    try:
+        r = fn()
+    except (PrecisionError, ZeroDivisionError) as exc:
+        return type(exc)
+    return r if isinstance(r, tuple) else (r.vmin, r.coeffs, r.prec)
+
+
+def test_inverse_matches_fraction_recurrence():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(3000):
+        s = random_window(rng)
+        prec = rng.randint(-8, 16)
+        want = outcome(lambda: reference_inverse(s, prec))
+        got = outcome(lambda: s.inverse(prec))
+        assert got == want, (s, prec)
+        if isinstance(got, tuple):
+            assert all(type(c) is Fraction for c in got[1])
+            seen.add("empty" if not got[1] else "terms")
+        else:
+            seen.add(got)
+    assert seen == {"empty", "terms", PrecisionError, ZeroDivisionError}
+    with pytest.raises(ZeroDivisionError):
+        Series.zero().inverse(3)
+    with pytest.raises(PrecisionError):
+        Series(0, (Fraction(0),), prec=2).inverse(3)
+    with pytest.raises(PrecisionError):
+        Series(-1, (Fraction(2), Fraction(1)), prec=1).inverse(4)
+
+
+@given(
+    truncated_strategy.filter(lambda s: s.valuation_or(None) is not None),
+    st.integers(min_value=-2, max_value=8),
+)
+def test_inverse_times_self_is_one(s, p):
+    try:
+        inv = s.inverse(p)
+    except PrecisionError:
+        return
+    prod = s * inv
+    assert prod.eq_to_precision(Series.one(), p)
+
+
+def reference_add(a, b):
+    """(vmin, coeffs, prec) of a + b: a dense Fraction window summed term by
+    term, cut at the precision and trimmed; an empty operand passes the
+    other through uncut of zeros."""
+    prec = a.prec if b.prec is None else b.prec if a.prec is None else min(a.prec, b.prec)
+    if not a.coeffs or not b.coeffs:
+        s = b if not a.coeffs else a
+        return s.vmin, s.coeffs[: None if prec is None else max(0, prec - s.vmin)], prec
+    lo = min(a.vmin, b.vmin)
+    hi = max(a.vmin + len(a.coeffs), b.vmin + len(b.coeffs))
+    if prec is not None:
+        hi = max(lo, min(hi, prec))
+    out = [
+        sum((s.coeffs[k - s.vmin] for s in (a, b) if 0 <= k - s.vmin < len(s.coeffs)), Fraction(0))
+        for k in range(lo, hi)
+    ]
+    while out and out[0] == 0:
+        out.pop(0)
+        lo += 1
+    while out and out[-1] == 0:
+        out.pop()
+    return lo, tuple(out), prec
+
+
+def test_add_matches_termwise():
+    rng = random.Random(12)
+    for _ in range(3000):
+        a, b = random_window(rng), random_window(rng)
+        for got, want in ((a + b, reference_add(a, b)), (a - b, reference_add(a, -b))):
+            assert (got.vmin, got.coeffs, got.prec) == want, (a, b)
+            assert all(type(c) is Fraction for c in got.coeffs)
