@@ -160,14 +160,10 @@ def cmd_hn(args, seed: int):
     header = {"command": "hn", "backend": args.backend, "seed": seed}
     if args.backend == "diff":
         poly = np_diff(_load(args, _load_diff_operator))
-        steps = []
-        r, d = 0, Fraction(0)
-        for seg in poly.segments:
-            r += seg.rk
-            d += seg.deg.value
-            steps.append(
-                {"rank": r, "degree": str(d), "subobject": f"slope-part-{len(steps)}"}
-            )
+        steps = [
+            {"rank": r, "degree": str(d.value), "subobject": f"slope-part-{i}"}
+            for i, (r, d) in enumerate(poly.vertices()[1:])
+        ]
         certificates = [{"complete": True, "detail": "polygon-derived"}]
         result = {**header, "polygon": poly.to_json(), "flag": steps}
         return {**result, "certificates": certificates}, True
@@ -404,7 +400,8 @@ LAWS = {
 
 
 def positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (a precision or a sample count)."""
+    """argparse type: an integer >= 1 (a precision, a sample count or a
+    closure depth)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -414,7 +411,7 @@ def positive_int(text: str) -> int:
 # (flag, add_argument options) for each flag a handler reads
 IN = ("--in", dict(dest="infile", required=True, help="JSON input file"))
 BOUND = ("--bound", dict(type=Fraction, help="lattice norm bound"))
-DEPTH = ("--depth", dict(type=int, default=8, help="subspace closure depth"))
+DEPTH = ("--depth", dict(type=positive_int, default=8, help="subspace closure depth"))
 PREC = ("--prec", dict(type=positive_int, default=40, help="series precision"))
 OBJECT = ("--object", dict(help="table object id"))
 

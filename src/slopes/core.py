@@ -57,9 +57,13 @@ COMPLETE = Certificate(True, "")
 class SlopeBackend:
     """Base class documenting the contract; backends override what they have.
 
-    Required: rank, degree, quotient, same.
-    Optional: destabilizer, strict_subobjects, pullback, tensor, dual,
-    plus the sampling hooks used by the law harnesses.
+    Required: rank, degree, quotient, pullback, and strict_subobjects or
+    destabilizer.  The default destabilizer picks from strict_subobjects by
+    destabilizer_from_candidates; a backend with a faster search overrides
+    it.  The engine passes quotient, pullback, destabilizer and
+    strict_subobjects whole objects (the input and its successive
+    quotients) as ``obj``; rank, degree and candidate_key also take
+    subobject handles.
     """
 
     name = "abstract"
@@ -76,9 +80,6 @@ class SlopeBackend:
             raise SlopeError("slope of the zero object is undefined")
         return SlopeKey(self.degree(obj), r)
 
-    def same(self, a, b) -> bool:
-        raise CapabilityError(f"{self.name}: no object equality")
-
     def quotient(self, obj, sub):
         raise CapabilityError(f"{self.name}: no quotient")
 
@@ -89,7 +90,8 @@ class SlopeBackend:
     def destabilizer(self, obj, budget: Budget):
         """(subobject, SlopeKey, Certificate) for the universal destabilizer;
         returns obj itself when semistable."""
-        raise CapabilityError(f"{self.name}: no destabilizer")
+        subs, cert = self.strict_subobjects(obj, budget)
+        return destabilizer_from_candidates(self, obj, subs, cert)
 
     def strict_subobjects(self, obj, budget: Budget):
         """(list of nonzero strict subobjects != obj, Certificate)."""
@@ -98,16 +100,6 @@ class SlopeBackend:
     def candidate_key(self, sub) -> Any:
         """Deterministic tie-break order for equal-slope equal-rank picks."""
         return repr(sub)
-
-    def tensor(self, a, b):
-        raise CapabilityError(f"{self.name}: no tensor")
-
-    def dual(self, a):
-        raise CapabilityError(f"{self.name}: no dual")
-
-    def has(self, capability: str) -> bool:
-        mine = getattr(type(self), capability, None)
-        return mine is not None and mine is not getattr(SlopeBackend, capability, None)
 
 
 @dataclass(frozen=True)
@@ -169,14 +161,10 @@ class HNResult:
 
 def universal_destabilizer(cat: SlopeBackend, obj, budget: Budget = Budget()):
     """Maximal-slope, then maximal-rank strict subobject; obj itself when
-    semistable.  Falls back to enumeration when the backend has no native
-    destabilizer."""
+    semistable."""
     if cat.rank(obj) == 0:
         raise SlopeError("zero object has no destabilizer")
-    if cat.has("destabilizer"):
-        return cat.destabilizer(obj, budget)
-    subs, cert = cat.strict_subobjects(obj, budget)
-    return destabilizer_from_candidates(cat, obj, subs, cert)
+    return cat.destabilizer(obj, budget)
 
 
 def destabilizer_from_candidates(cat: SlopeBackend, obj, subs, cert: Certificate):
@@ -210,12 +198,8 @@ def is_semistable(cat: SlopeBackend, obj, budget: Budget = Budget()):
     """(bool, Certificate) per the strict-subobject slope test."""
     if cat.rank(obj) == 0:
         raise SlopeError("semistability of the zero object is undefined")
-    if cat.has("destabilizer") or cat.has("strict_subobjects"):
-        sub, key, cert = universal_destabilizer(cat, obj, budget)
-        return key.cmp(cat.slope(obj)) <= 0, cert
-    raise CapabilityError(
-        f"{cat.name}: neither enumeration nor destabilizer available"
-    )
+    sub, key, cert = universal_destabilizer(cat, obj, budget)
+    return key.cmp(cat.slope(obj)) <= 0, cert
 
 
 def hn_filtration(cat: SlopeBackend, obj, budget: Budget = Budget()) -> HNResult:

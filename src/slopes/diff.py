@@ -1,7 +1,7 @@
 """Formal differential operators and modules over Q((x)) with the
 logarithmic derivation x d/dx.
 
-Three independent routes to the same invariants live here: the Fuchs
+Four independent routes to the same invariants live here: the Fuchs
 irregularity formula from coefficient valuations, the clamped Newton
 polygon (only non-negative slopes), the spectral growth rate of powers of
 the connection, and the lattice-growth irregularity.  The tests cross
@@ -357,7 +357,7 @@ def _identity_cols(r: int):
 
 def _gl_run(a, r: int, n_max: int, floor: int):
     dims = []
-    basis = [[Series.one() if i == j else Series.zero() for i in range(r)] for j in range(r)]
+    basis = _identity_cols(r)
     for _step in range(n_max):
         grads = []
         for col in basis:

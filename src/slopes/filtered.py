@@ -388,64 +388,25 @@ class FilteredBackend(SlopeBackend):
             return degree_filtered(induced_filtration(amb, rows, "sub"))
         return degree_filtered(obj)
 
-    def same(self, a, b) -> bool:
-        ra = a[1] if isinstance(a, tuple) else linalg.identity(a.dim)
-        rb = b[1] if isinstance(b, tuple) else linalg.identity(b.dim)
-        return linalg.rref(ra) == linalg.rref(rb)
-
     def candidate_key(self, sub):
-        return sub[1] if isinstance(sub, tuple) else ()
+        return sub[1]
 
     def destabilizer(self, obj, budget: Budget = Budget()):
-        amb = obj[0] if isinstance(obj, tuple) else obj
-        space = (
-            induced_filtration(amb, obj[1], "sub")
-            if isinstance(obj, tuple)
-            else obj
-        )
-        rows, key, cert = destabilizer_filtered(space, budget)
-        if len(rows) == space.dim:
-            return obj, key, cert
-        if isinstance(obj, tuple):
-            # lift rows (coordinates in obj[1]) back to ambient coordinates
-            lifted = linalg.rref(
-                [
-                    tuple(
-                        sum(c * obj[1][i][j] for i, c in enumerate(row))
-                        for j in range(amb.dim)
-                    )
-                    for row in rows
-                ]
-            )
-            return (amb, lifted), key, cert
-        return (obj, rows), key, cert
+        rows, key, cert = destabilizer_filtered(obj, budget)
+        return (obj if len(rows) == obj.dim else (obj, rows)), key, cert
 
     def strict_subobjects(self, obj, budget: Budget = Budget()):
-        if not isinstance(obj, FilteredSpace):
-            raise FilteredError("subobject enumeration expects a plain space")
         cands, cert, _ = candidate_subspaces(obj, budget.depth)
         subs = [(obj, s) for s in cands if 0 < len(s) < obj.dim]
         return subs, cert
 
     def quotient(self, obj, sub) -> FilteredSpace:
-        space = obj if isinstance(obj, FilteredSpace) else induced_filtration(
-            obj[0], obj[1], "sub"
-        )
-        return induced_filtration(space, sub[1], "quotient")
+        return induced_filtration(obj, sub[1], "quotient")
 
     def pullback(self, obj, sub, quot: FilteredSpace, subquot):
-        space = obj if isinstance(obj, FilteredSpace) else None
-        if space is None:
-            raise FilteredError("pullback expects a plain filtered space")
         srows = linalg.rref(sub[1])
-        section = quotient_section(srows, space.dim)
+        section = quotient_section(srows, obj.dim)
         st = linalg.transpose(section)
         lifted = [linalg.mat_vec(st, row) for row in subquot[1]]
         rows = linalg.rref(list(srows) + lifted)
-        return (space, rows)
-
-    def tensor(self, a, b) -> FilteredSpace:
-        return tensor_filtered(a, b)
-
-    def dual(self, a) -> FilteredSpace:
-        return dual_filtered(a)
+        return (obj, rows)

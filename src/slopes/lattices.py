@@ -79,11 +79,7 @@ class EuclideanLattice:
         return SlopeKey(self.degree(), self.rank)
 
     def norm(self, v) -> Fraction:
-        return sum(
-            v[i] * self.gram[i][j] * v[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        return self.inner(v, v)
 
     def inner(self, v, w) -> Fraction:
         return sum(
@@ -126,9 +122,6 @@ class Sublattice:
             )
             for i in range(len(cols))
         )
-
-    def lattice(self) -> EuclideanLattice:
-        return EuclideanLattice(self.induced_gram())
 
     def degree(self) -> DegreeValue:
         return DegreeValue.log_positive(linalg.det(self.induced_gram()))
@@ -444,47 +437,26 @@ class LatticeBackend(SlopeBackend):
 
     name = "lattice"
 
-    def _lat(self, obj) -> EuclideanLattice:
-        return obj.lattice() if isinstance(obj, Sublattice) else obj
-
     def rank(self, obj) -> int:
         return obj.rank
 
     def degree(self, obj) -> DegreeValue:
-        if isinstance(obj, Sublattice):
-            return obj.degree()
-        if obj.rank == 0:
-            return DegreeValue.log_positive(1)
         return obj.degree()
-
-    def same(self, a, b) -> bool:
-        if isinstance(a, Sublattice) and isinstance(b, Sublattice):
-            return a.span_key() == b.span_key()
-        if isinstance(a, Sublattice) or isinstance(b, Sublattice):
-            sub = a if isinstance(a, Sublattice) else b
-            return sub.rank == sub.ambient.rank
-        return a.gram == b.gram
 
     def candidate_key(self, sub):
         return _span_sort_key(sub)
 
-    def destabilizer(self, obj, budget: Budget = Budget()):
-        lat = self._lat(obj)
-        res, key, cert = destabilizer_lattice(lat, budget)
-        if isinstance(res, EuclideanLattice) and isinstance(obj, Sublattice):
-            return obj, key, cert
-        return res, key, cert
+    def destabilizer(self, lat, budget: Budget = Budget()):
+        return destabilizer_lattice(lat, budget)
 
-    def strict_subobjects(self, obj, budget: Budget = Budget()):
-        lat = self._lat(obj)
+    def strict_subobjects(self, lat, budget: Budget = Budget()):
         subs = _span_closure(lat, _search_bound(lat, budget), budget)
         return subs, Certificate(False, "heuristic: norm-bounded enumeration")
 
-    def quotient(self, obj, sub: Sublattice) -> EuclideanLattice:
-        return quotient_with_metric(self._lat(obj), sub)
+    def quotient(self, lat, sub: Sublattice) -> EuclideanLattice:
+        return quotient_with_metric(lat, sub)
 
-    def pullback(self, obj, sub: Sublattice, quot, subquot: Sublattice):
-        lat = self._lat(obj)
+    def pullback(self, lat, sub: Sublattice, quot, subquot: Sublattice):
         t_cols = completion(lat, sub)
         lifted = []
         for col in subquot.basis:
@@ -494,6 +466,3 @@ class LatticeBackend(SlopeBackend):
                     vec[i] += c * t_cols[j][i]
             lifted.append(vec)
         return saturate(lat, list(sub.basis) + lifted)
-
-    def tensor(self, a, b) -> EuclideanLattice:
-        return tensor_lattice(self._lat(a), self._lat(b))

@@ -464,11 +464,7 @@ def _qualifies(backend, obj, chain, budget) -> bool:
     prev_key = None
     for step in chain:
         if prev is None:
-            piece = (
-                step
-                if backend.rank(step) == backend.rank(obj) and _is_whole(backend, obj, step)
-                else _as_object(backend, obj, step)
-            )
+            piece = _as_object(backend, obj, step)
         else:
             piece = _sub_quotient(backend, obj, prev, step)
         r = backend.rank(piece)
@@ -482,10 +478,6 @@ def _qualifies(backend, obj, chain, budget) -> bool:
             return False
         prev, prev_key = step, key
     return True
-
-
-def _is_whole(backend, obj, step) -> bool:
-    return backend.rank(step) == backend.rank(obj)
 
 
 def _as_object(backend, obj, step):

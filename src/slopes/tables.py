@@ -156,9 +156,6 @@ class TableBackend(SlopeBackend):
     def degree(self, oid: str) -> DegreeValue:
         return self._get(oid).degree
 
-    def same(self, a: str, b: str) -> bool:
-        return a == b
-
     def candidate_key(self, oid: str):
         return oid
 

@@ -242,6 +242,9 @@ def test_flag_seed_overrides_env(monkeypatch, capsys):
 
 RANK3_LATTICE = {"gram": [["2", "1", "0"], ["1", "2", "1"], ["0", "1", "9"]]}
 
+# three HN steps, so the middle one is a pullback from the quotient
+DIAG_1_4_16 = {"gram": [["1", "0", "0"], ["0", "4", "0"], ["0", "0", "16"]]}
+
 THREE_FILTRATIONS = {
     "dim": 3,
     "filtrations": [
@@ -280,11 +283,19 @@ PINNED_ARTIFACTS = {
         "9f9c07088ab3cfed4ef8b8b8154845b14d579fad081c67b5d5f2cd06c91db242",
     ("filtered", "three_filtrations"):
         "ad8b7502792133774ff37eacd2875195258bbbe89e381fb3baf0945c20124630",
+    ("lattice", "diag_1_4_16"):
+        "03eb32d08cfeed067946130f65f570a4b76c27f6d3c9d4fdf4edb7b60b1a5fda",
+    ("diff", "diff_op"):
+        "21dccbd70fa3ebb73a333bc80fefd342266f2f013f33cb5316efcc82d80bb469",
 }
 
 
 def test_hn_artifacts_pinned(tmp_path, capsys):
-    inline = {"rank3": RANK3_LATTICE, "three_filtrations": THREE_FILTRATIONS}
+    inline = {
+        "rank3": RANK3_LATTICE,
+        "three_filtrations": THREE_FILTRATIONS,
+        "diag_1_4_16": DIAG_1_4_16,
+    }
     for (backend, name), digest in PINNED_ARTIFACTS.items():
         src = FIXTURES / f"{name}.json"
         if name in inline:
@@ -415,8 +426,19 @@ def test_usage_errors_exit_2(argv, capsys):
         ["np", "--in", str(FIXTURES / "twisted_two_slopes.json"), "--prec", "0"],
         ["check", "--law", "dominance", "--samples", "-1"],
         ["check", "--law", "axioms", "--samples", "0"],
+        ["hn", "--backend", "filtered", "--in", str(FIXTURES / "filtered_two_jumps.json"),
+         "--depth", "0"],
+        ["check", "--law", "dominance", "--depth", "-2"],
     ],
-    ids=["factor-prec-neg", "factor-prec-0", "np-prec-0", "check-samples-neg", "check-samples-0"],
+    ids=[
+        "factor-prec-neg",
+        "factor-prec-0",
+        "np-prec-0",
+        "check-samples-neg",
+        "check-samples-0",
+        "hn-depth-0",
+        "check-depth-neg",
+    ],
 )
 def test_nonpositive_prec_and_samples_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,12 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slopes.core import (
+    Budget,
     CapabilityError,
     Certificate,
     Flag,
@@ -14,6 +17,8 @@ from slopes.core import (
     universal_destabilizer,
 )
 from slopes.degrees import DegreeValue, SlopeError
+from slopes.filtered import FilteredBackend
+from slopes.laws import sample_filtered_space
 from slopes.tables import TableBackend, load_table
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "slopes" / "fixtures"
@@ -62,6 +67,21 @@ def test_capability_error_without_search():
 
     with pytest.raises(CapabilityError):
         is_semistable(Bare(), object())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_default_destabilizer_matches_native(seed):
+    """The base destabilizer (strict_subobjects, then the shared selection
+    rule) picks what the filtered backend's own search picks."""
+    rng = random.Random(seed)
+    v = sample_filtered_space(rng, dim_max=3, n=rng.choice((1, 2)))
+    b = FilteredBackend()
+    sub, key, cert = SlopeBackend.destabilizer(b, v, Budget())
+    want_sub, want_key, want_cert = b.destabilizer(v, Budget())
+    assert sub == want_sub
+    assert key.cmp(want_key) == 0
+    assert cert == want_cert
 
 
 def test_hn_semistable_single_segment():
