@@ -9,23 +9,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from slopes.cli import positive_int  # noqa: E402
+from slopes.core import Budget  # noqa: E402
 from slopes.laws import (  # noqa: E402
     bost_experiment,
     check_degree_axioms,
     check_duality_filtered,
     check_exactness,
+    check_flag_laws,
     check_minmax,
     check_coprime_stability,
     check_tensor_bounded_rank_one,
     check_tensor_mult_filtered,
 )
 from slopes.lattices import EuclideanLattice, LatticeBackend  # noqa: E402
-from slopes.tables import TableBackend, load_table  # noqa: E402
+from slopes.tables import ZERO_ID, TableBackend, load_table  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "slopes" / "fixtures"
 
@@ -48,6 +51,16 @@ def main() -> int:
             check_exactness(LatticeBackend(), [EuclideanLattice.standard(2)]),
         )
     )
+    # norm bound 9 keeps this rank-3 lattice at 65 flags (1640 without it)
+    lat = EuclideanLattice(((2, 1, 0), (1, 2, 1), (0, 1, 9)))
+    rows.append(
+        (
+            "dominance/lattice",
+            check_flag_laws(LatticeBackend(), [lat], Budget(bound=Fraction(9)))[0],
+        )
+    )
+    eq52_objects = [o for o in eq52.cat.objects if o != ZERO_ID]
+    rows.append(("dominance/table", check_flag_laws(eq52, eq52_objects)[0]))
     rows.append(("minmax/filtered", check_minmax(n, seed)))
     rows.append(("tensor-mult/filtered", check_tensor_mult_filtered(n, seed)))
     rows.append(("tensor-bounded/diff", check_tensor_bounded_rank_one(n, seed)))
@@ -57,8 +70,12 @@ def main() -> int:
 
     status = 0
     for name, report in rows:
-        bad = report.get("violations") or report.get("failures") or report.get(
-            "counterexamples"
+        bad = (
+            report.get("violations")
+            or report.get("failures")
+            or report.get("counterexamples")
+            or report.get("dominance_failures")
+            or report.get("uniqueness_failures")
         )
         if name.startswith("exactness"):
             bad = None if report["exact"] is False else ["missing counterexample"]

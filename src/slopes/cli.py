@@ -34,9 +34,9 @@ from .diff import (
     katz_rank_spectral,
     np_diff,
 )
-from .errors import SchemaError, SlopesError
+from .errors import DECODE_ERRORS, SchemaError, SlopesError
 from .filtered import FilteredBackend, FilteredSpace
-from .lattices import EuclideanLattice, LatticeBackend, Sublattice
+from .lattices import EuclideanLattice, LatticeBackend
 from .phi import (
     PhiMatrix,
     TwistSpec,
@@ -108,20 +108,6 @@ def _budget(args) -> Budget:
     return Budget(bound=args.bound, depth=args.depth)
 
 
-# OSError: unreadable file; ValueError: JSON syntax, bad numbers;
-# AttributeError, TypeError: a document of the wrong shape
-DECODE_ERRORS = (
-    OSError,
-    ValueError,
-    KeyError,
-    TypeError,
-    AttributeError,
-    IndexError,
-    ZeroDivisionError,
-    StopIteration,
-)
-
-
 def _load(args, decode):
     """decode(JSON of --in).  The one place that reads and decodes the
     input file: any failure there becomes a SchemaError naming the file."""
@@ -130,6 +116,8 @@ def _load(args, decode):
     try:
         with open(args.infile) as fh:
             return decode(json.load(fh))
+    except SchemaError as exc:
+        raise SchemaError(f"{args.infile}: {exc}") from exc
     except SlopesError:
         raise
     except DECODE_ERRORS as exc:
@@ -169,19 +157,7 @@ def cmd_hn(args, seed: int):
         return {**result, "certificates": certificates}, True
     backend, obj = _load(args, lambda doc: HN_OBJECTS[args.backend](args, doc))
     res = hn_filtration(backend, obj, _budget(args))
-    return {**header, **res.to_json(_handle_repr)}, res.certificate.complete
-
-
-def _handle_repr(handle):
-    if isinstance(handle, Sublattice):
-        return {"basis_columns": [list(map(int, c)) for c in handle.basis]}
-    if isinstance(handle, EuclideanLattice):
-        return handle.to_json()
-    if isinstance(handle, FilteredSpace):
-        return {"whole": True, "dim": handle.dim}
-    if isinstance(handle, tuple) and len(handle) == 2:
-        return {"subspace": [[str(c) for c in row] for row in handle[1]]}
-    return str(handle)
+    return {**header, **res.to_json(backend.handle_json)}, res.certificate.complete
 
 
 def _load_series_matrix(doc):
@@ -326,9 +302,19 @@ def cmd_combine(args, seed: int):
 
 
 def cmd_check(args, seed: int):
-    report, complete = LAWS[args.law](args, seed)
+    run, backends = LAWS[args.law]
+    args.backend = args.backend or backends[0]
+    if args.backend not in backends:
+        build_parser().error(f"--law {args.law} runs on {', '.join(backends)} only")
+    report, complete = run(args, seed)
     header = {"command": "check", "law": args.law, "backend": args.backend, "seed": seed}
     return {**header, "report": report}, complete
+
+
+def _table_objects(args):
+    """The table of --in as a backend, and its nonzero objects."""
+    backend = TableBackend(_load(args, load_table))
+    return backend, [o for o in backend.cat.objects if o != ZERO_ID]
 
 
 def _law_axioms(args, seed):
@@ -347,52 +333,55 @@ def _law_exactness(args, seed):
         backend = FilteredBackend()
         objects = [laws.sample_filtered_space(rng, dim_max=3, n=1) for _ in range(args.samples)]
     else:
-        backend = TableBackend(_load(args, load_table))
-        objects = [o for o in backend.cat.objects if o != ZERO_ID]
+        backend, objects = _table_objects(args)
     return laws.check_exactness(backend, objects, _budget(args)), True
 
 
 def _law_dominance(args, seed):
     rng = random.Random(seed)
-    backend = FilteredBackend()
-    budget = _budget(args)
-    total_flags = 0
-    failures = 0
-    unique_failures = 0
-    complete = True
-    for _ in range(args.samples):
-        v = laws.sample_filtered_space(rng, dim_max=3, n=2)
-        rep = laws.check_dominance(backend, v, budget)
-        uni = laws.check_hn_uniqueness(backend, v, budget)
-        total_flags += rep["flags"]
-        failures += rep["dominance_failures"]
-        if not uni["matches_hn"]:
-            unique_failures += 1
-        complete = complete and uni["complete"]
-    report = {
-        "samples": args.samples,
-        "flags_checked": total_flags,
-        "dominance_failures": failures,
-        "uniqueness_failures": unique_failures,
-        "seed": seed,
-    }
-    return report, complete
+    if args.backend == "lattice":
+        backend = LatticeBackend()
+        if args.infile:
+            objects = [_load(args, EuclideanLattice.from_json)]
+        else:
+            objects = [laws.sample_lattice(rng) for _ in range(args.samples)]
+    elif args.backend == "filtered":
+        backend = FilteredBackend()
+        objects = [laws.sample_filtered_space(rng, dim_max=3, n=2) for _ in range(args.samples)]
+    else:
+        backend, objects = _table_objects(args)
+    report, complete = laws.check_flag_laws(backend, objects, _budget(args))
+    return {**report, "samples": len(objects), "seed": seed}, complete
 
 
-# law name -> run(args, seed) -> (report, complete)
+CHECK_BACKENDS = ("filtered", "lattice", "table")
+
+# law name -> (run(args, seed) -> (report, complete), the backends it runs
+# on, the default first)
 LAWS = {
-    "axioms": _law_axioms,
-    "exactness": _law_exactness,
-    "dominance": _law_dominance,
-    "tensor-mult": lambda a, seed: (laws.check_tensor_mult_filtered(a.samples, seed), True),
-    "tensor-bounded": lambda a, seed: (laws.check_tensor_bounded_rank_one(a.samples, seed), True),
-    "coprime-stable": lambda a, seed: (
-        laws.check_coprime_stability(max(1, a.samples // 2), seed), True
+    "axioms": (_law_axioms, CHECK_BACKENDS),
+    "exactness": (_law_exactness, CHECK_BACKENDS),
+    "dominance": (_law_dominance, CHECK_BACKENDS),
+    "tensor-mult": (
+        lambda a, seed: (laws.check_tensor_mult_filtered(a.samples, seed), True),
+        ("filtered",),
     ),
-    "bost-experiment": lambda a, seed: (
-        laws.bost_experiment(min(a.samples, 8), seed, bound=a.bound), True
+    "tensor-bounded": (
+        lambda a, seed: (laws.check_tensor_bounded_rank_one(a.samples, seed), True),
+        ("diff",),
     ),
-    "duality": lambda a, seed: (laws.check_duality_filtered(a.samples, seed), True),
+    "coprime-stable": (
+        lambda a, seed: (laws.check_coprime_stability(max(1, a.samples // 2), seed), True),
+        ("filtered",),
+    ),
+    "bost-experiment": (
+        lambda a, seed: (laws.bost_experiment(min(a.samples, 8), seed, bound=a.bound), True),
+        ("lattice",),
+    ),
+    "duality": (
+        lambda a, seed: (laws.check_duality_filtered(a.samples, seed), True),
+        ("filtered",),
+    ),
 }
 
 
@@ -437,7 +426,7 @@ SUBCOMMANDS = {
         cmd_check,
         (
             ("--law", dict(choices=tuple(LAWS), required=True)),
-            _backend("filtered", "lattice", "table"),
+            ("--backend", dict(choices=CHECK_BACKENDS, help="default: the law's first")),
             ("--samples", dict(type=positive_int, default=50)),
             ("--in", dict(dest="infile", help="JSON input file (table, lattice)")),
             BOUND,

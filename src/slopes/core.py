@@ -57,6 +57,13 @@ COMPLETE = Certificate(True, "")
 class SlopeBackend:
     """Base class documenting the contract; backends override what they have.
 
+    Eleven methods.  The engine (this module) calls eight: rank, degree,
+    slope, quotient, pullback, destabilizer, strict_subobjects and
+    candidate_key.  The law harnesses (``laws``) and the CLI call the other
+    three: contains and subquotient, which the flag laws need, and
+    handle_json, which defaults to str.  Only the backend module that
+    creates a handle knows how it is represented.
+
     Required: rank, degree, quotient, pullback, and strict_subobjects or
     destabilizer.  The default destabilizer picks from strict_subobjects by
     destabilizer_from_candidates; a backend with a faster search overrides
@@ -100,6 +107,20 @@ class SlopeBackend:
     def candidate_key(self, sub) -> Any:
         """Deterministic tie-break order for equal-slope equal-rank picks."""
         return repr(sub)
+
+    def contains(self, obj, small, big) -> bool:
+        """Whether the strict subobject handle small of obj lies in big."""
+        raise CapabilityError(f"{self.name}: no containment test")
+
+    def subquotient(self, obj, small, big):
+        """big/small as an object: big is a subobject handle of obj or obj
+        itself, small a subobject handle inside big, or None for big
+        itself."""
+        raise CapabilityError(f"{self.name}: no subquotient")
+
+    def handle_json(self, handle):
+        """JSON form of a subobject handle or of a whole object."""
+        return str(handle)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ also keeps its builtin base (``ValueError``, ``ArithmeticError``,
 ``RuntimeError``), so ``except`` clauses written against those still work.
 """
 
+import functools
+
 
 class SlopesError(Exception):
     """An input the package rejects."""
@@ -13,3 +15,34 @@ class SlopesError(Exception):
 
 class SchemaError(SlopesError, ValueError):
     """An input document that cannot be read or decoded."""
+
+
+# OSError: unreadable file; ValueError: JSON syntax, bad numbers;
+# KeyError, TypeError, AttributeError, IndexError: a document of the
+# wrong shape
+DECODE_ERRORS = (
+    OSError,
+    ValueError,
+    KeyError,
+    TypeError,
+    AttributeError,
+    IndexError,
+    ZeroDivisionError,
+    StopIteration,
+)
+
+
+def decoder(load):
+    """Make a loader of JSON documents raise SchemaError on a malformed
+    one; a SlopesError it raises passes through unchanged."""
+
+    @functools.wraps(load)
+    def wrapped(*args, **kwargs):
+        try:
+            return load(*args, **kwargs)
+        except SlopesError:
+            raise
+        except DECODE_ERRORS as exc:
+            raise SchemaError(f"{load.__qualname__}: {type(exc).__name__}: {exc}") from exc
+
+    return wrapped

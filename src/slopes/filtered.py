@@ -29,7 +29,7 @@ from .core import (
     destabilizer_from_candidates,
 )
 from .degrees import DegreeValue, SlopeError
-from .errors import SlopesError
+from .errors import SlopesError, decoder
 
 
 class FilteredError(SlopesError, ValueError):
@@ -105,6 +105,7 @@ class FilteredSpace:
         }
 
     @staticmethod
+    @decoder
     def from_json(obj) -> "FilteredSpace":
         dim = int(obj["dim"])
         fils = []
@@ -410,3 +411,19 @@ class FilteredBackend(SlopeBackend):
         lifted = [linalg.mat_vec(st, row) for row in subquot[1]]
         rows = linalg.rref(list(srows) + lifted)
         return (obj, rows)
+
+    def contains(self, obj, small, big) -> bool:
+        return linalg.subspace_contains(big[1], small[1])
+
+    def subquotient(self, obj, small, big) -> FilteredSpace:
+        rows = None if small is None else small[1]
+        if big is not obj:
+            if rows is not None:
+                rows = coords_in_basis(rows, big[1])
+            obj = induced_filtration(obj, big[1], "sub")
+        return obj if rows is None else induced_filtration(obj, rows, "quotient")
+
+    def handle_json(self, handle):
+        if isinstance(handle, FilteredSpace):
+            return {"whole": True, "dim": handle.dim}
+        return {"subspace": [[str(c) for c in row] for row in handle[1]]}

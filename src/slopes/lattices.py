@@ -31,7 +31,7 @@ from .core import (
     destabilizer_from_candidates,
 )
 from .degrees import DegreeValue, SlopeError, SlopeKey
-from .errors import SlopesError
+from .errors import SlopesError, decoder
 
 # gamma_k^k for the Hermite constants, k <= 4
 _HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2), 4: Fraction(4)}
@@ -92,6 +92,7 @@ class EuclideanLattice:
         return {"gram": [[str(c) for c in row] for row in self.gram]}
 
     @staticmethod
+    @decoder
     def from_json(obj) -> "EuclideanLattice":
         return EuclideanLattice(
             tuple(tuple(Fraction(c) for c in row) for row in obj["gram"])
@@ -130,6 +131,9 @@ class Sublattice:
         """Canonical form of the rational span (saturated sublattices are
         determined by their span)."""
         return linalg.rref([tuple(Fraction(x) for x in col) for col in self.basis])
+
+    def to_json(self):
+        return {"basis_columns": [list(map(int, c)) for c in self.basis]}
 
 
 def saturate(ambient: EuclideanLattice, columns) -> Sublattice:
@@ -466,3 +470,19 @@ class LatticeBackend(SlopeBackend):
                     vec[i] += c * t_cols[j][i]
             lifted.append(vec)
         return saturate(lat, list(sub.basis) + lifted)
+
+    def contains(self, lat, small: Sublattice, big: Sublattice) -> bool:
+        return linalg.subspace_contains(big.span_key(), small.span_key())
+
+    def subquotient(self, lat, small, big) -> EuclideanLattice:
+        if big is not lat:
+            cols = linalg.transpose(linalg.frac_matrix(big.basis))
+            lat = EuclideanLattice(big.induced_gram())
+            if small is not None:
+                # big is saturated, so small has integer coordinates in it
+                coords = [linalg.solve(cols, c) for c in small.basis]
+                small = Sublattice(lat, tuple(tuple(map(int, x)) for x in coords))
+        return lat if small is None else quotient_with_metric(lat, small)
+
+    def handle_json(self, handle):
+        return handle.to_json()

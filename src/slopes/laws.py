@@ -29,7 +29,6 @@ from .lattices import (
     LatticeBackend,
     Sublattice,
     destabilizer_lattice,
-    quotient_with_metric,
     saturate,
     tensor_lattice,
 )
@@ -140,16 +139,7 @@ def check_degree_axioms(
             if not 0 < len(s) < v.dim:
                 continue
             checked += 1
-            sub = induced_filtration(v, s, "sub")
-            quo = induced_filtration(v, s, "quotient")
-            lhs = degree_filtered(v).value
-            rhs = degree_filtered(sub).value + degree_filtered(quo).value
-            if lhs != rhs:
-                violations.append(
-                    {"kind": "additivity", "index": i, "lhs": str(lhs), "rhs": str(rhs)}
-                )
-            if sub.dim + quo.dim != v.dim:
-                violations.append({"kind": "rank", "index": i})
+            violations += _additivity(FilteredBackend(), v, (v, s), {"index": i})
             # epi-monic: raise every jump by a non-negative shift
             shift = Fraction(rng.randint(0, 2))
             w = FilteredSpace(
@@ -172,13 +162,7 @@ def check_degree_axioms(
             if sub.rank == lat.rank:
                 continue
             checked += 1
-            quo = quotient_with_metric(lat, sub)
-            lhs = lat.det()
-            rhs = linalg.det(sub.induced_gram()) * quo.det()
-            if lhs != rhs:
-                violations.append(
-                    {"kind": "additivity", "index": i, "lhs": str(lhs), "rhs": str(rhs)}
-                )
+            violations += _additivity(LatticeBackend(), lat, sub, {"index": i})
             # epi-monic: shrink the metric in one rational direction
             g2 = _shrunk_gram(rng, lat)
             if g2 is not None:
@@ -192,14 +176,7 @@ def check_degree_axioms(
             raise ValueError("table axioms need a loaded table")
         for sub, amb, quot in table.cat.triples:
             checked += 1
-            lhs = table.degree(amb)
-            rhs = table.degree(sub) + table.degree(quot)
-            if lhs.cmp(rhs) != 0:
-                violations.append(
-                    {"kind": "additivity", "triple": [sub, amb, quot]}
-                )
-            if table.rank(sub) + table.rank(quot) != table.rank(amb):
-                violations.append({"kind": "rank", "triple": [sub, amb, quot]})
+            violations += _additivity(table, amb, sub, {"triple": [sub, amb, quot]})
     else:
         raise ValueError(f"no axiom sampler for backend {backend!r}")
     return {
@@ -209,6 +186,21 @@ def check_degree_axioms(
         "violations": violations,
         "seed": seed,
     }
+
+
+def _additivity(backend, obj, sub, where: dict) -> list:
+    """Violations of rank and degree additivity along obj, sub, obj/sub."""
+    quo = backend.quotient(obj, sub)
+    lhs = backend.degree(obj)
+    rhs = backend.degree(sub) + backend.degree(quo)
+    out = []
+    if lhs.cmp(rhs) != 0:
+        out.append(
+            {"kind": "additivity", **where, "lhs": str(lhs.value), "rhs": str(rhs.value)}
+        )
+    if backend.rank(sub) + backend.rank(quo) != backend.rank(obj):
+        out.append({"kind": "rank", **where})
+    return out
 
 
 def _shrunk_gram(rng: random.Random, lat: EuclideanLattice):
@@ -247,27 +239,13 @@ def check_exactness(backend, objects, budget: Budget = Budget()) -> dict:
                 return {
                     "exact": False,
                     "witness": {
-                        "object": _describe(backend, obj),
-                        "subobject": _describe(backend, s),
+                        "object": backend.handle_json(obj),
+                        "subobject": backend.handle_json(s),
                         "object_slope": mu.slope_json(),
                         "sub_slope": key.slope_json(),
                     },
                 }
     return {"exact": None, "witness": None, "note": "no counterexample found"}
-
-
-def _describe(backend, obj):
-    if isinstance(obj, str):
-        return obj
-    if isinstance(obj, EuclideanLattice):
-        return obj.to_json()
-    if isinstance(obj, Sublattice):
-        return {"basis_columns": [list(map(int, c)) for c in obj.basis]}
-    if isinstance(obj, FilteredSpace):
-        return obj.to_json()
-    if isinstance(obj, tuple) and len(obj) == 2:
-        return {"subspace": [[str(c) for c in row] for row in obj[1]]}
-    return repr(obj)
 
 
 # -- graded kernel accounting ---------------------------------------------------------
@@ -403,39 +381,12 @@ def enumerate_flags(backend, obj, budget: Budget = Budget()):
         for s in proper:
             if backend.rank(s) <= backend.rank(top):
                 continue
-            if _contains(backend, top, s):
+            if backend.contains(obj, top, s):
                 chains.append(chain + [s])
     return flags, cert
 
 
-def _contains(backend, small, big) -> bool:
-    if isinstance(backend, FilteredBackend):
-        return linalg.subspace_contains(big[1], small[1])
-    if isinstance(backend, TableBackend):
-        if small == big:
-            return True
-        return any(
-            s == small and a == big for s, a, _ in backend.cat.triples
-        )
-    raise ValueError("no containment test for this backend")
-
-
-def _sub_quotient(backend, obj, small, big):
-    """big/small as an object; small is a strict subobject of big."""
-    if isinstance(backend, FilteredBackend):
-        from .filtered import coords_in_basis
-
-        if isinstance(big, FilteredSpace):
-            return induced_filtration(big, small[1], "quotient")
-        big_space = induced_filtration(obj, big[1], "sub")
-        small_rows = coords_in_basis(small[1], big[1])
-        return induced_filtration(big_space, small_rows, "quotient")
-    if isinstance(backend, TableBackend):
-        return backend.cat.quotient_of(big, small)
-    raise ValueError("no sub-quotient for this backend")
-
-
-def flag_polygon(backend, obj, chain) -> NewtonPolygon:
+def flag_polygon(backend, chain) -> NewtonPolygon:
     pts = [(backend.rank(s), backend.degree(s)) for s in chain]
     return polygon_of_flag(pts)
 
@@ -449,7 +400,7 @@ def check_hn_uniqueness(backend, obj, budget: Budget = Budget()) -> dict:
     for chain in flags:
         if _qualifies(backend, obj, chain, budget):
             qualifying.append(chain)
-    ok = len(qualifying) == 1 and _same_chain(backend, qualifying[0], hn)
+    ok = len(qualifying) == 1 and _same_chain(backend, obj, qualifying[0], hn)
     return {
         "object_rank": backend.rank(obj),
         "flags": len(flags),
@@ -463,10 +414,7 @@ def _qualifies(backend, obj, chain, budget) -> bool:
     prev = None
     prev_key = None
     for step in chain:
-        if prev is None:
-            piece = _as_object(backend, obj, step)
-        else:
-            piece = _sub_quotient(backend, obj, prev, step)
+        piece = backend.subquotient(obj, prev, step)
         r = backend.rank(piece)
         if r == 0:
             return False
@@ -480,15 +428,7 @@ def _qualifies(backend, obj, chain, budget) -> bool:
     return True
 
 
-def _as_object(backend, obj, step):
-    if isinstance(backend, FilteredBackend):
-        if isinstance(step, FilteredSpace):
-            return step
-        return induced_filtration(obj, step[1], "sub")
-    return step
-
-
-def _same_chain(backend, chain, hn) -> bool:
+def _same_chain(backend, obj, chain, hn) -> bool:
     if len(chain) != len(hn.flag.steps):
         return False
     for got, want in zip(chain, hn.flag.steps):
@@ -497,7 +437,8 @@ def _same_chain(backend, chain, hn) -> bool:
         if backend.degree(got).cmp(want.degree) != 0:
             return False
         if backend.rank(got) < hn.flag.steps[-1].rank and not (
-            _contains(backend, got, want.handle) and _contains(backend, want.handle, got)
+            backend.contains(obj, got, want.handle)
+            and backend.contains(obj, want.handle, got)
         ):
             return False
     return True
@@ -509,10 +450,31 @@ def check_dominance(backend, obj, budget: Budget = Budget()) -> dict:
     flags, _ = enumerate_flags(backend, obj, budget)
     failures = 0
     for chain in flags:
-        poly = flag_polygon(backend, obj, chain)
+        poly = flag_polygon(backend, chain)
         if not polygon_dominates(hn.polygon, poly):
             failures += 1
     return {"flags": len(flags), "dominance_failures": failures}
+
+
+def check_flag_laws(backend, objects, budget: Budget = Budget()):
+    """(report, complete): check_dominance and check_hn_uniqueness summed
+    over objects; uniqueness_failures counts the objects whose matches_hn
+    is false."""
+    flags = failures = unique_failures = 0
+    complete = True
+    for obj in objects:
+        dom = check_dominance(backend, obj, budget)
+        uni = check_hn_uniqueness(backend, obj, budget)
+        flags += dom["flags"]
+        failures += dom["dominance_failures"]
+        unique_failures += not uni["matches_hn"]
+        complete = complete and uni["complete"]
+    report = {
+        "flags_checked": flags,
+        "dominance_failures": failures,
+        "uniqueness_failures": unique_failures,
+    }
+    return report, complete
 
 
 # -- tensor laws -------------------------------------------------------------------------
@@ -632,14 +594,10 @@ def check_coprime_stability(samples: int, seed: int) -> dict:
         if not ok or not cert.complete:
             continue
         found += 1
-        mu = SlopeKey(degree_filtered(v), v.dim)
+        mu = backend.slope(v)
         subs, _ = backend.strict_subobjects(v, budget)
-        for _, rows in subs:
-            if not 0 < len(rows) < v.dim:
-                continue
-            sub = induced_filtration(v, rows, "sub")
-            key = SlopeKey(degree_filtered(sub), sub.dim)
-            if key.cmp(mu) == 0:
+        for sub in subs:
+            if SlopeKey(backend.degree(sub), backend.rank(sub)).cmp(mu) == 0:
                 failures.append({"space": v.to_json()})
     return {
         "requested": samples,
@@ -728,7 +686,7 @@ def bost_experiment(samples: int, seed: int, bound=None, vector_cap: int = 48) -
             continue
         sa, _, _ = destabilizer_lattice(a)
         sb, _, _ = destabilizer_lattice(b)
-        if not (isinstance(sa, EuclideanLattice) and isinstance(sb, EuclideanLattice)):
+        if not (sa is a and sb is b):
             continue  # not semistable
         found += 1
         t = tensor_lattice(a, b)
@@ -740,12 +698,12 @@ def bost_experiment(samples: int, seed: int, bound=None, vector_cap: int = 48) -
                 complete_pairs += 1
             else:
                 inconclusive += 1
-            if isinstance(sub, Sublattice) and key.cmp(t.slope()) > 0:
+            if sub is not t and key.cmp(t.slope()) > 0:
                 counterexamples.append(
                     {
                         "a": a.to_json(),
                         "b": b.to_json(),
-                        "sub": _describe(LatticeBackend(), sub),
+                        "sub": sub.to_json(),
                         "complete": cert.complete,
                     }
                 )
@@ -757,7 +715,7 @@ def bost_experiment(samples: int, seed: int, bound=None, vector_cap: int = 48) -
                     {
                         "a": a.to_json(),
                         "b": b.to_json(),
-                        "sub": _describe(LatticeBackend(), witness),
+                        "sub": witness.to_json(),
                         "complete": False,
                     }
                 )
@@ -772,8 +730,6 @@ def bost_experiment(samples: int, seed: int, bound=None, vector_cap: int = 48) -
 
 def _scan_rank_le2(t, vecs):
     """Heuristic destabilizer scan over rank <= 2 spans of short vectors."""
-    from .lattices import saturate
-
     mu = t.slope()
     for _, v in vecs:
         s = saturate(t, [v])

@@ -21,6 +21,7 @@ from .degrees import (
     SlopeKey,
     VariantMismatchError,
 )
+from .errors import decoder
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,7 @@ class NewtonPolygon:
         }
 
     @staticmethod
+    @decoder
     def from_json(obj) -> "NewtonPolygon":
         segs = []
         for seg in obj["segments"]:

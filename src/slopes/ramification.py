@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .degrees import DegreeValue, SlopeKey
-from .errors import SlopesError
+from .errors import SlopesError, decoder
 from .polygon import NewtonPolygon
 
 
@@ -121,6 +121,7 @@ def direct_sum_rep(a: RepresentationData, b: RepresentationData) -> Representati
     )
 
 
+@decoder
 def load_ramification(doc) -> tuple[RamificationData, list[RepresentationData]]:
     data = RamificationData(tuple(int(s) for s in doc["sizes"]), doc.get("label", ""))
     reps = [

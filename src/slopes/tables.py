@@ -17,7 +17,7 @@ from typing import Optional
 
 from .core import Budget, COMPLETE, SlopeBackend
 from .degrees import DegreeValue
-from .errors import SlopesError
+from .errors import SlopesError, decoder
 
 ZERO_ID = "0"
 
@@ -104,6 +104,7 @@ class TableCategory:
         raise TableError(f"no declared quotient for ({sub}, {oid})")
 
 
+@decoder
 def load_table(doc) -> TableCategory:
     """Build and validate a TableCategory from a JSON document or dict."""
     if isinstance(doc, str):
@@ -181,6 +182,14 @@ class TableBackend(SlopeBackend):
         raise TableError(
             f"no declared pullback of {subquot} along {oid} -> {quot}"
         )
+
+    def contains(self, oid: str, small: str, big: str) -> bool:
+        return small == big or any(
+            s == small and a == big for s, a, _ in self.cat.triples
+        )
+
+    def subquotient(self, oid: str, small, big: str) -> str:
+        return big if small is None else self.cat.quotient_of(big, small)
 
     def morphisms(self) -> list[TableMorphism]:
         return self.cat.morphisms

@@ -11,6 +11,12 @@ import pytest
 
 from slopes import cli
 from slopes.cli import main
+from slopes.errors import SchemaError
+from slopes.filtered import FilteredSpace
+from slopes.lattices import EuclideanLattice
+from slopes.polygon import NewtonPolygon
+from slopes.ramification import load_ramification
+from slopes.tables import load_table
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "slopes" / "fixtures"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -346,6 +352,41 @@ def test_bug_is_not_bad_input(monkeypatch):
         main(["hn", "--backend", "lattice", "--in", str(FIXTURES / "z2.json")])
 
 
+def test_dominance_on_a_table(capsys):
+    code, out = run_cli(
+        [
+            "check",
+            "--law",
+            "dominance",
+            "--backend",
+            "table",
+            "--in",
+            str(FIXTURES / "hn_chain.json"),
+        ],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["flags_checked"] == 11
+    assert report["dominance_failures"] == 0 and report["uniqueness_failures"] == 0
+
+
+@pytest.mark.parametrize(
+    "load, doc",
+    [
+        (load_table, [1, 2]),
+        (EuclideanLattice.from_json, {}),
+        (FilteredSpace.from_json, {"dim": 2}),
+        (load_ramification, {}),
+        (NewtonPolygon.from_json, {}),
+    ],
+    ids=["table", "lattice", "filtered", "ramification", "polygon"],
+)
+def test_loaders_reject_malformed_documents(load, doc):
+    with pytest.raises(SchemaError):
+        load(doc)
+
+
 def test_error_classes_share_one_root():
     from slopes.core import BudgetExhausted, CapabilityError
     from slopes.degrees import SlopeError
@@ -408,8 +449,15 @@ def test_subcommand_flag_sets():
         ["factor", "--in", str(FIXTURES / "twisted_two_slopes.json"), "--law", "x"],
         ["hn", "--backend", "bogus", "--in", str(FIXTURES / "z2.json")],
         ["check", "--backend", "filtered"],
+        ["check", "--law", "duality", "--backend", "lattice"],
     ],
-    ids=["swan-depth", "factor-law", "hn-bogus-backend", "check-without-law"],
+    ids=[
+        "swan-depth",
+        "factor-law",
+        "hn-bogus-backend",
+        "check-without-law",
+        "duality-on-lattice",
+    ],
 )
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

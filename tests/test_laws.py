@@ -1,13 +1,16 @@
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from slopes import lattices as lattices_mod
+from slopes import linalg
 from slopes.core import Budget
 from slopes.filtered import FilteredBackend
-from slopes.lattices import EuclideanLattice, LatticeBackend
+from slopes.lattices import EuclideanLattice, LatticeBackend, saturate
 from slopes.laws import (
     bost_experiment,
     check_degree_axioms,
@@ -21,6 +24,8 @@ from slopes.laws import (
     gr_kernel_demo,
     morphism_slope_law,
     sample_filtered_space,
+    sample_lattice,
+    sample_saturated_sub,
 )
 from slopes.tables import TableBackend, load_table
 
@@ -59,7 +64,7 @@ def test_axioms_detect_fault_injection(monkeypatch):
         g = [[2 * c for c in row] for row in q.gram]
         return EuclideanLattice(g)
 
-    monkeypatch.setattr("slopes.laws.quotient_with_metric", corrupted)
+    monkeypatch.setattr("slopes.lattices.quotient_with_metric", corrupted)
     report = check_degree_axioms("lattice", 40, seed=2)
     assert any(v["kind"] == "additivity" for v in report["violations"])
 
@@ -144,6 +149,77 @@ def test_uniqueness_and_dominance_filtered_random():
         assert uni["qualifying"] == 1 and uni["matches_hn"]
         dom = check_dominance(backend, v)
         assert dom["dominance_failures"] == 0
+
+
+def test_uniqueness_and_dominance_on_a_lattice():
+    """The flag laws reach lattices through the backend contract; norm
+    bound 9 keeps the enumeration at 65 flags (1640 without it)."""
+    lat = EuclideanLattice(((2, 1, 0), (1, 2, 1), (0, 1, 9)))
+    budget = Budget(bound=Fraction(9))
+    dom = check_dominance(LatticeBackend(), lat, budget)
+    assert dom == {"flags": 65, "dominance_failures": 0}
+    uni = check_hn_uniqueness(LatticeBackend(), lat, budget)
+    assert uni["qualifying"] == 1 and uni["matches_hn"]
+
+
+def _nested_handles(kind, rng):
+    """(backend, obj, small, big): big a strict subobject handle of obj,
+    small one inside big; None when the draw is degenerate."""
+    if kind == "filtered":
+        obj = sample_filtered_space(rng, dim_max=4)
+        if obj.dim < 2:
+            return None
+        big = linalg.rref(
+            [
+                tuple(Fraction(rng.randint(-2, 2)) for _ in range(obj.dim))
+                for _ in range(rng.randint(1, obj.dim - 1))
+            ]
+        )
+        if not big:
+            return None
+        combos = [
+            [rng.randint(-2, 2) for _ in big] for _ in range(rng.randint(1, len(big)))
+        ]
+        small = linalg.rref(
+            [tuple(sum(c * row[i] for c, row in zip(cs, big)) for i in range(obj.dim)) for cs in combos]
+        )
+        if not small:
+            return None
+        return FilteredBackend(), obj, (obj, small), (obj, big)
+    obj = sample_lattice(rng, rank_max=4)
+    if obj.rank < 2:
+        return None
+    big = sample_saturated_sub(rng, obj)
+    combos = [
+        [rng.randint(-2, 2) for _ in range(big.rank)]
+        for _ in range(rng.randint(1, big.rank))
+    ]
+    cols = [
+        [sum(c[j] * big.basis[j][i] for j in range(big.rank)) for i in range(obj.rank)]
+        for c in combos
+    ]
+    if linalg.rank(linalg.frac_matrix(cols)) != len(cols):
+        return None
+    return LatticeBackend(), obj, saturate(obj, cols), big
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("filtered", "lattice")), st.integers(0, 10**6))
+def test_subquotient_and_contains_follow_nesting(kind, seed):
+    drawn = _nested_handles(kind, random.Random(seed))
+    assume(drawn is not None)
+    backend, obj, small, big = drawn
+    for lo, hi in ((None, big), (small, big), (None, obj), (small, obj), (big, obj)):
+        piece = backend.subquotient(obj, lo, hi)
+        if lo is None:
+            assert backend.rank(piece) == backend.rank(hi)
+            assert backend.degree(piece).cmp(backend.degree(hi)) == 0
+        else:
+            assert backend.rank(piece) == backend.rank(hi) - backend.rank(lo)
+            total = backend.degree(piece) + backend.degree(lo)
+            assert total.cmp(backend.degree(hi)) == 0
+    assert backend.contains(obj, small, big)
+    assert backend.contains(obj, big, small) == (backend.rank(small) == backend.rank(big))
 
 
 def test_tensor_mult_filtered():
