@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Tensor semistability evidence run for euclidean lattices.
 
-Samples semistable rank-2 pairs, searches the Kronecker product for a
-destabilizing sublattice within certified budgets, and writes a JSON
-report.  Evidence only: a clean run supports the conjecture that the
+Samples semistable rank-2 pairs, decides with the exact destabilizer
+search whether the Kronecker product has a destabilizing sublattice, and
+writes a JSON report.  Evidence only: a clean run supports the conjecture that the
 tensor product of semistable lattices is semistable; it decides nothing.
 
 Usage: python scripts/bost_experiment.py [--samples N] [--seed S] [--out F]
@@ -35,7 +35,6 @@ def main() -> int:
         sys.stdout.write(payload)
     print(
         f"# pairs={report['pairs']} complete={report['complete_pairs']} "
-        f"inconclusive={report['inconclusive']} "
         f"counterexamples={len(report['counterexamples'])}",
         file=sys.stderr,
     )

@@ -79,6 +79,9 @@ def main() -> int:
         )
         if name.startswith("exactness"):
             bad = None if report["exact"] is False else ["missing counterexample"]
+        if name.startswith("bost-experiment"):
+            # the exact search decides every pair
+            bad = bad or report["complete_pairs"] < report["pairs"]
         flag = "ok" if not bad else "FAIL"
         if bad:
             status = 1

@@ -105,6 +105,7 @@ def _seed(args) -> int:
 
 
 def _budget(args) -> Budget:
+    """The search budget of check's --bound and --depth."""
     return Budget(bound=args.bound, depth=args.depth)
 
 
@@ -156,7 +157,7 @@ def cmd_hn(args, seed: int):
         result = {**header, "polygon": poly.to_json(), "flag": steps}
         return {**result, "certificates": certificates}, True
     backend, obj = _load(args, lambda doc: HN_OBJECTS[args.backend](args, doc))
-    res = hn_filtration(backend, obj, _budget(args))
+    res = hn_filtration(backend, obj, Budget(depth=args.depth))
     return {**header, **res.to_json(backend.handle_json)}, res.certificate.complete
 
 
@@ -302,10 +303,21 @@ def cmd_combine(args, seed: int):
 
 
 def cmd_check(args, seed: int):
-    run, backends = LAWS[args.law]
-    args.backend = args.backend or backends[0]
-    if args.backend not in backends:
-        build_parser().error(f"--law {args.law} runs on {', '.join(backends)} only")
+    run, reads = LAWS[args.law]
+    args.backend = args.backend or next(iter(reads))
+    if args.backend not in reads:
+        build_parser().error(f"--law {args.law} runs on {', '.join(reads)} only")
+    unread = [
+        flag
+        for flag, options in CHECK_TUNABLES
+        if getattr(args, options["dest"]) is not None and flag not in reads[args.backend]
+    ]
+    if unread:
+        build_parser().error(
+            f"--law {args.law} --backend {args.backend} reads no {', '.join(unread)}"
+        )
+    args.samples = args.samples or CHECK_SAMPLES
+    args.depth = args.depth or Budget.depth
     report, complete = run(args, seed)
     header = {"command": "check", "law": args.law, "backend": args.backend, "seed": seed}
     return {**header, "report": report}, complete
@@ -355,32 +367,50 @@ def _law_dominance(args, seed):
 
 
 CHECK_BACKENDS = ("filtered", "lattice", "table")
+CHECK_SAMPLES = 50
 
-# law name -> (run(args, seed) -> (report, complete), the backends it runs
-# on, the default first)
+# law name -> (run(args, seed) -> (report, complete), {backend it runs on,
+# the default first: the check flags the law reads there})
 LAWS = {
-    "axioms": (_law_axioms, CHECK_BACKENDS),
-    "exactness": (_law_exactness, CHECK_BACKENDS),
-    "dominance": (_law_dominance, CHECK_BACKENDS),
+    "axioms": (
+        _law_axioms,
+        {"filtered": {"--samples"}, "lattice": {"--samples"}, "table": {"--in"}},
+    ),
+    "exactness": (
+        _law_exactness,
+        {
+            "filtered": {"--samples", "--depth"},
+            "lattice": {"--in", "--bound"},
+            "table": {"--in"},
+        },
+    ),
+    "dominance": (
+        _law_dominance,
+        {
+            "filtered": {"--samples", "--depth"},
+            "lattice": {"--samples", "--in", "--bound"},
+            "table": {"--in"},
+        },
+    ),
     "tensor-mult": (
         lambda a, seed: (laws.check_tensor_mult_filtered(a.samples, seed), True),
-        ("filtered",),
+        {"filtered": {"--samples"}},
     ),
     "tensor-bounded": (
         lambda a, seed: (laws.check_tensor_bounded_rank_one(a.samples, seed), True),
-        ("diff",),
+        {"diff": {"--samples"}},
     ),
     "coprime-stable": (
         lambda a, seed: (laws.check_coprime_stability(max(1, a.samples // 2), seed), True),
-        ("filtered",),
+        {"filtered": {"--samples"}},
     ),
     "bost-experiment": (
-        lambda a, seed: (laws.bost_experiment(min(a.samples, 8), seed, bound=a.bound), True),
-        ("lattice",),
+        lambda a, seed: (laws.bost_experiment(min(a.samples, 8), seed), True),
+        {"lattice": {"--samples"}},
     ),
     "duality": (
         lambda a, seed: (laws.check_duality_filtered(a.samples, seed), True),
-        ("filtered",),
+        {"filtered": {"--samples"}},
     ),
 }
 
@@ -399,7 +429,6 @@ def positive_int(text: str) -> int:
 
 # (flag, add_argument options) for each flag a handler reads
 IN = ("--in", dict(dest="infile", required=True, help="JSON input file"))
-BOUND = ("--bound", dict(type=Fraction, help="lattice norm bound"))
 DEPTH = ("--depth", dict(type=positive_int, default=8, help="subspace closure depth"))
 PREC = ("--prec", dict(type=positive_int, default=40, help="series precision"))
 OBJECT = ("--object", dict(help="table object id"))
@@ -417,20 +446,26 @@ COMMON_FLAGS = (
     ("--require-complete", dict(action="store_true")),
 )
 
+# the check flags a law may or may not read; None when not given, so that
+# cmd_check can reject the ones the law does not read
+CHECK_TUNABLES = (
+    ("--samples", dict(dest="samples", type=positive_int, help=f"default: {CHECK_SAMPLES}")),
+    ("--in", dict(dest="infile", help="JSON input file (table, lattice)")),
+    ("--bound", dict(dest="bound", type=Fraction, help="lattice norm bound")),
+    ("--depth", dict(dest="depth", type=positive_int, help=f"default: {Budget.depth}")),
+)
+
 # subcommand -> (handler(args, seed) -> (result, complete), its own flags)
 SUBCOMMANDS = {
-    "hn": (cmd_hn, (_backend(*HN_OBJECTS, "diff"), IN, BOUND, DEPTH, OBJECT)),
-    "np": (cmd_np, (_backend("twisted", "diff", *HN_OBJECTS), IN, PREC, BOUND, DEPTH, OBJECT)),
+    "hn": (cmd_hn, (_backend(*HN_OBJECTS, "diff"), IN, DEPTH, OBJECT)),
+    "np": (cmd_np, (_backend("twisted", "diff", *HN_OBJECTS), IN, PREC, DEPTH, OBJECT)),
     "factor": (cmd_factor, (IN, PREC)),
     "check": (
         cmd_check,
         (
             ("--law", dict(choices=tuple(LAWS), required=True)),
             ("--backend", dict(choices=CHECK_BACKENDS, help="default: the law's first")),
-            ("--samples", dict(type=positive_int, default=50)),
-            ("--in", dict(dest="infile", help="JSON input file (table, lattice)")),
-            BOUND,
-            DEPTH,
+            *CHECK_TUNABLES,
         ),
     ),
     "swan": (cmd_swan, (IN,)),

@@ -29,7 +29,7 @@ class BudgetExhausted(SlopesError, RuntimeError):
 class Budget:
     """Search limits; interpretation is backend-specific."""
 
-    bound: Optional[Any] = None  # norm bound for lattice enumeration
+    bound: Optional[Any] = None  # norm bound for the lattice span closure
     depth: int = 8  # closure depth for subspace lattices
     max_candidates: int = 200000
 

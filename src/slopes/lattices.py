@@ -6,17 +6,32 @@ Strict subobjects are saturated sublattices with the induced metric;
 strict quotients carry the orthogonal-projection metric, so degrees add
 exactly along every (sub, quotient) pair.
 
-The destabilizer search is exact in rank <= 2 via Lagrange-Gauss
-reduction.  In higher rank one search, _span_closure, enumerates
-saturations of spans of short vectors (it also serves strict_subobjects),
-and the destabilizer is picked from that list by the selection rule shared
-by every backend, core.destabilizer_from_candidates.  This module adds
-only the certificate: complete when a Minkowski-style bound shows no
-destabilizing sublattice can need a longer generator.
+The destabilizer is exact in every rank: Lagrange-Gauss reduction in rank
+2, and above it a search in the exterior powers resting on the Plücker
+lemma.  A saturated rank-k sublattice S with basis s_1..s_k gives
+p(S) = s_1 ^ ... ^ s_k in Lambda^k Z^r, primitive, decomposable and fixed
+by S up to sign, and det S = |p(S)|^2 under the Gram of k x k minors
+(Cauchy-Binet).  Conversely a primitive decomposable p is p(S) for S the
+saturated kernel of v -> v ^ p.  As mu(S) = -1/2 log det(S) / k, S has
+slope >= mu(L) iff det(S)^r <= det(L)^k.  So enumerating Lambda^k L below
+det(L)^(k/r) for k = 1..r-1 meets every sublattice that can destabilize
+and the certificate is always complete; after each hit the later bounds
+shrink to det_best^(k/k_best).  The hits go through the selection rule
+every backend shares, core.destabilizer_from_candidates.
+
+The winner's basis is then rebuilt as _span_closure builds it.  That
+closure grows spans breadth first, one short vector at a time in
+short_vectors order, so it first reaches a span S along the greedy chain
+of S's own vectors (the first, then each next one outside the span so
+far), saturating at each step.  _first_seen_basis replays that chain
+inside S, so an artifact keeps the basis the closure gave it.
+_span_closure remains for strict_subobjects, which the laws enumerate.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,10 +47,6 @@ from .core import (
 )
 from .degrees import DegreeValue, SlopeError, SlopeKey
 from .errors import SlopesError, decoder
-
-# gamma_k^k for the Hermite constants, k <= 4
-_HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2), 4: Fraction(4)}
-
 
 class LatticeError(SlopesError, ValueError):
     pass
@@ -129,7 +140,11 @@ class Sublattice:
 
     def span_key(self):
         """Canonical form of the rational span (saturated sublattices are
-        determined by their span)."""
+        determined by their span), computed once per sublattice."""
+        return self._span
+
+    @functools.cached_property
+    def _span(self):
         return linalg.rref([tuple(Fraction(x) for x in col) for col in self.basis])
 
     def to_json(self):
@@ -242,52 +257,47 @@ def _ldl(gram: linalg.Mat):
     return d, lmat
 
 
-def short_vectors(lat: EuclideanLattice, bound: Fraction):
+def short_vectors(lat: EuclideanLattice, bound: Fraction, budget: Budget = Budget()):
     """All nonzero integer vectors with norm <= bound, one per +/- pair,
-    in a deterministic (norm, coordinates) order."""
+    in a deterministic (norm, coordinates) order.  Raises BudgetExhausted
+    once the enumeration tries more than budget.max_candidates coordinate
+    values (nodes of its search tree)."""
     r = lat.rank
     d, lmat = _ldl(lat.gram)
     out = []
     vec = [0] * r
+    nodes = 0
 
-    def recurse(i: int, remaining: Fraction):
+    def recurse(i: int, remaining: Fraction, top: bool):
+        # top: every coordinate above i is zero, so x >= 0 keeps one of +/-v
+        nonlocal nodes
         if i < 0:
             if any(vec):
-                v = tuple(vec)
-                out.append((lat.norm(v), v))
+                out.append((bound - remaining, tuple(vec)))
             return
         center = sum(lmat[i][j] * vec[j] for j in range(i + 1, r))
-        # (x + center)^2 * d[i] <= remaining
-        limit = remaining / d[i]
-        width = int(math.isqrt(int(limit) + 1)) + 2
-        lo = math.floor(-center) - width
+        # (x + center)^2 * d[i] <= remaining, so |x + center| < width + 1
+        width = math.isqrt(math.floor(remaining / d[i]))
+        lo = 0 if top else math.floor(-center) - width
         hi = math.ceil(-center) + width
+        nodes += hi - lo + 1
+        if nodes > budget.max_candidates:
+            raise BudgetExhausted("lattice enumeration budget exhausted")
         for x in range(lo, hi + 1):
             q = d[i] * (x + center) ** 2
             if q <= remaining:
                 vec[i] = x
-                recurse(i - 1, remaining - q)
+                recurse(i - 1, remaining - q, top and x == 0)
         vec[i] = 0
 
-    recurse(r - 1, Fraction(bound))
-    canon = []
-    seen = set()
-    for nrm, v in out:
-        neg = tuple(-x for x in v)
-        rep = max(v, neg)
-        if rep not in seen:
-            seen.add(rep)
-            canon.append((nrm, rep))
+    recurse(r - 1, bound, True)
     # prefer all-non-negative representatives at equal norm
-    canon.sort(key=lambda t: (t[0], any(x < 0 for x in t[1]), t[1]))
-    return canon
+    return sorted(((nrm, max(v, tuple(-x for x in v))) for nrm, v in out), key=_vector_order)
 
 
-def first_minimum(lat: EuclideanLattice) -> Fraction:
-    """Exact lambda_1^2: some diagonal entry is an upper bound."""
-    bound = min(lat.gram[i][i] for i in range(lat.rank))
-    vs = short_vectors(lat, bound)
-    return vs[0][0]
+def _vector_order(item):
+    nrm, v = item
+    return (nrm, any(x < 0 for x in v), v)
 
 
 def lagrange_gauss(lat: EuclideanLattice):
@@ -324,7 +334,7 @@ def _span_closure(lat: EuclideanLattice, bound: Fraction, budget: Budget):
     BudgetExhausted past budget.max_candidates.  Spans are keyed by their
     rref before saturating (saturation keeps the rational span), so each
     distinct span is saturated once."""
-    vecs = [(v, tuple(Fraction(x) for x in v)) for _, v in short_vectors(lat, bound)]
+    vecs = [(v, tuple(Fraction(x) for x in v)) for _, v in short_vectors(lat, bound, budget)]
     seen = {}
     frontier = []
     for v, vv in vecs:
@@ -350,37 +360,45 @@ def _span_closure(lat: EuclideanLattice, bound: Fraction, budget: Budget):
     return sorted(seen.values(), key=_span_sort_key)
 
 
-def _search_bound(lat: EuclideanLattice, budget: Budget) -> Fraction:
-    return Fraction(budget.bound) if budget.bound is not None else default_bound(lat)
+# -- the destabilizer: Plücker search ------------------------------------------
 
 
-def destabilizer_lattice(lat: EuclideanLattice, budget: Budget = Budget()):
-    """(subobject-or-lattice, SlopeKey, Certificate); exact in rank <= 2."""
-    r = lat.rank
-    if r == 0:
-        raise SlopeError("zero lattice")
-    if r == 1:
-        return lat, lat.slope(), COMPLETE
-    if r == 2:
-        v, m1 = lagrange_gauss(lat)
-        line = saturate(lat, [v])
-        if m1**2 < lat.det():
-            return line, SlopeKey(line.degree(), 1), COMPLETE
-        return lat, lat.slope(), COMPLETE
-
-    bound = _search_bound(lat, budget)
-    subs = _span_closure(lat, bound, budget)
-    result, key, _ = destabilizer_from_candidates(LatticeBackend(), lat, subs, COMPLETE)
-    return result, key, _completeness_certificate(lat, key, first_minimum(lat), bound)
+def exterior_power(lat: EuclideanLattice, k: int) -> EuclideanLattice:
+    """Lambda^k L on the basis e_I, I in combinations(range(r), k) order:
+    <e_I, e_J> is the k x k minor of the Gram on rows I and columns J."""
+    subsets = list(itertools.combinations(range(lat.rank), k))
+    g = lat.gram
+    return EuclideanLattice(
+        tuple(
+            tuple(
+                linalg.det(tuple(tuple(g[i][j] for j in cols) for i in rows))
+                for cols in subsets
+            )
+            for rows in subsets
+        )
+    )
 
 
-def _pow_ceil(base: Fraction, num: int, den: int) -> int:
-    """Smallest integer >= base**(num/den) for positive rational base."""
-    if base <= 1:
-        return 1
-    u = base.numerator**num
-    v = base.denominator**num
-    target = -(-u // v)  # ceil(base**num)
+def _plucker_span(r: int, k: int, p) -> linalg.Mat | None:
+    """rref of the rational span S with p = c * (s_1 ^ ... ^ s_k) for a
+    basis of S, or None when p is not decomposable: S is the kernel of
+    v -> v ^ p, which has dimension k exactly when p is decomposable."""
+    index = {s: n for n, s in enumerate(itertools.combinations(range(r), k))}
+    rows = []
+    for big in itertools.combinations(range(r), k + 1):
+        row = [Fraction(0)] * r
+        for pos, i in enumerate(big):
+            row[i] = Fraction((-1) ** pos * p[index[big[:pos] + big[pos + 1 :]]])
+        rows.append(tuple(row))
+    span = linalg.kernel_basis(tuple(rows))
+    return span if len(span) == k else None
+
+
+def _pow_ceil(base: Fraction, num: int, den: int) -> Fraction:
+    """Least y / b^num >= base^(num/den) with y an integer, where b is the
+    denominator of base: the bound keeps the scale of base."""
+    a, b = base.numerator, base.denominator
+    target = (a * b ** (den - 1)) ** num
     lo, hi = 1, 1
     while hi**den < target:
         hi *= 2
@@ -390,49 +408,66 @@ def _pow_ceil(base: Fraction, num: int, den: int) -> int:
             hi = mid
         else:
             lo = mid + 1
-    return lo
+    return Fraction(lo, b**num)
 
 
-def semistability_bound(lat: EuclideanLattice) -> Fraction:
-    """Norm bound whose enumeration certifies the destabilizer search when
-    the lattice is semistable: any sublattice of slope >= mu(L) is
-    generated by vectors within it (rank <= 3 only)."""
+def _first_seen_basis(lat: EuclideanLattice, sub: Sublattice, budget: Budget) -> Sublattice:
+    """sub with the basis of the greedy chain along its vectors of norm up
+    to default_bound(lat), the basis _span_closure gives it, then along
+    sub's own basis; the bound drops to sub's longest basis vector, as
+    the vectors up to it span sub."""
+    gram = sub.induced_gram()
+    bound = min(default_bound(lat), max(gram[i][i] for i in range(sub.rank)))
+    vecs = []
+    for nrm, x in short_vectors(EuclideanLattice(gram), bound, budget):
+        v = tuple(sum(c * col[i] for c, col in zip(x, sub.basis)) for i in range(lat.rank))
+        vecs.append((nrm, max(v, tuple(-c for c in v))))
+    span, basis = (), ()
+    for v in [v for _, v in sorted(vecs, key=_vector_order)] + list(sub.basis):
+        key = linalg.subspace_sum(span, (tuple(Fraction(c) for c in v),))
+        if key != span:
+            span, basis = key, saturate(lat, list(basis) + [v]).basis
+            if len(basis) == sub.rank:
+                break
+    return Sublattice(lat, basis)
+
+
+def destabilizer_lattice(lat: EuclideanLattice, budget: Budget = Budget()):
+    """(subobject-or-lattice, SlopeKey, COMPLETE): exact in every rank."""
     r = lat.rank
-    m1 = first_minimum(lat)
-    d = lat.det()
-    out = Fraction(1)
-    for k in range(1, min(r, 4)):
-        dk = Fraction(_pow_ceil(d, k, r))
-        out = max(out, _HERMITE_POW[k] * dk / m1 ** (k - 1))
-    return out
+    if r == 0:
+        raise SlopeError("zero lattice")
+    if r == 2:
+        v, m1 = lagrange_gauss(lat)
+        line = saturate(lat, [v])
+        if m1**2 < lat.det():
+            return line, SlopeKey(line.degree(), 1), COMPLETE
+        return lat, lat.slope(), COMPLETE
 
-
-def _completeness_certificate(
-    lat: EuclideanLattice, best: SlopeKey, m1: Fraction, bound: Fraction
-) -> Certificate:
-    """Complete when every sublattice of slope >= best must be generated by
-    vectors of norm <= bound.
-
-    A rank-k sublattice S of slope >= best has det(S)^r* <= d*^k, and its
-    k-th successive minimum obeys lam_k^2 <= gamma_k^k det(S) / m1^(k-1);
-    minima vectors generate S for k <= 3.
-    """
-    r = lat.rank
-    if r - 1 > 3:
-        return Certificate(False, "heuristic: rank > 4 enumeration")
-    dstar = best.deg.value  # log-positive carrier
-    rstar = best.rk
+    # (det, rank) of the best slope so far; slope(S) >= slope(best) iff
+    # det(S)^best_rank <= best_det^rank(S), and only a strictly steeper
+    # slope beats the lattice itself
+    best_det, best_k = lat.det(), r
+    subs = []
     for k in range(1, r):
-        # need: bound >= gamma_k^k * det_S / m1^(k-1) for all det_S with
-        # det_S^rstar <= dstar^k, i.e. bound * m1^(k-1) >= gamma^k * D_k.
-        lhs = (bound * m1 ** (k - 1) / _HERMITE_POW[k]) ** rstar
-        rhs = dstar**k
-        if lhs < rhs:
-            return Certificate(
-                False,
-                f"heuristic: bound {bound} below completeness threshold for rank {k}",
-            )
-    return COMPLETE
+        bound = _pow_ceil(best_det, k, best_k)
+        for nrm, p in short_vectors(exterior_power(lat, k), bound, budget):
+            lhs, rhs = nrm**best_k, best_det**k
+            if lhs > rhs or (lhs == rhs and best_k == r):
+                break
+            if math.gcd(*p) != 1:
+                continue
+            span = _plucker_span(r, k, p)
+            if span is None:
+                continue
+            scale = [math.lcm(*(c.denominator for c in row)) for row in span]
+            subs.append(saturate(lat, [[int(c * m) for c in row] for row, m in zip(span, scale)]))
+            if lhs < rhs:
+                best_det, best_k = nrm, k
+    if not subs:
+        return lat, lat.slope(), COMPLETE
+    best, key, _ = destabilizer_from_candidates(LatticeBackend(), lat, subs, COMPLETE)
+    return _first_seen_basis(lat, best, budget), key, COMPLETE
 
 
 class LatticeBackend(SlopeBackend):
@@ -454,7 +489,8 @@ class LatticeBackend(SlopeBackend):
         return destabilizer_lattice(lat, budget)
 
     def strict_subobjects(self, lat, budget: Budget = Budget()):
-        subs = _span_closure(lat, _search_bound(lat, budget), budget)
+        bound = default_bound(lat) if budget.bound is None else Fraction(budget.bound)
+        subs = _span_closure(lat, bound, budget)
         return subs, Certificate(False, "heuristic: norm-bounded enumeration")
 
     def quotient(self, lat, sub: Sublattice) -> EuclideanLattice:

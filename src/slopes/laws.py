@@ -396,6 +396,10 @@ def check_hn_uniqueness(backend, obj, budget: Budget = Budget()) -> dict:
     pieces with strictly decreasing slopes, and it is the HN flag."""
     hn = hn_filtration(backend, obj, budget)
     flags, cert = enumerate_flags(backend, obj, budget)
+    return _uniqueness(backend, obj, hn, flags, cert, budget)
+
+
+def _uniqueness(backend, obj, hn, flags, cert, budget) -> dict:
     qualifying = []
     for chain in flags:
         if _qualifies(backend, obj, chain, budget):
@@ -448,6 +452,10 @@ def check_dominance(backend, obj, budget: Budget = Budget()) -> dict:
     """Every enumerable flag's polygon lies below NP with equal endpoints."""
     hn = hn_filtration(backend, obj, budget)
     flags, _ = enumerate_flags(backend, obj, budget)
+    return _dominance(backend, hn, flags)
+
+
+def _dominance(backend, hn, flags) -> dict:
     failures = 0
     for chain in flags:
         poly = flag_polygon(backend, chain)
@@ -458,13 +466,15 @@ def check_dominance(backend, obj, budget: Budget = Budget()) -> dict:
 
 def check_flag_laws(backend, objects, budget: Budget = Budget()):
     """(report, complete): check_dominance and check_hn_uniqueness summed
-    over objects; uniqueness_failures counts the objects whose matches_hn
-    is false."""
+    over objects, on one HN flag and one flag enumeration per object;
+    uniqueness_failures counts the objects whose matches_hn is false."""
     flags = failures = unique_failures = 0
     complete = True
     for obj in objects:
-        dom = check_dominance(backend, obj, budget)
-        uni = check_hn_uniqueness(backend, obj, budget)
+        hn = hn_filtration(backend, obj, budget)
+        chains, cert = enumerate_flags(backend, obj, budget)
+        dom = _dominance(backend, hn, chains)
+        uni = _uniqueness(backend, obj, hn, chains, cert, budget)
         flags += dom["flags"]
         failures += dom["dominance_failures"]
         unique_failures += not uni["matches_hn"]
@@ -662,21 +672,16 @@ def check_minmax(samples: int, seed: int) -> dict:
     return {"checked": checked, "failures": failures, "seed": seed}
 
 
-def bost_experiment(samples: int, seed: int, bound=None, vector_cap: int = 48) -> dict:
+def bost_experiment(samples: int, seed: int) -> dict:
     """Tensor semistability evidence for rank-2 semistable lattices.
 
-    Report only.  Pairs whose certifying norm bound stays enumerable get a
-    full complete-certificate destabilizer search of the Kronecker product;
-    the rest are scanned heuristically over rank <= 2 sublattices of short
-    vectors and counted as inconclusive.
+    Report only.  Each sampled pair's Kronecker product gets the exact
+    destabilizer search; a destabilizing sublattice is a counterexample.
     """
-    from .lattices import semistability_bound, short_vectors
-
     rng = random.Random(seed)
     found = 0
     tried = 0
     counterexamples = []
-    inconclusive = 0
     complete_pairs = 0
     while found < samples and tried < samples * 200:
         tried += 1
@@ -690,57 +695,15 @@ def bost_experiment(samples: int, seed: int, bound=None, vector_cap: int = 48) -
             continue  # not semistable
         found += 1
         t = tensor_lattice(a, b)
-        needed = Fraction(bound) if bound is not None else semistability_bound(t)
-        vecs = short_vectors(t, needed)
-        if len(vecs) <= vector_cap:
-            sub, key, cert = destabilizer_lattice(t, Budget(bound=needed))
-            if cert.complete:
-                complete_pairs += 1
-            else:
-                inconclusive += 1
-            if sub is not t and key.cmp(t.slope()) > 0:
-                counterexamples.append(
-                    {
-                        "a": a.to_json(),
-                        "b": b.to_json(),
-                        "sub": sub.to_json(),
-                        "complete": cert.complete,
-                    }
-                )
-        else:
-            inconclusive += 1
-            witness = _scan_rank_le2(t, vecs[: vector_cap])
-            if witness is not None:
-                counterexamples.append(
-                    {
-                        "a": a.to_json(),
-                        "b": b.to_json(),
-                        "sub": witness.to_json(),
-                        "complete": False,
-                    }
-                )
+        sub, _, cert = destabilizer_lattice(t)
+        complete_pairs += cert.complete
+        if sub is not t:
+            counterexamples.append(
+                {"a": a.to_json(), "b": b.to_json(), "sub": sub.to_json()}
+            )
     return {
         "pairs": found,
         "complete_pairs": complete_pairs,
         "counterexamples": counterexamples,
-        "inconclusive": inconclusive,
         "seed": seed,
     }
-
-
-def _scan_rank_le2(t, vecs):
-    """Heuristic destabilizer scan over rank <= 2 spans of short vectors."""
-    mu = t.slope()
-    for _, v in vecs:
-        s = saturate(t, [v])
-        if SlopeKey(s.degree(), 1).cmp(mu) > 0:
-            return s
-    for i, (_, v) in enumerate(vecs):
-        for _, w in vecs[i + 1 :]:
-            s1 = saturate(t, [v])
-            if linalg.subspace_contains(s1.span_key(), (tuple(Fraction(x) for x in w),)):
-                continue
-            s = saturate(t, [list(v), list(w)])
-            if SlopeKey(s.degree(), 2).cmp(mu) > 0:
-                return s
-    return None

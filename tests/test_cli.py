@@ -153,6 +153,17 @@ def test_budget_exhaustion_exit_3(monkeypatch, capsys):
     assert code == 3
 
 
+def test_lattice_search_budget_exit_3(tmp_path, capsys):
+    """A Gram whose enumeration cannot finish under the default Budget
+    stops with exit 3 within seconds."""
+    gram = [[str(int(i == j)) for j in range(6)] for i in range(6)]
+    gram[5][5] = str(10**30)
+    f = tmp_path / "skew.json"
+    f.write_text(json.dumps({"gram": gram}))
+    code, _ = run_cli(["hn", "--backend", "lattice", "--in", str(f)], capsys)
+    assert code == 3
+
+
 def test_determinism_byte_identical(tmp_path):
     """Every command with a fixed seed writes byte-identical output."""
     cases = [
@@ -430,8 +441,8 @@ def _parser_flags():
 def test_subcommand_flag_sets():
     common = {"--out", "--svg", "--seed", "--require-complete"}
     own = {
-        "hn": {"--backend", "--in", "--bound", "--depth", "--object"},
-        "np": {"--backend", "--in", "--prec", "--bound", "--depth", "--object"},
+        "hn": {"--backend", "--in", "--depth", "--object"},
+        "np": {"--backend", "--in", "--prec", "--depth", "--object"},
         "factor": {"--in", "--prec"},
         "check": {"--law", "--backend", "--samples", "--in", "--bound", "--depth"},
         "swan": {"--in"},
@@ -439,7 +450,7 @@ def test_subcommand_flag_sets():
     }
     flags = _parser_flags()
     assert flags == {name: own[name] | common for name in own}
-    assert sum(map(len, flags.values())) == 46
+    assert sum(map(len, flags.values())) == 44
 
 
 @pytest.mark.parametrize(
@@ -450,6 +461,12 @@ def test_subcommand_flag_sets():
         ["hn", "--backend", "bogus", "--in", str(FIXTURES / "z2.json")],
         ["check", "--backend", "filtered"],
         ["check", "--law", "duality", "--backend", "lattice"],
+        ["hn", "--backend", "lattice", "--in", str(FIXTURES / "z2.json"), "--bound", "3"],
+        ["check", "--law", "axioms", "--backend", "lattice", "--in", "/nonexistent.json"],
+        ["check", "--law", "tensor-mult", "--in", "/nonexistent.json", "--bound", "3"],
+        ["check", "--law", "bost-experiment", "--bound", "3"],
+        ["check", "--law", "dominance", "--backend", "table", "--samples", "50"],
+        ["check", "--law", "exactness", "--backend", "lattice", "--depth", "8"],
     ],
     ids=[
         "swan-depth",
@@ -457,6 +474,12 @@ def test_subcommand_flag_sets():
         "hn-bogus-backend",
         "check-without-law",
         "duality-on-lattice",
+        "hn-bound",
+        "axioms-lattice-in",
+        "tensor-mult-in-bound",
+        "bost-bound",
+        "dominance-table-samples",
+        "exactness-lattice-depth",
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from slopes import linalg
-from slopes.core import Budget, BudgetExhausted, hn_filtration
+from slopes.core import Budget, BudgetExhausted, SlopeBackend, hn_filtration
 from slopes.degrees import DegreeValue, SlopeKey
 from slopes.lattices import (
     EuclideanLattice,
@@ -13,8 +13,8 @@ from slopes.lattices import (
     LatticeError,
     Sublattice,
     completion,
+    default_bound,
     destabilizer_lattice,
-    first_minimum,
     is_saturated,
     lagrange_gauss,
     quotient_with_metric,
@@ -102,6 +102,63 @@ def test_destabilizer_rank3_complete():
     assert cert.complete
     # the best sublattice is the unimodular plane, slope 0 > -1/6 log 9
     assert key.deg.cmp(DegreeValue.log_positive(1)) == 0
+
+
+def _tridiagonal(r):
+    """Diagonal 2..r+1, off-diagonal 1/2."""
+    return EuclideanLattice(
+        [[i + 2 if i == j else Fraction(abs(i - j) == 1, 2) for j in range(r)] for i in range(r)]
+    )
+
+
+def _skewed(r):
+    """A^T A for A upper triangular with diagonal 3^i and ones above it."""
+    a = [[3**i if i == j else int(j > i) for j in range(r)] for i in range(r)]
+    return EuclideanLattice(
+        [[sum(a[k][i] * a[k][j] for k in range(r)) for j in range(r)] for i in range(r)]
+    )
+
+
+# HN slopes as neg_half_log values, one segment of multiplicity 1 each
+PINNED_POLYGONS = [
+    (_tridiagonal(4), ["2", "23/8", "90/23", "1777/360"]),
+    (_tridiagonal(5), ["2", "23/8", "90/23", "1777/360", "10572/1777"]),
+    (_tridiagonal(6), ["2", "23/8", "90/23", "1777/360", "10572/1777", "294239/42288"]),
+    (_skewed(4), ["1", "9", "81", "729"]),
+    (_skewed(5), ["1", "9", "81", "729", "6561"]),
+]
+
+
+@pytest.mark.parametrize(
+    "lat, slopes", PINNED_POLYGONS, ids=["tri4", "tri5", "tri6", "skew4", "skew5"]
+)
+def test_hn_complete_in_rank_4_to_6(lat, slopes):
+    res = hn_filtration(LatticeBackend(), lat)
+    assert res.certificate.complete
+    segments = res.polygon.to_json()["segments"]
+    assert segments == [{"slope": {"neg_half_log": s}, "mult": 1} for s in slopes]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_destabilizer_matches_closure_reference(seed):
+    """The Plücker search returns the subobject and key of the base
+    SlopeBackend.destabilizer over the span closure at four times the
+    default norm bound, and in rank 3 the same basis.  (Rank 2 runs
+    Lagrange-Gauss, whose line may differ from the closure's in sign.)
+    The closure costs the square of its vector count, so draws with more
+    than 200 vectors under that bound are left to the pinned artifacts."""
+    lat = sample_lattice(random.Random(seed), rank_max=3)
+    bound = 4 * default_bound(lat)
+    assume(len(short_vectors(lat, bound)) <= 200)
+    want, want_key, _ = SlopeBackend.destabilizer(LatticeBackend(), lat, Budget(bound=bound))
+    got, key, cert = destabilizer_lattice(lat)
+    assert cert.complete and key.cmp(want_key) == 0
+    if want is lat:
+        assert got is lat
+    else:
+        assert got.span_key() == want.span_key()
+        assert lat.rank == 2 or got == want
 
 
 def test_strict_subobjects_respects_candidate_budget():
@@ -199,11 +256,6 @@ def test_hn_on_backend():
         {"slope": {"neg_half_log": "4"}, "mult": 1},
     ]
     assert res2.certificate.complete
-
-
-def test_first_minimum():
-    assert first_minimum(EuclideanLattice([[2, 1], [1, 2]])) == 2
-    assert first_minimum(Z2) == 1
 
 
 @settings(max_examples=25, deadline=None)

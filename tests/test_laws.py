@@ -162,6 +162,34 @@ def test_uniqueness_and_dominance_on_a_lattice():
     assert uni["qualifying"] == 1 and uni["matches_hn"]
 
 
+def test_flag_laws_enumerate_once_per_object(monkeypatch):
+    """check_flag_laws shares one flag enumeration per object between the
+    dominance and the uniqueness check, and reports what they report."""
+    import slopes.laws as laws_mod
+
+    calls = []
+    real = laws_mod.enumerate_flags
+
+    def counting(backend, obj, budget=Budget()):
+        calls.append(obj)
+        return real(backend, obj, budget)
+
+    monkeypatch.setattr(laws_mod, "enumerate_flags", counting)
+    rng = random.Random(13)
+    objects = [sample_filtered_space(rng, dim_max=3, n=2) for _ in range(6)]
+    backend = FilteredBackend()
+    report, _ = laws_mod.check_flag_laws(backend, objects)
+    assert calls == objects
+    doms = [check_dominance(backend, v) for v in objects]
+    assert report == {
+        "flags_checked": sum(d["flags"] for d in doms),
+        "dominance_failures": sum(d["dominance_failures"] for d in doms),
+        "uniqueness_failures": sum(
+            not check_hn_uniqueness(backend, v)["matches_hn"] for v in objects
+        ),
+    }
+
+
 def _nested_handles(kind, rng):
     """(backend, obj, small, big): big a strict subobject handle of obj,
     small one inside big; None when the draw is degenerate."""
