@@ -242,6 +242,12 @@ def cmd_np(args, seed: int):
 def cmd_factor(args, seed: int):
     poly = _load(args, _load_twisted)
     prec = args.prec
+    known = poly.precision()
+    if known is not None and known < prec:
+        # the product could only be checked modulo x^known
+        raise PrecisionError(
+            f"input is known only below x^{known}; cannot verify --prec {prec}"
+        )
     factors = slope_factor(poly, prec)
     product = factors[0]
     for f in factors[1:]:

@@ -7,12 +7,15 @@ The Newton polygon of a monic P = sum a_i phi^i is the concave hull of the
 points (i, -v(a_{n-i})); it equals the module polygon of K<phi>/K<phi>P.
 
 Factorization peels the lowest-slope factor from the left by a graded
-Newton lift: pick a slope s strictly between the lowest break and the rest,
-then the s-Gauss valuation makes the left factor leading-dominated and the
-cofactor constant-dominated, so each graded level of the residual splits
-uniquely into corrections of the two factors.  The outer loop is a genuine
-Newton step (the residual's s-valuation gain doubles); a residual that ever
-fails to improve raises PrecisionError rather than returning a wrong factor.
+Hensel lift (Adams-Sauloy): pick a slope s strictly between the lowest break
+and the rest, then the s-Gauss valuation makes the left factor
+leading-dominated and the cofactor constant-dominated, so each graded level
+of the residual p - L*C splits uniquely into corrections dL, dC of the two
+factors.  Each pass kills one level, the lowest, and updates the residual by
+bilinearity, res - (dL*C + L*dC + dL*dC), so the residual's s-valuation rises
+with every pass.  Two exits raise PrecisionError rather than return a wrong
+factor: a level that fails to rise, and a pass cap linear in the working
+precision.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .polygon import NewtonPolygon, polygon_from_points
 from .series import PrecisionError, Series, _make
 
 DEFAULT_PRECISION = 40
-NEWTON_CAP = 64
 
 
 class TwistError(SlopesError, ValueError):
@@ -160,6 +162,13 @@ def _gauss_val(p: TwistedPolynomial, s: Fraction) -> Optional[Fraction]:
     return best
 
 
+def _poly_add(p: TwistedPolynomial, q: TwistedPolynomial) -> TwistedPolynomial:
+    d = max(p.degree, q.degree)
+    return TwistedPolynomial(
+        tuple(p.coeff(i) + q.coeff(i) for i in range(d + 1)), p.twist
+    )
+
+
 def _poly_sub(p: TwistedPolynomial, q: TwistedPolynomial) -> TwistedPolynomial:
     d = max(p.degree, q.degree)
     return TwistedPolynomial(
@@ -209,9 +218,8 @@ def _split_once(
     uc = cfac.coeffs[0].valuation()  # v of the cofactor's constant term
     alpha = cfac.coeffs[0].coeff(uc)
 
-    def graded_solve(res: TwistedPolynomial):
-        """Kill the lowest s-graded level of res: returns (dL, dC)."""
-        w = _gauss_val(res, s)
+    def graded_solve(res: TwistedPolynomial, w: Fraction):
+        """Kill the s-graded level w, the lowest of res: returns (dL, dC)."""
         dl = [Series.zero(prec) for _ in range(m)]
         dc = [Series.zero(prec) for _ in range(n - m)]
         for j, cj in enumerate(res.coeffs):
@@ -234,58 +242,31 @@ def _split_once(
             TwistedPolynomial(tuple(dc + [Series.zero(prec)]), twist),
         )
 
-    def add(a: TwistedPolynomial, b: TwistedPolynomial) -> TwistedPolynomial:
-        d = max(a.degree, b.degree)
-        return TwistedPolynomial(
-            tuple(a.coeff(i) + b.coeff(i) for i in range(d + 1)), twist
-        )
-
-    def residual_done(res: TwistedPolynomial) -> bool:
-        return all(c.is_zero() for c in res.coeffs)
-
-    inner_cap = 4 * (prec + int(abs(s)) * n + n + 8) * max(
+    pass_cap = 4 * (prec + int(abs(s)) * n + n + 8) * max(
         1, s.denominator, lowest.deg.value.denominator
     )
-    for _ in range(NEWTON_CAP):
-        res = _poly_sub(p.truncate(prec), twisted_mul(lfac, cfac))
-        if residual_done(res):
-            break
-        dl_total = TwistedPolynomial(
-            tuple([Series.zero(prec)] * (m + 1)), twist
+    # p - (L + dL)(C + dC) = res - (dL C + L dC + dL dC): the twisted product
+    # is bilinear, so the residual is updated rather than recomputed
+    res = _poly_sub(p.truncate(prec), twisted_mul(lfac, cfac))
+    w = _gauss_val(res, s)
+    for _ in range(pass_cap):
+        if w is None:
+            return lfac.truncate(prec), cfac.truncate(prec)
+        dl, dc = graded_solve(res, w)
+        res = _poly_sub(
+            res,
+            _poly_add(
+                _poly_add(twisted_mul(dl, cfac), twisted_mul(lfac, dc)),
+                twisted_mul(dl, dc),
+            ),
         )
-        dc_total = TwistedPolynomial(
-            tuple([Series.zero(prec)] * (n - m + 1)), twist
-        )
-        lin = res
-        w_prev = _gauss_val(lin, s)
-        inner = 0
-        while not residual_done(lin):
-            inner += 1
-            if inner > inner_cap:
-                raise PrecisionError(
-                    "twisted factor lift failed to converge at this precision"
-                )
-            ul, ucr = graded_solve(lin)
-            dl_total = add(dl_total, ul)
-            dc_total = add(dc_total, ucr)
-            # incremental update: the corrections are graded monomials, so
-            # multiplying only them keeps each pass cheap
-            lin = _poly_sub(
-                lin, add(twisted_mul(ul, cfac), twisted_mul(lfac, ucr))
-            )
-            w_now = _gauss_val(lin, s)
-            if w_now is not None and w_prev is not None and w_now <= w_prev:
-                raise PrecisionError(
-                    "residual valuation failed to increase during lift"
-                )
-            w_prev = w_now
-        lfac = add(lfac, dl_total)
-        cfac = add(cfac, dc_total)
-    else:
-        res = _poly_sub(p.truncate(prec), twisted_mul(lfac, cfac))
-        if not residual_done(res):
-            raise PrecisionError("Newton iteration cap reached before precision")
-    return lfac.truncate(prec), cfac.truncate(prec)
+        lfac = _poly_add(lfac, dl)
+        cfac = _poly_add(cfac, dc)
+        w_next = _gauss_val(res, s)
+        if w_next is not None and w_next <= w:
+            raise PrecisionError("residual valuation failed to increase during lift")
+        w = w_next
+    raise PrecisionError("twisted factor lift failed to converge at this precision")
 
 
 def _lift_precision(p: TwistedPolynomial, precision: int) -> int:

@@ -287,23 +287,57 @@ THREE_FILTRATIONS = {
     ],
 }
 
-# sha256 of the --out artifacts of `hn`; a refactor of the destabilizer
-# searches must keep them byte for byte.
+# (phi - 2x^-3)(phi + 3x), slopes 3 then -1, to precision 40
+TWO_SLOPE_PRODUCT = {
+    "twist": {"q": "2"},
+    "coeffs": [
+        {"vmin": -2, "c": ["-6"]},
+        {"vmin": -3, "c": ["-2", "0", "0", "0", "6"]},
+        {"vmin": 0, "c": ["1"]},
+    ],
+    "precision": 40,
+}
+
+# (phi + x^-2)(phi - 3x^2)(phi + 2x^-3), slopes 2, -2, 3, to precision 40
+THREE_SLOPE_PRODUCT = {
+    "twist": {"q": "2"},
+    "coeffs": [
+        {"vmin": -3, "c": ["-6"]},
+        {"vmin": -5, "c": ["1/4", "0", "0", "0", "-3", "-3"]},
+        {"vmin": -3, "c": ["1/32", "1", "0", "0", "0", "-12"]},
+        {"vmin": 0, "c": ["1"]},
+    ],
+    "precision": 40,
+}
+
+LATTICE_HN = ("hn", "--backend", "lattice")
+FILTERED_HN = ("hn", "--backend", "filtered")
+FACTOR_40 = ("factor", "--prec", "40")
+
+# sha256 of the --out artifacts of `hn` and `factor`; a refactor of the
+# destabilizer searches or of the slope factorization must keep them byte
+# for byte.
 PINNED_ARTIFACTS = {
-    ("lattice", "z2"):
+    (LATTICE_HN, "z2"):
         "2a33e30158f88ea37147e43e0bea63537b9fed98f678f625d2acc0ede1bc61d3",
-    ("lattice", "diag14"):
+    (LATTICE_HN, "diag14"):
         "ee613c8d2e2fb7fe24e8ddf645f13df6571cc03b9a1d552def536e125217839d",
-    ("lattice", "rank3"):
+    (LATTICE_HN, "rank3"):
         "a919457967fe187b3e7c2273c3f0bf0880746b357677b31e46c64190059bb2c4",
-    ("filtered", "filtered_two_jumps"):
+    (FILTERED_HN, "filtered_two_jumps"):
         "9f9c07088ab3cfed4ef8b8b8154845b14d579fad081c67b5d5f2cd06c91db242",
-    ("filtered", "three_filtrations"):
+    (FILTERED_HN, "three_filtrations"):
         "ad8b7502792133774ff37eacd2875195258bbbe89e381fb3baf0945c20124630",
-    ("lattice", "diag_1_4_16"):
+    (LATTICE_HN, "diag_1_4_16"):
         "03eb32d08cfeed067946130f65f570a4b76c27f6d3c9d4fdf4edb7b60b1a5fda",
-    ("diff", "diff_op"):
+    (("hn", "--backend", "diff"), "diff_op"):
         "21dccbd70fa3ebb73a333bc80fefd342266f2f013f33cb5316efcc82d80bb469",
+    (FACTOR_40, "twisted_two_slopes"):
+        "ede3422ec7f493218d88476e4fc03a5782b971c91cfaae9324c16c7f8a603ea2",
+    (FACTOR_40, "two_slope_product"):
+        "d42eb543fe3ef9140c6219c87bc29f863f5ea37b9592ba8d07a527cdf407ad34",
+    (FACTOR_40, "three_slope_product"):
+        "b2239cf54b124cb2ebfb64b9e7ea5925410571df22c8da1c25b819345b0bf41e",
 }
 
 
@@ -312,14 +346,16 @@ def test_hn_artifacts_pinned(tmp_path, capsys):
         "rank3": RANK3_LATTICE,
         "three_filtrations": THREE_FILTRATIONS,
         "diag_1_4_16": DIAG_1_4_16,
+        "two_slope_product": TWO_SLOPE_PRODUCT,
+        "three_slope_product": THREE_SLOPE_PRODUCT,
     }
-    for (backend, name), digest in PINNED_ARTIFACTS.items():
+    for (command, name), digest in PINNED_ARTIFACTS.items():
         src = FIXTURES / f"{name}.json"
         if name in inline:
             src = tmp_path / f"{name}.json"
             src.write_text(json.dumps(inline[name]))
         out = tmp_path / f"{name}.out.json"
-        code = main(["hn", "--backend", backend, "--in", str(src), "--out", str(out)])
+        code = main([*command, "--in", str(src), "--out", str(out)])
         capsys.readouterr()
         assert code == 0, name
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
@@ -336,6 +372,7 @@ def test_hn_artifacts_pinned(tmp_path, capsys):
             ["combine", "--mode", "direct_sum"],
             {"p": {"segments": [{"slope": "1", "mult": 1}]}},
         ),
+        (["factor", "--prec", "40"], {**TWO_SLOPE_PRODUCT, "precision": 3}),
     ],
     ids=[
         "missing-file",
@@ -343,6 +380,7 @@ def test_hn_artifacts_pinned(tmp_path, capsys):
         "table-without-objects",
         "table-not-an-object",
         "sum-without-q",
+        "factor-prec-above-input",
     ],
 )
 def test_bad_input_exit_2(tmp_path, capsys, argv, doc):

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slopes import phi
 from slopes.degrees import SlopeError
 from slopes.phi import (
     PhiMatrix,
@@ -23,7 +25,7 @@ from slopes.phi import (
     twisted_mul,
 )
 from slopes.polygon import DIRECT_SUM, DUAL, TENSOR_MULT, polygon_combine
-from slopes.series import Series
+from slopes.series import PrecisionError, Series
 
 Q2 = TwistSpec(Fraction(2))
 ONE = Series.one()
@@ -129,6 +131,37 @@ def test_factor_roundtrip_random(seed):
         re.coeff(i).eq_to_precision(prod.coeff(i), 40)
         for i in range(prod.degree + 1)
     )
+
+
+def test_factor_recovers_ordered_factors():
+    """A product already in increasing slope order is its own slope
+    factorization, so the factors come back exactly, at every exponent
+    below the precision each coefficient claims."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        slopes = sorted(rng.sample(range(-2, 4), rng.choice((2, 3))))
+        factors = [single_slope_factor(rng, s) for s in slopes]
+        prod = factors[0]
+        for f in factors[1:]:
+            prod = twisted_mul(prod, f)
+        got = slope_factor(prod.truncate(40), 40)
+        assert [g.degree for g in got] == [f.degree for f in factors], seed
+        for g, f in zip(got, factors):
+            for gc, fc in zip(g.coeffs, f.coeffs):
+                assert gc.eq_to_precision(fc), (seed, gc, fc)
+
+
+def test_factor_lift_precision_errors(monkeypatch):
+    """Both exits of the graded lift: a residual level that fails to rise,
+    and the pass cap.  The s-Gauss valuation is stubbed to force each."""
+    p = twisted_mul(poly([mono(-1, -1), ONE]), poly([mono(-1, 0), ONE]))
+    monkeypatch.setattr(phi, "_gauss_val", lambda res, s: Fraction(0))
+    with pytest.raises(PrecisionError, match="failed to increase"):
+        slope_factor(p, 40)
+    levels = itertools.count()
+    monkeypatch.setattr(phi, "_gauss_val", lambda res, s: Fraction(next(levels)))
+    with pytest.raises(PrecisionError, match="failed to converge"):
+        slope_factor(p, 40)
 
 
 def test_factor_known_example():
