@@ -120,9 +120,6 @@ class DegreeValue:
     def __gt__(self, other):
         return self.cmp(other) > 0
 
-    def is_sign_negative(self) -> bool:
-        return self.cmp(DegreeValue.zero(self.variant)) < 0
-
     # -- serialization ------------------------------------------------------------
 
     def to_json(self):

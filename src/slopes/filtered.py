@@ -3,15 +3,26 @@
 An object is Q^d carrying n separated exhaustive descending filtrations
 with rational jumps; its degree is the sum over filtrations of
 jump * dim(graded piece).  Subobjects inherit intersection filtrations,
-quotients image filtrations, so degrees add along every subspace.
+quotients image filtrations, so degrees add along every subspace.  With
+steps F_1 < ... < F_m of jumps j_1 > ... > j_m, the degree is
+
+    deg = sum_nu sum_i j_i (d_i - d_{i-1}),   d_0 = 0,
+
+where d_i = dim F_i for the whole space and, for a subspace W,
+d_i = dim(W ∩ F_i) = dim W + dim F_i - dim(W + F_i).  So a subspace's
+degree comes from dimension counts alone, without building its induced
+filtration.
 
 The destabilizer search runs over the subspace lattice generated by the
-filtration steps under intersection and sum.  For n <= 2 that lattice
-provably attains the optimum (two chains generate a finite distributive
-lattice and the degree of a subspace only depends on its intersection
-profile with each chain), so the certificate is complete; the same holds
-in dimension 2 for any n because a line's degree only depends on which
-step lines it equals.  Everything else is budget-bounded and heuristic.
+filtration steps under intersection and sum.  Each round of the closure
+combines only the pairs with a member new in the previous round; older
+pairs were combined already, so each pair is combined once.  For n <= 2
+that lattice provably attains the optimum (two chains generate a finite
+distributive lattice and the degree of a subspace only depends on its
+intersection profile with each chain), so the certificate is complete;
+the same holds in dimension 2 for any n because a line's degree only
+depends on which step lines it equals.  Everything else is
+budget-bounded and heuristic.
 """
 
 from __future__ import annotations
@@ -78,15 +89,6 @@ class FilteredSpace:
     def full_space(self) -> linalg.Mat:
         return linalg.identity(self.dim)
 
-    def jump_multiset(self, nu: int) -> list[tuple[Fraction, int]]:
-        """(jump, dim gr) pairs for filtration nu."""
-        out = []
-        prev = 0
-        for jump, step in self.filtrations[nu].steps:
-            out.append((jump, len(step) - prev))
-            prev = len(step)
-        return out
-
     def to_json(self):
         return {
             "dim": self.dim,
@@ -137,12 +139,35 @@ def make_filtered(dim: int, chains) -> FilteredSpace:
     return FilteredSpace(dim, tuple(fils))
 
 
-def degree_filtered(v: FilteredSpace) -> DegreeValue:
+def degree_filtered(
+    v: FilteredSpace, rows: Optional[linalg.Mat] = None
+) -> DegreeValue:
+    """Degree of v, or of the subspace spanned by ``rows`` with the
+    intersection filtrations, from the dimension counts d_i."""
+    if rows is not None:
+        rows = linalg.rref(rows)
     total = Fraction(0)
-    for nu in range(v.n):
-        for jump, mult in v.jump_multiset(nu):
-            total += jump * mult
+    for f in v.filtrations:
+        prev = 0
+        for jump, step in f.steps:
+            d = len(step)
+            if rows is not None:
+                d += len(rows) - len(linalg.subspace_sum(rows, step))
+            total += jump * (d - prev)
+            prev = d
     return DegreeValue.rational(total)
+
+
+def _chain(pairs, dim: int, what: str) -> Filtration:
+    """The filtration through the (jump, subspace) pairs, in order of
+    decreasing jump, keeping each step that grows the dimension."""
+    steps: list[tuple[Fraction, linalg.Mat]] = []
+    for jump, space in pairs:
+        if len(space) > (len(steps[-1][1]) if steps else 0):
+            steps.append((jump, space))
+    if not steps or len(steps[-1][1]) != dim:
+        raise FilteredError(f"{what} filtration is not exhaustive")
+    return Filtration(tuple(steps))
 
 
 def induced_filtration(
@@ -155,44 +180,30 @@ def induced_filtration(
     projection onto the non-pivot coordinates of s.
     """
     s = linalg.rref(s)
-    k = len(s)
     if mode == "sub":
-        basis = s
-        newdim = k
-        if newdim == 0:
-            return FilteredSpace(0, tuple(Filtration(((Fraction(0), ()),)) for _ in range(v.n)))
+        newdim = len(s)
 
         def transform(step: linalg.Mat) -> linalg.Mat:
-            inter = linalg.subspace_intersect(basis, step)
-            return coords_in_basis(inter, basis)
+            return coords_in_basis(linalg.subspace_intersect(s, step), s)
 
     elif mode == "quotient":
-        newdim = v.dim - k
+        newdim = v.dim - len(s)
         proj = quotient_projection(s, v.dim)
-        if newdim == 0:
-            return FilteredSpace(0, tuple(Filtration(((Fraction(0), ()),)) for _ in range(v.n)))
 
         def transform(step: linalg.Mat) -> linalg.Mat:
-            image = linalg.rref([linalg.mat_vec(proj, row) for row in step])
-            return image
+            return linalg.rref([linalg.mat_vec(proj, row) for row in step])
 
     else:
         raise FilteredError(f"unknown mode {mode!r}")
-
-    fils = []
-    for f in v.filtrations:
-        steps: list[tuple[Fraction, linalg.Mat]] = []
-        for jump, step in f.steps:
-            img = transform(step)
-            if steps and len(img) == len(steps[-1][1]):
-                continue
-            if not steps and len(img) == 0:
-                continue
-            steps.append((jump, img))
-        if not steps or len(steps[-1][1]) != newdim:
-            raise FilteredError("induced filtration is not exhaustive")
-        fils.append(Filtration(tuple(steps)))
-    return FilteredSpace(newdim, tuple(fils))
+    if newdim == 0:
+        return FilteredSpace(0, tuple(Filtration(((Fraction(0), ()),)) for _ in range(v.n)))
+    return FilteredSpace(
+        newdim,
+        tuple(
+            _chain(((jump, transform(step)) for jump, step in f.steps), newdim, "induced")
+            for f in v.filtrations
+        ),
+    )
 
 
 def coords_in_basis(vectors: linalg.Mat, basis: linalg.Mat) -> linalg.Mat:
@@ -250,22 +261,18 @@ def candidate_subspaces(v: FilteredSpace, depth: int = 8):
         for _, step in f.steps:
             current[linalg.rref(step)] = None
     stabilized = False
+    start = 0  # items[start:] are new since the previous round
     for _ in range(max(1, depth)):
         items = list(current.keys())
-        added = False
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
+        for j in range(start, len(items)):
+            for i in range(j):
                 a, b = items[i], items[j]
-                for c in (
-                    linalg.subspace_intersect(a, b),
-                    linalg.subspace_sum(a, b),
-                ):
-                    if c not in current:
-                        current[c] = None
-                        added = True
-        if not added:
+                current.setdefault(linalg.subspace_intersect(a, b))
+                current.setdefault(linalg.subspace_sum(a, b))
+        if len(current) == len(items):
             stabilized = True
             break
+        start = len(items)
     cands = sorted(current.keys(), key=lambda m: (len(m), m))
     if v.n <= 2 and stabilized:
         cert = COMPLETE
@@ -321,22 +328,16 @@ def tensor_filtered(v: FilteredSpace, w: FilteredSpace) -> FilteredSpace:
         )
         steps = []
         for lam in sums:
-            rows: list[tuple[Fraction, ...]] = []
-            for jv, sv in fv:
-                for jw, sw in fw:
-                    if jv + jw >= lam:
-                        for rv in sv:
-                            for rw in sw:
-                                rows.append(_kron_vec(rv, rw))
-            space = linalg.rref(rows)
-            if steps and len(space) == len(steps[-1][1]):
-                continue
-            if len(space) == 0:
-                continue
-            steps.append((lam, space))
-        if not steps or len(steps[-1][1]) != dim:
-            raise FilteredError("tensor filtration is not exhaustive")
-        fils.append(Filtration(tuple(steps)))
+            rows = [
+                _kron_vec(rv, rw)
+                for jv, sv in fv
+                for jw, sw in fw
+                if jv + jw >= lam
+                for rv in sv
+                for rw in sw
+            ]
+            steps.append((lam, linalg.rref(rows)))
+        fils.append(_chain(steps, dim, "tensor"))
     return FilteredSpace(dim, tuple(fils))
 
 
@@ -349,24 +350,16 @@ def dual_filtered(v: FilteredSpace) -> FilteredSpace:
     dim = v.dim
     fils = []
     for f in v.filtrations:
-        jumps = [j for j, _ in f.steps]
         steps = []
         # F^{>-lam}V for lam in the negated jump set: the strictly-above
         # part of the chain at -lam.
-        for lam in sorted((-j for j in jumps), reverse=True):
+        for lam in sorted((-j for j, _ in f.steps), reverse=True):
             above: linalg.Mat = ()
             for j, s in f.steps:
                 if j > -lam:
                     above = s
-            ann = linalg.annihilator(above, dim) if above else linalg.identity(dim)
-            if len(ann) == 0:
-                continue
-            if steps and len(ann) == len(steps[-1][1]):
-                continue
-            steps.append((lam, ann))
-        if not steps or len(steps[-1][1]) != dim:
-            raise FilteredError("dual filtration is not exhaustive")
-        fils.append(Filtration(tuple(steps)))
+            steps.append((lam, linalg.annihilator(above, dim)))
+        fils.append(_chain(steps, dim, "dual"))
     return FilteredSpace(dim, tuple(fils))
 
 
@@ -383,10 +376,7 @@ class FilteredBackend(SlopeBackend):
 
     def degree(self, obj) -> DegreeValue:
         if isinstance(obj, tuple):
-            amb, rows = obj
-            if len(rows) == 0:
-                return DegreeValue.rational(0)
-            return degree_filtered(induced_filtration(amb, rows, "sub"))
+            return degree_filtered(*obj)
         return degree_filtered(obj)
 
     def candidate_key(self, sub):

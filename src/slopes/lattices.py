@@ -60,10 +60,7 @@ def _check_gram(gram: linalg.Mat) -> None:
         for j in range(r):
             if gram[i][j] != gram[j][i]:
                 raise LatticeError("gram matrix must be symmetric")
-    for k in range(1, r + 1):
-        minor = tuple(row[:k] for row in gram[:k])
-        if linalg.det(minor) <= 0:
-            raise LatticeError("gram matrix is not positive definite")
+    _ldl(gram)
 
 
 @dataclass(frozen=True)
@@ -194,11 +191,9 @@ def quotient_with_metric(
 ) -> EuclideanLattice:
     """Quotient lattice with the orthogonal-projection (Schur complement)
     metric; degree additivity det(L) = det(S) det(L/S) is exact."""
-    if not is_saturated(ambient, sub.basis):
-        raise LatticeError("quotient needs a saturated sublattice")
-    if sub.rank == ambient.rank:
-        return EuclideanLattice(())
     t_cols = completion(ambient, sub)
+    if not t_cols:
+        return EuclideanLattice(())
     s_cols = sub.basis
     gss = linalg.frac_matrix(
         [[ambient.inner(a, b) for b in s_cols] for a in s_cols]
@@ -242,13 +237,18 @@ def tensor_lattice(a: EuclideanLattice, b: EuclideanLattice) -> EuclideanLattice
 
 
 def _ldl(gram: linalg.Mat):
-    """gram = L^T D L with L unit upper triangular (rational, exact)."""
+    """gram = L^T D L with L unit upper triangular (rational, exact).
+    Raises LatticeError at the first pivot <= 0: the pivots are the ratios
+    of consecutive leading minors, so all are positive exactly when gram is
+    positive definite (Sylvester's criterion)."""
     r = len(gram)
     d = [Fraction(0)] * r
     lmat = [[Fraction(0)] * r for _ in range(r)]
     g = [list(row) for row in gram]
     for i in range(r):
         d[i] = g[i][i] - sum(d[k] * lmat[k][i] ** 2 for k in range(i))
+        if d[i] <= 0:
+            raise LatticeError("gram matrix is not positive definite")
         lmat[i][i] = Fraction(1)
         for j in range(i + 1, r):
             lmat[i][j] = (

@@ -314,9 +314,12 @@ LATTICE_HN = ("hn", "--backend", "lattice")
 FILTERED_HN = ("hn", "--backend", "filtered")
 FACTOR_40 = ("factor", "--prec", "40")
 
-# sha256 of the --out artifacts of `hn` and `factor`; a refactor of the
-# destabilizer searches or of the slope factorization must keep them byte
-# for byte.
+CHECK = ("check", "--law")
+
+# sha256 of the --out artifacts of `hn`, `factor` and `check` (input name
+# None: the law samples its own objects); a refactor of the destabilizer
+# searches, of the filtered degrees or of the slope factorization must
+# keep them byte for byte.
 PINNED_ARTIFACTS = {
     (LATTICE_HN, "z2"):
         "2a33e30158f88ea37147e43e0bea63537b9fed98f678f625d2acc0ede1bc61d3",
@@ -338,6 +341,18 @@ PINNED_ARTIFACTS = {
         "d42eb543fe3ef9140c6219c87bc29f863f5ea37b9592ba8d07a527cdf407ad34",
     (FACTOR_40, "three_slope_product"):
         "b2239cf54b124cb2ebfb64b9e7ea5925410571df22c8da1c25b819345b0bf41e",
+    ((*CHECK, "dominance", "--seed", "7"), None):
+        "af6164ad847573d90c87329b4e14ff3ad0c8b45f735336733e719a0837b87524",
+    ((*CHECK, "duality"), None):
+        "e18cce66f1aa21f3e12a535503c3aca2dec1405272bb7154903296603d5c79fe",
+    ((*CHECK, "tensor-mult"), None):
+        "203f68e23984593980018e46aa916b23a3eb9be96fe35b35cebbf3080c6ec661",
+    ((*CHECK, "exactness", "--backend", "filtered"), None):
+        "7c0f634a89c75392e684b9cbf45a09c424c3c136cbf491c9fe7a817fec926046",
+    ((*CHECK, "coprime-stable"), None):
+        "0a7a236269fdb3a1ee126524df8e93b75dfc77c726641d2dd0e0d4c2c807aec7",
+    ((*CHECK, "axioms", "--backend", "filtered"), None):
+        "d163295ae592739ce526fde3dcaadd93e52805f7c1a2ccfbfc631c2b5340b349",
 }
 
 
@@ -350,15 +365,18 @@ def test_hn_artifacts_pinned(tmp_path, capsys):
         "three_slope_product": THREE_SLOPE_PRODUCT,
     }
     for (command, name), digest in PINNED_ARTIFACTS.items():
-        src = FIXTURES / f"{name}.json"
+        argv = list(command)
         if name in inline:
             src = tmp_path / f"{name}.json"
             src.write_text(json.dumps(inline[name]))
-        out = tmp_path / f"{name}.out.json"
-        code = main([*command, "--in", str(src), "--out", str(out)])
+            argv += ["--in", str(src)]
+        elif name is not None:
+            argv += ["--in", str(FIXTURES / f"{name}.json")]
+        out = tmp_path / "out.json"
+        code = main([*argv, "--out", str(out)])
         capsys.readouterr()
-        assert code == 0, name
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+        assert code == 0, argv
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slopes import linalg
-from slopes.core import hn_filtration, is_semistable
+from slopes.core import COMPLETE, Certificate, hn_filtration, is_semistable
 from slopes.filtered import (
+    _generic_line,
     FilteredBackend,
     FilteredError,
     FilteredSpace,
@@ -259,6 +260,70 @@ def test_induced_additivity_random(seed):
         degree_filtered(sub).value + degree_filtered(quo).value
         == degree_filtered(v).value
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_degree_from_dimension_counts_matches_induced_space(seed):
+    """The subspace degree from dim(W ∩ F_i) equals the degree of the
+    induced filtered space, for the empty, whole, random and redundantly
+    spanned subspaces."""
+    rng = random.Random(seed)
+    v = sample_filtered_space(rng, dim_max=4, n=rng.randint(1, 3))
+    vec = lambda: tuple(Fraction(rng.randint(-2, 2)) for _ in range(v.dim))
+    some = [vec() for _ in range(rng.randint(1, v.dim))]
+    spanning = [vec() for _ in range(v.dim)] + list(linalg.identity(v.dim))
+    spanning.append(tuple(a + b for a, b in zip(spanning[0], spanning[-1])))
+    for rows in ((), linalg.identity(v.dim), some, some + [some[0]], spanning):
+        induced = induced_filtration(v, rows, "sub")
+        assert degree_filtered(v, rows) == degree_filtered(induced)
+    assert degree_filtered(v, linalg.identity(v.dim)) == degree_filtered(v)
+
+
+def _all_pairs_candidates(v, depth):
+    """candidate_subspaces as first written: each round combines every
+    pair of the subspaces found so far, old pairs included."""
+    current = {(): None, v.full_space(): None}
+    for f in v.filtrations:
+        for _, step in f.steps:
+            current[linalg.rref(step)] = None
+    stabilized = False
+    for _ in range(max(1, depth)):
+        items = list(current.keys())
+        added = False
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                a, b = items[i], items[j]
+                for c in (
+                    linalg.subspace_intersect(a, b),
+                    linalg.subspace_sum(a, b),
+                ):
+                    if c not in current:
+                        current[c] = None
+                        added = True
+        if not added:
+            stabilized = True
+            break
+    cands = sorted(current.keys(), key=lambda m: (len(m), m))
+    if v.n <= 2 and stabilized:
+        cert = COMPLETE
+    elif v.dim <= 2 and stabilized:
+        cert = COMPLETE
+        generic = _generic_line(v, cands)
+        if generic is not None and generic not in current:
+            cands = sorted(cands + [generic], key=lambda m: (len(m), m))
+    else:
+        cert = Certificate(False, "heuristic: candidate lattice for n >= 3")
+    return cands, cert, stabilized
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_closure_combining_each_pair_once_matches_all_pairs(seed):
+    rng = random.Random(seed)
+    v = sample_filtered_space(rng, dim_max=3, n=rng.randint(1, 3))
+    for depth in range(1, 5):
+        assert candidate_subspaces(v, depth) == _all_pairs_candidates(v, depth)
 
 
 def test_validation_errors():

@@ -27,12 +27,19 @@ from slopes.laws import sample_lattice, sample_saturated_sub
 Z2 = EuclideanLattice.standard(2)
 
 
+NOT_POSITIVE_DEFINITE = (
+    [[0, 0], [0, 1]],
+    [[1, 2], [2, 1]],
+    [[1, 1], [1, 1]],  # singular and positive semidefinite
+    [[2, 1, 0], [1, 1, 2], [0, 2, 1]],  # indefinite, first two minors > 0
+)
+
+
 def test_positive_definiteness_enforced():
-    with pytest.raises(LatticeError):
-        EuclideanLattice([[0, 0], [0, 1]])
-    with pytest.raises(LatticeError):
-        EuclideanLattice([[1, 2], [2, 1]])
-    with pytest.raises(LatticeError):
+    for gram in NOT_POSITIVE_DEFINITE:
+        with pytest.raises(LatticeError, match="gram matrix is not positive definite"):
+            EuclideanLattice(gram)
+    with pytest.raises(LatticeError, match="symmetric"):
         EuclideanLattice([[1, 2], [3, 1]])
 
 
@@ -64,8 +71,15 @@ def test_saturation_flag():
 def test_quotient_orthogonal_split():
     q = quotient_with_metric(Z2, saturate(Z2, [[1, 0]]))
     assert q.gram == ((Fraction(1),),)
-    with pytest.raises(LatticeError):
-        quotient_with_metric(Z2, Sublattice(Z2, ((2, 0),)))
+    z3 = EuclideanLattice.standard(3)
+    # index-2 line, index-2 full-rank sublattice, index-3 plane
+    for ambient, basis in (
+        (Z2, ((2, 0),)),
+        (Z2, ((1, 1), (1, -1))),
+        (z3, ((1, 0, 0), (0, 3, 3))),
+    ):
+        with pytest.raises(LatticeError, match="saturated"):
+            quotient_with_metric(ambient, Sublattice(ambient, basis))
     assert quotient_with_metric(Z2, saturate(Z2, [[1, 0], [0, 1]])).rank == 0
 
 
