@@ -11,6 +11,7 @@ not something to patch around.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -153,23 +154,86 @@ def _matrix_min_valuation(mat) -> Optional[int]:
     return min(vals) if vals else None
 
 
-def _truncate_matrix(mat, prec: int):
-    return tuple(tuple(c.truncate(prec) for c in row) for row in mat)
+def _trimmed(v: int, nums: list, prec):
+    """The entry (v, nums, prec) without leading or trailing zeros; a zero
+    entry is (0, [], prec)."""
+    lo, hi = 0, len(nums)
+    while lo < hi and not nums[lo]:
+        lo += 1
+    while hi > lo and not nums[hi - 1]:
+        hi -= 1
+    return (v + lo, nums[lo:hi], prec) if lo < hi else (0, [], prec)
 
 
-def _power_step(a, b):
-    """B -> A B + d(B) entrywise, d the logarithmic derivative."""
+def _integer_matrix(mat):
+    """(N, D) with mat = N / D: D is the lcm of every coefficient
+    denominator, and N holds trimmed (vmin, numerators, prec) entries, prec
+    math.inf for an exact entry."""
+    d = math.lcm(*(c.denominator for row in mat for s in row for c in s.coeffs))
+    return [
+        [
+            _trimmed(
+                s.vmin,
+                [c.numerator * (d // c.denominator) for c in s.coeffs],
+                math.inf if s.prec is None else s.prec,
+            )
+            for s in row
+        ]
+        for row in mat
+    ], d
+
+
+def _cut(entry, prec: int):
+    """The entry known only below x^prec."""
+    v, nums, p = entry
+    if p <= prec:
+        return entry
+    return _trimmed(v, nums[: max(0, prec - v)], prec)
+
+
+def _power_step(a, b, d: int):
+    """N -> a N + d delta(N) entrywise on (vmin, numerators, prec) entries,
+    a the numerators of the connection and delta(c_k x^k) = k c_k x^k.
+
+    Precision follows Series arithmetic: a product is known below
+    min(prec_a + v_b, prec_b + v_a), with v = 0 for a zero factor (as a
+    trimmed zero entry stores it); a sum below the least precision of its
+    terms; delta keeps precision.
+    """
     r = len(a)
     out = []
     for i in range(r):
+        arow = a[i]
         row = []
         for j in range(r):
-            acc = b[i][j].dlog_derivative()
+            vb, cb, prec = b[i][j]
+            prods = []
             for k in range(r):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+                va, ca, pa = arow[k]
+                vk, ck, pk = b[k][j]
+                prec = min(prec, pa + vk, pk + va)
+                if ca and ck:
+                    prods.append((va + vk, ca, ck))
+            starts = [v for v, _, _ in prods]
+            if cb:
+                starts.append(vb)
+            lo = min(starts, default=prec)
+            if lo >= prec:
+                row.append((0, [], prec))
+                continue
+            n = prec - lo
+            acc = [0] * n
+            for t, c in enumerate(cb[: max(0, prec - vb)], vb):
+                acc[t - lo] += d * t * c
+            for v, ca, ck in prods:
+                off = v - lo
+                for s, x in enumerate(ca[: max(0, n - off)], off):
+                    if x:
+                        for t, y in enumerate(ck[: n - s], s):
+                            acc[t] += x * y
+            row.append(_trimmed(lo, acc, prec))
+        out.append(row)
+    return out
 
 
 PRECISION_ATTEMPTS = 5
@@ -201,6 +265,13 @@ def katz_rank_spectral(
     exact once the extremal monomial pattern becomes periodic (period
     divides the break denominator, hence 12 covers orders <= 4).
     Diagnostics carry both sequences and a convergence verdict.
+
+    The powers B_1 = A, B_{n+1} = A B_n + delta(B_n) run on integer
+    numerators: with A = N_A / D, D the lcm of the coefficient
+    denominators of A, B_n = N_n / D^n where N_1 = N_A and
+    N_{n+1} = N_A N_n + D delta(N_n).  A nonzero constant factor moves
+    no valuation and no precision, so v(B_n) = v(N_n) and every
+    diagnostic is the one the rational powers give, with no gcd taken.
     """
     if n_max < 2:
         raise DiffError("n_max must be >= 2")
@@ -210,17 +281,16 @@ def katz_rank_spectral(
 
 
 def _katz_run(module: DifferentialModule, n_max: int, window: int, keep: int):
-    a = module.matrix
+    a, d = _integer_matrix(module.matrix)
     vals: list[Optional[int]] = []
-    b = a
+    b = a  # numerators of B_n = N_n / d^n
     for _n in range(1, n_max + 1):
-        v = _matrix_min_valuation(b)
-        if v is None:
+        known = [e[0] for row in b for e in row if e[1]]
+        if not known:
             # zero as far as known: v(B_n) is at least the window bottom,
             # and superadditivity of power valuations then pins rho = 0
             # provided that bottom is positive.
-            precs = [c.prec for row in b for c in row if c.prec is not None]
-            if not precs or min(precs) >= 1:
+            if min((e[2] for row in b for e in row), default=1) >= 1:
                 return Fraction(0), {
                     "valuations": vals,
                     "ratios": [],
@@ -229,11 +299,12 @@ def _katz_run(module: DifferentialModule, n_max: int, window: int, keep: int):
                     "converged": True,
                 }
             raise PrecisionError("power valuation indeterminate")
+        v = min(known)
         vals.append(v)
         # keep a bounded window above the running minimum
-        b = _truncate_matrix(b, v + keep)
+        b = [[_cut(e, v + keep) for e in row] for row in b]
         if _n < n_max:
-            b = _power_step(a, b)
+            b = _power_step(a, b, d)
     ratios = [Fraction(-vals[n - 1], n) for n in range(1, n_max + 1)]
     w = min(window, n_max - 1)
     windowed = []

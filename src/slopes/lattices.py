@@ -52,7 +52,8 @@ class LatticeError(SlopesError, ValueError):
     pass
 
 
-def _check_gram(gram: linalg.Mat) -> None:
+def _check_gram(lat: "EuclideanLattice") -> None:
+    gram = lat.gram
     r = len(gram)
     for i in range(r):
         if len(gram[i]) != r:
@@ -60,7 +61,7 @@ def _check_gram(gram: linalg.Mat) -> None:
         for j in range(r):
             if gram[i][j] != gram[j][i]:
                 raise LatticeError("gram matrix must be symmetric")
-    _ldl(gram)
+    lat.ldl  # factors gram once; raises unless it is positive definite
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,12 @@ class EuclideanLattice:
 
     def __post_init__(self):
         object.__setattr__(self, "gram", linalg.frac_matrix(self.gram))
-        _check_gram(self.gram)
+        _check_gram(self)
+
+    @functools.cached_property
+    def ldl(self):
+        """(d, L) with gram = L^T diag(d) L, L unit upper triangular."""
+        return _ldl(self.gram)
 
     @property
     def rank(self) -> int:
@@ -254,7 +260,7 @@ def _ldl(gram: linalg.Mat):
             lmat[i][j] = (
                 g[i][j] - sum(d[k] * lmat[k][i] * lmat[k][j] for k in range(i))
             ) / d[i]
-    return d, lmat
+    return tuple(d), tuple(map(tuple, lmat))
 
 
 def short_vectors(lat: EuclideanLattice, bound: Fraction, budget: Budget = Budget()):
@@ -263,7 +269,7 @@ def short_vectors(lat: EuclideanLattice, bound: Fraction, budget: Budget = Budge
     once the enumeration tries more than budget.max_candidates coordinate
     values (nodes of its search tree)."""
     r = lat.rank
-    d, lmat = _ldl(lat.gram)
+    d, lmat = lat.ldl
     out = []
     vec = [0] * r
     nodes = 0

@@ -310,16 +310,39 @@ THREE_SLOPE_PRODUCT = {
     "precision": 40,
 }
 
+_ZERO = {"vmin": 0, "c": []}
+
+# companion matrix of D^3 - (-2/3 + 3/2 D - 3/2 D^2) x^-2, common
+# denominator 6
+DIFF_RANK3_RATIONAL = {
+    "matrix": [
+        [_ZERO, _ZERO, {"vmin": -2, "c": ["-2/3"]}],
+        [{"vmin": 0, "c": ["1"]}, _ZERO, {"vmin": -2, "c": ["3/2"]}],
+        [_ZERO, {"vmin": 0, "c": ["1"]}, {"vmin": -2, "c": ["-3/2"]}],
+    ]
+}
+
+# the Katz powers vanish to a precision below x^1 at keep=16, so the run
+# needs a keep doubling; the x^-1 entry is known only below x^23
+DIFF_KEEP_DOUBLING = {
+    "matrix": [
+        [_ZERO, {"vmin": -1, "c": ["-1", "-3"], "prec": 23}, {"vmin": 1, "c": ["1/2", "1/2"]}],
+        [{"vmin": 2, "c": ["-3/2"]}, _ZERO, _ZERO],
+        [_ZERO, {"vmin": 1, "c": ["-1"]}, {"vmin": 0, "c": ["-1"]}],
+    ]
+}
+
 LATTICE_HN = ("hn", "--backend", "lattice")
 FILTERED_HN = ("hn", "--backend", "filtered")
 FACTOR_40 = ("factor", "--prec", "40")
+NP_DIFF = ("np", "--backend", "diff")
 
 CHECK = ("check", "--law")
 
-# sha256 of the --out artifacts of `hn`, `factor` and `check` (input name
-# None: the law samples its own objects); a refactor of the destabilizer
-# searches, of the filtered degrees or of the slope factorization must
-# keep them byte for byte.
+# sha256 of the --out artifacts of `hn`, `np`, `factor` and `check` (input
+# name None: the law samples its own objects); a refactor of the
+# destabilizer searches, of the filtered degrees, of the slope
+# factorization or of the Katz powers must keep them byte for byte.
 PINNED_ARTIFACTS = {
     (LATTICE_HN, "z2"):
         "2a33e30158f88ea37147e43e0bea63537b9fed98f678f625d2acc0ede1bc61d3",
@@ -353,6 +376,12 @@ PINNED_ARTIFACTS = {
         "0a7a236269fdb3a1ee126524df8e93b75dfc77c726641d2dd0e0d4c2c807aec7",
     ((*CHECK, "axioms", "--backend", "filtered"), None):
         "d163295ae592739ce526fde3dcaadd93e52805f7c1a2ccfbfc631c2b5340b349",
+    (NP_DIFF, "diff_op"):
+        "e7fbf7c220d0d7f5bb6bc9753a56c1a7e260e64c7dd9a00a5e0c5606cb2a7446",
+    (NP_DIFF, "diff_rank3_rational"):
+        "5f296aab2623ce08ed3ba617a6b34a4e3b7ffb43d1f381f6865f85f9d3f12fdd",
+    (NP_DIFF, "diff_keep_doubling"):
+        "5b0104c2008e30a90d835b01ebd08678f1b9041cdf29d594ed4042f4bca3a92a",
 }
 
 
@@ -363,6 +392,8 @@ def test_hn_artifacts_pinned(tmp_path, capsys):
         "diag_1_4_16": DIAG_1_4_16,
         "two_slope_product": TWO_SLOPE_PRODUCT,
         "three_slope_product": THREE_SLOPE_PRODUCT,
+        "diff_rank3_rational": DIFF_RANK3_RATIONAL,
+        "diff_keep_doubling": DIFF_KEEP_DOUBLING,
     }
     for (command, name), digest in PINNED_ARTIFACTS.items():
         argv = list(command)

@@ -43,6 +43,27 @@ def test_positive_definiteness_enforced():
         EuclideanLattice([[1, 2], [3, 1]])
 
 
+def test_one_ldl_per_lattice(monkeypatch):
+    """The factorization made at construction serves short_vectors; the
+    cached factors take no part in equality or hashing."""
+    import slopes.lattices as lattices_mod
+
+    calls = []
+    real_ldl = lattices_mod._ldl
+
+    def counting_ldl(gram):
+        calls.append(gram)
+        return real_ldl(gram)
+
+    monkeypatch.setattr(lattices_mod, "_ldl", counting_ldl)
+    lat = EuclideanLattice([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    short_vectors(lat, Fraction(6))
+    short_vectors(lat, Fraction(9))
+    assert len(calls) == 1
+    twin = EuclideanLattice([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    assert lat == twin and hash(lat) == hash(twin)
+
+
 def test_degree_examples():
     assert Z2.degree().cmp(DegreeValue.log_positive(1)) == 0
     diag = saturate(Z2, [[1, 1]])
