@@ -184,9 +184,9 @@ def _integer_matrix(mat):
 
 
 def _cut(entry, prec: int):
-    """The entry known only below x^prec."""
+    """The entry known only below x^prec; an exact zero stays exact."""
     v, nums, p = entry
-    if p <= prec:
+    if p <= prec or not nums and p == math.inf:
         return entry
     return _trimmed(v, nums[: max(0, prec - v)], prec)
 
@@ -198,7 +198,8 @@ def _power_step(a, b, d: int):
     Precision follows Series arithmetic: a product is known below
     min(prec_a + v_b, prec_b + v_a), with v = 0 for a zero factor (as a
     trimmed zero entry stores it); a sum below the least precision of its
-    terms; delta keeps precision.
+    terms; delta keeps precision.  One departure: a product with an exact
+    zero factor is exactly zero and costs no precision.
     """
     r = len(a)
     out = []
@@ -211,6 +212,8 @@ def _power_step(a, b, d: int):
             for k in range(r):
                 va, ca, pa = arow[k]
                 vk, ck, pk = b[k][j]
+                if not ca and pa == math.inf or not ck and pk == math.inf:
+                    continue
                 prec = min(prec, pa + vk, pk + va)
                 if ca and ck:
                     prods.append((va + vk, ca, ck))
@@ -325,22 +328,6 @@ def _katz_run(module: DifferentialModule, n_max: int, window: int, keep: int):
 # -- Gerard-Levelt lattice growth ----------------------------------------------------
 
 
-def _pivot_inverse(p: Series, floor_prec: int) -> Series:
-    """Inverse of the pivot p, for the quotients f = e p^-1 of one
-    elimination step (e - f p is then zero to the available precision).
-
-    The pivot p is the global minimum-valuation entry, so inverting it to
-    its maximal achievable precision (prec - 2 v(p)) makes the column
-    update lose no precision at all.
-    """
-    vp = p.valuation()
-    if p.prec is not None:
-        inv_prec = p.prec - 2 * vp
-    else:
-        inv_prec = floor_prec - 2 * vp + 4
-    return p.inverse(inv_prec)
-
-
 def _safe_valuation(s: Series):
     """Valuation, or None for an entry that is safely zero.
 
@@ -362,8 +349,31 @@ def _safely_zero(s: Series) -> bool:
 
 
 def _reduce_columns(cols, r: int, floor_prec: int):
-    """DVR column reduction; returns (sum of pivot diagonal valuations,
-    pivot columns).  Entries are Series known at least to floor_prec."""
+    """DVR column reduction over Q[[x]]; returns (sum of pivot diagonal
+    valuations, pivot columns).  Entries are Series known at least to
+    floor_prec.
+
+    Each step takes as pivot the entry p of least valuation v over the
+    rows left and the columns left, and replaces every other column by
+    col u - f pivot, where u = p / x^v and f = e / x^v for the column's
+    entry e in the pivot row.  That entry becomes e u - f p = 0, and since
+    u is a unit the Q[[x]]-span of the columns is kept.  The step takes
+    only shifts and products, no inverse: the DVR form of fraction-free
+    elimination (Bareiss; Cohen, GTM 138, 2.4).
+
+    The new column stays known to floor_prec.  A product a b is known
+    below min(prec_a + v(b), prec_b + v(a)), where Series counts v = 0 for
+    a factor that is zero as stored.  Since v is the least valuation over
+    the remaining block, every entry of the columns left has valuation
+    >= v or is zero, f has valuation >= 0 and is known to floor_prec - v,
+    and the unit u is known to floor_prec - v.  Both products col[i] u and
+    f pivot[i] are then known to floor_prec, provided v <= 0, which covers
+    the zero factors.  So every pivot must have valuation <= 0.
+    Gérard–Levelt meets that because its generators contain the identity:
+    the columns left span the lattice's vectors that vanish in the rows
+    already taken, among them the unit vector of each row left, so some
+    entry of the block has valuation <= 0.
+    """
     active = []
     for c in cols:
         col = [e.truncate(floor_prec) for e in c]
@@ -383,16 +393,14 @@ def _reduce_columns(cols, r: int, floor_prec: int):
             raise PrecisionError("column reduction ran out of certified pivots")
         v, row, ci = best
         pivot = active.pop(ci)
-        inv = None  # formed at the first column that needs it
+        u = pivot[row].shift(-v)
         for col in active:
             e = col[row]
             if _safe_valuation(e) is None:
                 continue
-            if inv is None:
-                inv = _pivot_inverse(pivot[row], floor_prec)
-            f = e * inv
+            f = e.shift(-v)
             for i in range(r):
-                col[i] = (col[i] - f * pivot[i]).truncate(floor_prec)
+                col[i] = (col[i] * u - f * pivot[i]).truncate(floor_prec)
         rows_left.remove(row)
         pivots.append((row, pivot))
         total += v

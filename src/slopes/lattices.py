@@ -169,14 +169,6 @@ def saturate(ambient: EuclideanLattice, columns) -> Sublattice:
     return Sublattice(ambient, basis)
 
 
-def is_saturated(ambient: EuclideanLattice, columns) -> bool:
-    mat = [
-        [int(columns[j][i]) for j in range(len(columns))]
-        for i in range(len(columns[0]))
-    ]
-    return all(f in (1, -1) for f in linalg.invariant_factors(mat))
-
-
 def completion(ambient: EuclideanLattice, sub: Sublattice):
     """Integer columns T with [sub.basis | T] a basis of Z^r."""
     r = ambient.rank

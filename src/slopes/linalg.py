@@ -294,9 +294,3 @@ def smith_normal_form(a):
                     m[i + 1] = [-x for x in m[i + 1]]
                     u[i + 1] = [-x for x in u[i + 1]]
     return u, m, v
-
-
-def invariant_factors(a) -> list[int]:
-    _, d, _ = smith_normal_form(a)
-    k = min(len(d), len(d[0]) if d else 0)
-    return [d[i][i] for i in range(k) if d[i][i] != 0]

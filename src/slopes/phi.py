@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .degrees import DegreeValue, SlopeError, SlopeKey
+from .diff import _reduce_columns
 from .errors import SlopesError
 from .polygon import NewtonPolygon, polygon_from_points
 from .series import PrecisionError, Series, _make
@@ -312,9 +313,6 @@ class PhiMatrix:
     def rank(self) -> int:
         return len(self.entries)
 
-    def det_series(self) -> Series:
-        return _series_det(self.entries)
-
     def to_json(self):
         return {
             "twist": self.twist.to_json(),
@@ -322,29 +320,58 @@ class PhiMatrix:
         }
 
 
-def _series_det(m) -> Series:
-    n = len(m)
-    if n == 0:
-        return Series.one()
-    if n == 1:
-        return m[0][0]
-    total = Series.zero()
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
-        term = m[0][j] * _series_det(minor)
-        if j % 2:
-            term = -term
-        total = total + term
-    return total
+def _top(e: Series) -> Optional[int]:
+    """Highest exponent known: prec - 1, or the last nonzero term of an
+    exact series (None for the exact zero)."""
+    if e.prec is not None:
+        return e.prec - 1
+    t = e.trimmed()
+    return t.vmin + len(t.coeffs) - 1 if t.coeffs else None
 
 
 def dm_degree(phi: PhiMatrix) -> DegreeValue:
-    """Dieudonne-Manin style degree -v(det Phi), an exact rational."""
-    d = phi.det_series()
-    v = d.valuation()
-    if v is None:
-        raise SlopeError("matrix determinant is zero; degree undefined")
-    return DegreeValue.rational(-v)
+    """Dieudonne-Manin style degree -v(det Phi), an exact rational.
+
+    v(det) is the sum of the pivot valuations of the unit-scaled column
+    reduction `diff._reduce_columns`: O(r^3) series products, where a
+    Laplace expansion takes r!.  That reduction keeps its floor only
+    while every pivot has valuation <= 0, so column j is first multiplied
+    by x^(1 - k_j), k_j the least precision in the column: every known
+    entry then has valuation <= 0 and is known to x^1, the reduction runs
+    at floor 1, and v(det Phi) is its sum plus sum_j (k_j - 1).
+
+    An exact column has no precision of its own; it gets
+    k_j = s + B + 1, where s is the least valuation or precision of any
+    entry and B sums over the rows of x^-s Phi their largest degree, so
+    the cut at x^1 drops none of its terms.  The bound also decides
+    singularity.  If Phi is exact and det Phi != 0, then det(x^-s Phi) is
+    a polynomial of degree <= B (each Leibniz term takes one entry from
+    every row), so the scaled matrix x^-(s+B) Phi has v(det) <= -(r-1)B.
+    Its entries, and every entry the reduction forms from them, have
+    valuation >= -B; a reduction that runs out of pivots after t < r of
+    them leaves a block that is zero mod x, so v(det) >= -tB + r - t >
+    -(r-1)B, and det Phi = 0.  On a matrix with a truncated entry the
+    same stop only means the precision ran out.
+    """
+    m = phi.entries
+    r = phi.rank
+    lows = [e.valuation_or(e.prec) for row in m for e in row]
+    s = min((v for v in lows if v is not None), default=0)
+    bound = sum(
+        max([0] + [t - s for t in map(_top, row) if t is not None]) for row in m
+    )
+    ks = []
+    for j in range(r):
+        precs = [row[j].prec for row in m if row[j].prec is not None]
+        ks.append(min(precs, default=s + bound + 1))
+    cols = [[row[j].shift(1 - ks[j]) for row in m] for j in range(r)]
+    try:
+        total, _ = _reduce_columns(cols, r, 1)
+    except PrecisionError:
+        if any(e.prec is not None for row in m for e in row):
+            raise
+        raise SlopeError("matrix determinant is zero; degree undefined") from None
+    return DegreeValue.rational(-(total + sum(k - 1 for k in ks)))
 
 
 def dm_slope(phi: PhiMatrix) -> SlopeKey:

@@ -15,7 +15,6 @@ from slopes.lattices import (
     completion,
     default_bound,
     destabilizer_lattice,
-    is_saturated,
     lagrange_gauss,
     quotient_with_metric,
     saturate,
@@ -82,11 +81,6 @@ def test_saturation_examples():
     assert s.induced_gram() == ((Fraction(2),),)
     with pytest.raises(LatticeError):
         saturate(Z2, [[0, 0]])
-
-
-def test_saturation_flag():
-    assert is_saturated(Z2, ((1, 1),))
-    assert not is_saturated(Z2, ((2, 0),))
 
 
 def test_quotient_orthogonal_split():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slopes import phi
-from slopes.degrees import SlopeError
+from slopes.degrees import DegreeValue, SlopeError
 from slopes.phi import (
     PhiMatrix,
     TwistError,
@@ -232,6 +232,135 @@ def test_dm_tensor_law_diagonal():
         )
         want = polygon_combine(np_diagonal(d1), np_diagonal(d2), TENSOR_MULT)
         assert np_diagonal(t).to_json() == want.to_json()
+
+
+def test_dm_degree_exact_singular():
+    x = mono(1, 1)
+    with pytest.raises(SlopeError, match="determinant is zero"):
+        dm_degree(PhiMatrix(((ONE, x), (x, x * x)), Q2))
+
+
+def _dense(rng, n):
+    return PhiMatrix(
+        tuple(
+            tuple(
+                Series.from_coeffs(
+                    rng.randint(-2, 2),
+                    [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)],
+                )
+                for _ in range(n)
+            )
+            for _ in range(n)
+        ),
+        Q2,
+    )
+
+
+def test_dm_tensor_law_dense():
+    """v(det(A (x) B)) = rank(B) v(det A) + rank(A) v(det B) on dense
+    rank-3 and rank-4 matrices."""
+    rng = random.Random(12)
+    for _ in range(3):
+        a, b = _dense(rng, 3), _dense(rng, 4)
+        assert dm_degree(a).value == -_series_det(a.entries).valuation()
+        assert (
+            dm_degree(tensor_phi(a, b)).value
+            == 4 * dm_degree(a).value + 3 * dm_degree(b).value
+        )
+
+
+# -- the Laplace expansion, kept as the reference ----------------------------------
+
+
+def _series_det(m) -> Series:
+    n = len(m)
+    if n == 0:
+        return Series.one()
+    if n == 1:
+        return m[0][0]
+    total = Series.zero()
+    for j in range(n):
+        minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
+        term = m[0][j] * _series_det(minor)
+        if j % 2:
+            term = -term
+        total = total + term
+    return total
+
+
+def _ref_dm_degree(m: PhiMatrix):
+    v = _series_det(m.entries).valuation()
+    if v is None:
+        raise SlopeError("matrix determinant is zero; degree undefined")
+    return DegreeValue.rational(-v)
+
+
+def _outcome(run, m):
+    try:
+        return ("value", run(m).value)
+    except (SlopeError, PrecisionError) as exc:
+        return (type(exc).__name__,)
+
+
+def _completion(m: PhiMatrix, rnd) -> PhiMatrix:
+    """An exact matrix that agrees with m wherever m is known."""
+
+    def complete(e):
+        if e.prec is None:
+            return e
+        tail = Series.from_coeffs(e.prec, [rnd.randint(-3, 3) for _ in range(3)])
+        return Series(e.vmin, e.coeffs) + tail
+
+    return PhiMatrix(tuple(tuple(complete(e) for e in row) for row in m.entries), Q2)
+
+
+_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _phi_cases(draw):
+    """(kind, matrix) of rank 1-4: exact, every entry known to one
+    precision, or a mix of exact and truncated entries; an exact matrix
+    may have its last row a multiple of its first."""
+    r = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["exact", "uniform", "mixed"]))
+    uniform = draw(st.integers(-2, 4))
+
+    def entry():
+        vmin = draw(st.integers(-2, 2))
+        coeffs = draw(st.lists(_coeff, max_size=3))
+        if kind == "exact":
+            prec = None
+        elif kind == "uniform":
+            prec = uniform
+        else:
+            prec = draw(st.one_of(st.none(), st.integers(vmin, vmin + 4)))
+        return Series.from_coeffs(vmin, coeffs, prec)
+
+    rows = [[entry() for _ in range(r)] for _ in range(r)]
+    if kind == "exact" and r >= 2 and draw(st.booleans()):
+        c = Series.from_coeffs(draw(st.integers(-1, 1)), [draw(_coeff)])
+        rows[-1] = [c * e for e in rows[0]]
+    return kind, PhiMatrix(tuple(tuple(row) for row in rows), Q2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_phi_cases(), st.randoms(use_true_random=False))
+def test_dm_degree_matches_laplace(case, rnd):
+    """The elimination gives the Laplace value or SlopeError on exact
+    matrices, certifies every uniform-precision matrix the expansion
+    certifies, and each value it certifies is v(det) of exact completions
+    of the unknown tails."""
+    kind, m = case
+    got = _outcome(dm_degree, m)
+    want = _outcome(_ref_dm_degree, m)
+    if kind == "exact" or (kind == "uniform" and want[0] == "value"):
+        assert got == want
+    if got[0] == "value":
+        if want[0] == "value":
+            assert got == want
+        for _ in range(3):
+            assert _outcome(_ref_dm_degree, _completion(m, rnd)) == got
 
 
 def test_dual_law_diagonal():
