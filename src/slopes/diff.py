@@ -186,7 +186,7 @@ def _integer_matrix(mat):
 def _cut(entry, prec: int):
     """The entry known only below x^prec; an exact zero stays exact."""
     v, nums, p = entry
-    if p <= prec or not nums and p == math.inf:
+    if p <= prec or (not nums and p == math.inf):
         return entry
     return _trimmed(v, nums[: max(0, prec - v)], prec)
 
@@ -212,7 +212,7 @@ def _power_step(a, b, d: int):
             for k in range(r):
                 va, ca, pa = arow[k]
                 vk, ck, pk = b[k][j]
-                if not ca and pa == math.inf or not ck and pk == math.inf:
+                if (not ca and pa == math.inf) or (not ck and pk == math.inf):
                     continue
                 prec = min(prec, pa + vk, pk + va)
                 if ca and ck:
