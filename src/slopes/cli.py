@@ -105,8 +105,8 @@ def _seed(args) -> int:
 
 
 def _budget(args) -> Budget:
-    """The search budget of check's --bound and --depth."""
-    return Budget(bound=args.bound, depth=args.depth)
+    """The search budget of check's --bound."""
+    return Budget(bound=args.bound)
 
 
 def _load(args, decode):
@@ -157,7 +157,7 @@ def cmd_hn(args, seed: int):
         result = {**header, "polygon": poly.to_json(), "flag": steps}
         return {**result, "certificates": certificates}, True
     backend, obj = _load(args, lambda doc: HN_OBJECTS[args.backend](args, doc))
-    res = hn_filtration(backend, obj, Budget(depth=args.depth))
+    res = hn_filtration(backend, obj)
     return {**header, **res.to_json(backend.handle_json)}, res.certificate.complete
 
 
@@ -323,7 +323,6 @@ def cmd_check(args, seed: int):
             f"--law {args.law} --backend {args.backend} reads no {', '.join(unread)}"
         )
     args.samples = args.samples or CHECK_SAMPLES
-    args.depth = args.depth or Budget.depth
     report, complete = run(args, seed)
     header = {"command": "check", "law": args.law, "backend": args.backend, "seed": seed}
     return {**header, "report": report}, complete
@@ -385,7 +384,7 @@ LAWS = {
     "exactness": (
         _law_exactness,
         {
-            "filtered": {"--samples", "--depth"},
+            "filtered": {"--samples"},
             "lattice": {"--in", "--bound"},
             "table": {"--in"},
         },
@@ -393,7 +392,7 @@ LAWS = {
     "dominance": (
         _law_dominance,
         {
-            "filtered": {"--samples", "--depth"},
+            "filtered": {"--samples"},
             "lattice": {"--samples", "--in", "--bound"},
             "table": {"--in"},
         },
@@ -425,8 +424,7 @@ LAWS = {
 
 
 def positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (a precision, a sample count or a
-    closure depth)."""
+    """argparse type: an integer >= 1 (a precision or a sample count)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -435,7 +433,6 @@ def positive_int(text: str) -> int:
 
 # (flag, add_argument options) for each flag a handler reads
 IN = ("--in", dict(dest="infile", required=True, help="JSON input file"))
-DEPTH = ("--depth", dict(type=positive_int, default=8, help="subspace closure depth"))
 PREC = ("--prec", dict(type=positive_int, default=40, help="series precision"))
 OBJECT = ("--object", dict(help="table object id"))
 
@@ -458,13 +455,12 @@ CHECK_TUNABLES = (
     ("--samples", dict(dest="samples", type=positive_int, help=f"default: {CHECK_SAMPLES}")),
     ("--in", dict(dest="infile", help="JSON input file (table, lattice)")),
     ("--bound", dict(dest="bound", type=Fraction, help="lattice norm bound")),
-    ("--depth", dict(dest="depth", type=positive_int, help=f"default: {Budget.depth}")),
 )
 
 # subcommand -> (handler(args, seed) -> (result, complete), its own flags)
 SUBCOMMANDS = {
-    "hn": (cmd_hn, (_backend(*HN_OBJECTS, "diff"), IN, DEPTH, OBJECT)),
-    "np": (cmd_np, (_backend("twisted", "diff", *HN_OBJECTS), IN, PREC, DEPTH, OBJECT)),
+    "hn": (cmd_hn, (_backend(*HN_OBJECTS, "diff"), IN, OBJECT)),
+    "np": (cmd_np, (_backend("twisted", "diff", *HN_OBJECTS), IN, PREC, OBJECT)),
     "factor": (cmd_factor, (IN, PREC)),
     "check": (
         cmd_check,

@@ -27,10 +27,13 @@ class BudgetExhausted(SlopesError, RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Search limits; interpretation is backend-specific."""
+    """Search limits.  max_candidates counts, per search: coordinate
+    values tried by the lattice short-vector enumeration, distinct spans
+    of the lattice span closure, and subspaces formed by the filtered
+    closure (an intersection and a sum per pair); each raises
+    BudgetExhausted past it."""
 
     bound: Optional[Any] = None  # norm bound for the lattice span closure
-    depth: int = 8  # closure depth for subspace lattices
     max_candidates: int = 200000
 
 

@@ -139,13 +139,9 @@ class DegreeValue:
         return f"Deg(-1/2 log {self.value})"
 
 
-def _int_nth_root(n: int, k: int):
-    """Exact k-th root of a non-negative integer, or None."""
-    if n < 0:
-        return None
-    if n in (0, 1) or k == 1:
-        return n
-    lo, hi = 1, 1
+def ceil_root(n: int, k: int) -> int:
+    """The least integer y >= 0 with y^k >= n."""
+    lo, hi = 0, 1
     while hi**k < n:
         hi *= 2
     while lo < hi:
@@ -154,7 +150,13 @@ def _int_nth_root(n: int, k: int):
             hi = mid
         else:
             lo = mid + 1
-    return lo if lo**k == n else None
+    return lo
+
+
+def _int_nth_root(n: int, k: int):
+    """Exact k-th root of a non-negative integer, or None."""
+    y = ceil_root(n, k)
+    return y if n >= 0 and y**k == n else None
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,9 @@ def _katz_run(module: DifferentialModule, n_max: int, window: int, keep: int):
                 }
             raise PrecisionError("power valuation indeterminate")
         v = min(known)
+        if any(not e[1] and e[2] < v for row in b for e in row):
+            # an entry zero only below x^p, p < v, may have valuation p
+            raise PrecisionError("power valuation indeterminate")
         vals.append(v)
         # keep a bounded window above the running minimum
         b = [[_cut(e, v + keep) for e in row] for row in b]

@@ -14,15 +14,25 @@ degree comes from dimension counts alone, without building its induced
 filtration.
 
 The destabilizer search runs over the subspace lattice generated by the
-filtration steps under intersection and sum.  Each round of the closure
-combines only the pairs with a member new in the previous round; older
-pairs were combined already, so each pair is combined once.  For n <= 2
-that lattice provably attains the optimum (two chains generate a finite
-distributive lattice and the degree of a subspace only depends on its
-intersection profile with each chain), so the certificate is complete;
-the same holds in dimension 2 for any n because a line's degree only
-depends on which step lines it equals.  Everything else is
-budget-bounded and heuristic.
+filtration steps under intersection and sum.  The closure has one
+stopping rule: it runs to its fixed point, each pair combined once, or
+stops with BudgetExhausted before the subspaces it forms (an
+intersection and a sum per pair) would pass Budget.max_candidates.  For
+n <= 2 the fixed point is always reached and provably attains the
+optimum (two chains generate a finite distributive lattice and the
+degree of a subspace only depends on its intersection profile with each
+chain), so the certificate is complete; the same holds in dimension 2
+for any n because a line's degree only depends on which step lines it
+equals.  Everything else is heuristic.
+
+With n >= 3 in dimension >= 3 the closure can be infinite.  Three
+complete flags of Q^3 in general position give three step lines and
+three step planes; the pairwise intersections of the planes are three
+more lines, and among these six points of the projective plane there
+are four in general position.  The points that joins and meets build
+from such a quadrangle are all of P^2(Q) (the Moebius net of a
+quadrangle is the plane over the prime field), so the closure never
+reaches a fixed point and only the budget stops it.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from typing import Optional
 from . import linalg
 from .core import (
     Budget,
+    BudgetExhausted,
     Certificate,
     COMPLETE,
     SlopeBackend,
@@ -251,41 +262,44 @@ def quotient_section(s: linalg.Mat, dim: int) -> linalg.Mat:
     return tuple(rows)
 
 
-def candidate_subspaces(v: FilteredSpace, depth: int = 8):
-    """Closure of the filtration steps under pairwise ∩ and + (plus 0, V);
-    returns (list of subspaces, Certificate, stabilized)."""
-    zero: linalg.Mat = ()
-    full = v.full_space()
-    current: dict[linalg.Mat, None] = {zero: None, full: None}
+def candidate_subspaces(v: FilteredSpace, budget: Budget = Budget()):
+    """Closure of the filtration steps under pairwise ∩ and + (plus 0, V),
+    run to its fixed point; returns (sorted subspaces, Certificate, True).
+
+    A worklist: each subspace, when its turn comes, is combined with every
+    one found before it, and what is new joins the end of the list, so
+    each pair is combined once.  Raises BudgetExhausted before the
+    subspaces formed (two per pair, repeats included) would pass
+    budget.max_candidates, so the work is linear in the budget.  The third
+    element is always True, as every returned closure is at its fixed
+    point; it stays for callers that unpack three values.
+    """
+    found: dict[linalg.Mat, None] = {(): None, v.full_space(): None}
     for f in v.filtrations:
         for _, step in f.steps:
-            current[linalg.rref(step)] = None
-    stabilized = False
-    start = 0  # items[start:] are new since the previous round
-    for _ in range(max(1, depth)):
-        items = list(current.keys())
-        for j in range(start, len(items)):
-            for i in range(j):
-                a, b = items[i], items[j]
-                current.setdefault(linalg.subspace_intersect(a, b))
-                current.setdefault(linalg.subspace_sum(a, b))
-        if len(current) == len(items):
-            stabilized = True
-            break
-        start = len(items)
-    cands = sorted(current.keys(), key=lambda m: (len(m), m))
-    if v.n <= 2 and stabilized:
+            found[linalg.rref(step)] = None
+    items = list(found)
+    for j, b in enumerate(items):  # items grows while it is walked
+        if j * (j + 1) > budget.max_candidates:  # formed once b is done
+            raise BudgetExhausted("subspace closure budget exhausted")
+        for a in items[:j]:
+            for c in (linalg.subspace_intersect(a, b), linalg.subspace_sum(a, b)):
+                if c not in found:
+                    found[c] = None
+                    items.append(c)
+    cands = sorted(items, key=lambda m: (len(m), m))
+    if v.n <= 2:
         cert = COMPLETE
-    elif v.dim <= 2 and stabilized:
+    elif v.dim <= 2:
         # in dim 2 a line's degree depends only on which step lines it
         # equals; one generic line represents all the others.
         cert = COMPLETE
         generic = _generic_line(v, cands)
-        if generic is not None and generic not in current:
+        if generic is not None and generic not in found:
             cands = sorted(cands + [generic], key=lambda m: (len(m), m))
     else:
         cert = Certificate(False, "heuristic: candidate lattice for n >= 3")
-    return cands, cert, stabilized
+    return cands, cert, True
 
 
 def _generic_line(v: FilteredSpace, existing) -> Optional[linalg.Mat]:
@@ -307,7 +321,7 @@ def destabilizer_filtered(v: FilteredSpace, budget: Budget = Budget()):
     dimension over the candidate lattice."""
     if v.dim == 0:
         raise SlopeError("zero filtered space")
-    cands, cert, _ = candidate_subspaces(v, budget.depth)
+    cands, cert, _ = candidate_subspaces(v, budget)
     best, key, cert = destabilizer_from_candidates(
         FilteredBackend(), v, [(v, s) for s in cands], cert
     )
@@ -387,7 +401,7 @@ class FilteredBackend(SlopeBackend):
         return (obj if len(rows) == obj.dim else (obj, rows)), key, cert
 
     def strict_subobjects(self, obj, budget: Budget = Budget()):
-        cands, cert, _ = candidate_subspaces(obj, budget.depth)
+        cands, cert, _ = candidate_subspaces(obj, budget)
         subs = [(obj, s) for s in cands if 0 < len(s) < obj.dim]
         return subs, cert
 

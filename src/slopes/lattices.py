@@ -45,7 +45,7 @@ from .core import (
     SlopeBackend,
     destabilizer_from_candidates,
 )
-from .degrees import DegreeValue, SlopeError, SlopeKey
+from .degrees import DegreeValue, SlopeError, SlopeKey, ceil_root
 from .errors import SlopesError, decoder
 
 class LatticeError(SlopesError, ValueError):
@@ -396,17 +396,7 @@ def _pow_ceil(base: Fraction, num: int, den: int) -> Fraction:
     """Least y / b^num >= base^(num/den) with y an integer, where b is the
     denominator of base: the bound keeps the scale of base."""
     a, b = base.numerator, base.denominator
-    target = (a * b ** (den - 1)) ** num
-    lo, hi = 1, 1
-    while hi**den < target:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**den >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return Fraction(lo, b**num)
+    return Fraction(ceil_root((a * b ** (den - 1)) ** num, den), b**num)
 
 
 def _first_seen_basis(lat: EuclideanLattice, sub: Sublattice, budget: Budget) -> Sublattice:

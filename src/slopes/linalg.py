@@ -103,16 +103,11 @@ def solve(a: Mat, b: Row):
     n, nc = len(a), len(a[0]) if a else 0
     aug = rref([list(a[i]) + [b[i]] for i in range(n)])
     x = [Fraction(0)] * nc
-    pivots = []
-    for row in aug:
-        piv = next((j for j in range(nc + 1) if row[j] != 0), None)
-        if piv is None:
-            continue
+    for row in aug:  # reduced rows: the pivot variable is the last entry
+        piv = next(j for j in range(nc + 1) if row[j] != 0)
         if piv == nc:
             return None
-        pivots.append((piv, row))
-    for piv, row in reversed(pivots):
-        x[piv] = row[nc] - sum(row[j] * x[j] for j in range(piv + 1, nc))
+        x[piv] = row[nc]
     return tuple(x)
 
 

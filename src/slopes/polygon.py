@@ -122,7 +122,7 @@ class NewtonPolygon:
 
 def _merge_equal_breaks(segs: list[SlopeKey]) -> tuple[SlopeKey, ...]:
     """Sort descending by slope and merge slope-equal segments."""
-    segs = sorted(segs, key=_SlopeSortKey, reverse=True)
+    segs = sorted(segs, reverse=True)
     out: list[SlopeKey] = []
     for s in segs:
         if out and out[-1].slope_eq(s):
@@ -130,17 +130,6 @@ def _merge_equal_breaks(segs: list[SlopeKey]) -> tuple[SlopeKey, ...]:
         else:
             out.append(s)
     return tuple(out)
-
-
-class _SlopeSortKey:
-    def __init__(self, key: SlopeKey):
-        self.key = key
-
-    def __lt__(self, other):
-        return self.key.cmp(other.key) < 0
-
-    def __eq__(self, other):
-        return self.key.cmp(other.key) == 0
 
 
 def polygon_from_points(
@@ -260,7 +249,7 @@ def polygon_combine(
     if mode == TENSOR_BOUNDED_MAX:
         if p.is_empty() or q.is_empty():
             raise SlopeError("highest-break bound needs nonempty polygons")
-        rho = max(p.highest_break(), q.highest_break(), key=_SlopeSortKey).reduced()
+        rho = max(p.highest_break(), q.highest_break()).reduced()
         mult = p.total_rank() * q.total_rank()
         if rho.rk != 1:
             raise SlopeError("highest-break witness needs a rank-1 slope form")

@@ -528,16 +528,16 @@ def _parser_flags():
 def test_subcommand_flag_sets():
     common = {"--out", "--svg", "--seed", "--require-complete"}
     own = {
-        "hn": {"--backend", "--in", "--depth", "--object"},
-        "np": {"--backend", "--in", "--prec", "--depth", "--object"},
+        "hn": {"--backend", "--in", "--object"},
+        "np": {"--backend", "--in", "--prec", "--object"},
         "factor": {"--in", "--prec"},
-        "check": {"--law", "--backend", "--samples", "--in", "--bound", "--depth"},
+        "check": {"--law", "--backend", "--samples", "--in", "--bound"},
         "swan": {"--in"},
         "combine": {"--in", "--mode"},
     }
     flags = _parser_flags()
     assert flags == {name: own[name] | common for name in own}
-    assert sum(map(len, flags.values())) == 44
+    assert sum(map(len, flags.values())) == 41
 
 
 @pytest.mark.parametrize(
@@ -584,9 +584,6 @@ def test_usage_errors_exit_2(argv, capsys):
         ["np", "--in", str(FIXTURES / "twisted_two_slopes.json"), "--prec", "0"],
         ["check", "--law", "dominance", "--samples", "-1"],
         ["check", "--law", "axioms", "--samples", "0"],
-        ["hn", "--backend", "filtered", "--in", str(FIXTURES / "filtered_two_jumps.json"),
-         "--depth", "0"],
-        ["check", "--law", "dominance", "--depth", "-2"],
     ],
     ids=[
         "factor-prec-neg",
@@ -594,8 +591,6 @@ def test_usage_errors_exit_2(argv, capsys):
         "np-prec-0",
         "check-samples-neg",
         "check-samples-0",
-        "hn-depth-0",
-        "check-depth-neg",
     ],
 )
 def test_nonpositive_prec_and_samples_exit_2(argv, capsys):

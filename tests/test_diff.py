@@ -224,6 +224,21 @@ def test_katz_exact_zeros_keep_precision():
     assert diag["valuations"] == [-1] * 64
 
 
+def test_katz_zero_to_precision_entry_is_indeterminate():
+    """An entry known to be zero only below x^-3 may have valuation -3,
+    below the x^-1 of the other entry, so v(B_n) is not fixed: the
+    completion with x^-3 has estimate 3, not 1."""
+    x_inv = Series.monomial(1, -1)
+    with pytest.raises(PrecisionError, match="power valuation indeterminate"):
+        katz_rank_spectral(
+            DifferentialModule(((x_inv, Series.zero()), (Series.zero(), Series.zero(-3))))
+        )
+    est, _ = katz_rank_spectral(
+        DifferentialModule(((x_inv, Series.zero()), (Series.zero(), Series.monomial(1, -3))))
+    )
+    assert est == 3
+
+
 # -- the Series-based Katz powers, kept as the reference ---------------------------
 # Two rules depart from Series arithmetic, as in _katz_run: an exact zero
 # stays exact through the cut, and a product with an exact zero factor
@@ -271,6 +286,12 @@ def _ref_katz_run(module, n_max, window, keep):
                     "window": 0,
                     "converged": True,
                 }
+            raise PrecisionError("power valuation indeterminate")
+        if any(
+            c.prec is not None and c.prec < v and c.valuation_or(None) is None
+            for row in b
+            for c in row
+        ):
             raise PrecisionError("power valuation indeterminate")
         vals.append(v)
         b = _ref_truncate_matrix(b, v + keep)

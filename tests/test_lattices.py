@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -168,26 +169,77 @@ def test_hn_complete_in_rank_4_to_6(lat, slopes):
     assert segments == [{"slope": {"neg_half_log": s}, "mult": 1} for s in slopes]
 
 
+def _root_bound(x: Fraction, r: int) -> Fraction:
+    """A power of two b with b^r >= x > (b/2)^r, for x > 0: a norm bound
+    for the vectors whose norm^r is at most x, taken without roots."""
+    b = Fraction(1)
+    while b**r < x:
+        b *= 2
+    while (b / 2) ** r >= x:
+        b /= 2
+    return b
+
+
+def _primitive_up_to(lat: EuclideanLattice, limit: Fraction, r: int):
+    """(norm, v) for the primitive vectors v of lat with norm(v)^r <= limit."""
+    return [
+        (nrm, v)
+        for nrm, v in short_vectors(lat, _root_bound(limit, r))
+        if nrm**r <= limit and math.gcd(*v) == 1
+    ]
+
+
+def _exact_destabilizer(lat: EuclideanLattice):
+    """(SlopeKey, span or None for lat itself) of the destabilizer in
+    rank <= 3, by maximal slope, then maximal rank, over every saturated
+    sublattice S with slope(S) >= slope(L), i.e. det(S)^r <= det(L)^k:
+    - lines: primitive v with norm(v)^r <= det(L);
+    - planes of a rank-3 L: w^perp for primitive w of the dual lattice
+      (Gram G^-1), as det(w^perp) = det(G) w^T G^-1 w; the condition
+      (det(G) q)^3 <= det(G)^2 reads q^3 <= det(G^-1).
+    Slopes are compared by exact integer powers, never by roots."""
+    r, det = lat.rank, lat.det()
+    found = [(lat.slope(), None)]
+    if r >= 2:
+        for nrm, v in _primitive_up_to(lat, det, r):
+            found.append((SlopeKey(DegreeValue.log_positive(nrm), 1), linalg.rref([v])))
+    if r == 3:
+        dual = EuclideanLattice(linalg.inverse(lat.gram))
+        for q, w in _primitive_up_to(dual, dual.det(), 3):
+            plane = linalg.kernel_basis((tuple(Fraction(c) for c in w),))
+            found.append((SlopeKey(DegreeValue.log_positive(det * q), 2), plane))
+    top = max(key for key, _ in found)
+    best = [(key, span) for key, span in found if key.slope_eq(top)]
+    rank = max(key.rk for key, _ in best)
+    best = [(key, span) for key, span in best if key.rk == rank]
+    assert len(best) == 1  # the destabilizer is unique
+    return best[0]
+
+
+CHEAP_CLOSURE = 60
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_destabilizer_matches_closure_reference(seed):
-    """The Plücker search returns the subobject and key of the base
-    SlopeBackend.destabilizer over the span closure at four times the
-    default norm bound, and in rank 3 the same basis.  (Rank 2 runs
-    Lagrange-Gauss, whose line may differ from the closure's in sign.)
-    The closure costs the square of its vector count, so draws with more
-    than 200 vectors under that bound are left to the pinned artifacts."""
+    """The Plücker search returns the key and span of the exact rank <= 3
+    reference.  Where the span closure at the default norm bound is cheap
+    (at most CHEAP_CLOSURE vectors; its cost is the square of that
+    count), the base SlopeBackend.destabilizer over it gives the same key
+    and, in rank 3, the same basis.  (Rank 2 runs Lagrange-Gauss, whose
+    line may differ from the closure's in sign.)"""
     lat = sample_lattice(random.Random(seed), rank_max=3)
-    bound = 4 * default_bound(lat)
-    assume(len(short_vectors(lat, bound)) <= 200)
-    want, want_key, _ = SlopeBackend.destabilizer(LatticeBackend(), lat, Budget(bound=bound))
     got, key, cert = destabilizer_lattice(lat)
-    assert cert.complete and key.cmp(want_key) == 0
-    if want is lat:
+    want_key, want_span = _exact_destabilizer(lat)
+    assert cert.complete and key.slope_eq(want_key) and key.rk == want_key.rk
+    if want_span is None:
         assert got is lat
     else:
-        assert got.span_key() == want.span_key()
-        assert lat.rank == 2 or got == want
+        assert got.span_key() == want_span
+    if len(short_vectors(lat, default_bound(lat))) <= CHEAP_CLOSURE:
+        want, closure_key, _ = SlopeBackend.destabilizer(LatticeBackend(), lat, Budget())
+        assert key.cmp(closure_key) == 0
+        assert got is lat if want is lat else lat.rank == 2 or got == want
 
 
 def test_strict_subobjects_respects_candidate_budget():
