@@ -183,12 +183,64 @@ def _integer_matrix(mat):
     ], d
 
 
-def _cut(entry, prec: int):
-    """The entry known only below x^prec; an exact zero stays exact."""
+def _truncate(entry, prec: int):
+    """The entry known only below x^prec, as Series.truncate cuts it: an
+    exact zero becomes a zero known to x^prec."""
     v, nums, p = entry
-    if p <= prec or (not nums and p == math.inf):
+    if p <= prec:
         return entry
     return _trimmed(v, nums[: max(0, prec - v)], prec)
+
+
+def _cut(entry, prec: int):
+    """The entry known only below x^prec; an exact zero stays exact."""
+    if not entry[1] and entry[2] == math.inf:
+        return entry
+    return _truncate(entry, prec)
+
+
+def _shift(entry, k: int):
+    """The entry times x^k; a zero entry keeps vmin 0."""
+    v, nums, p = entry
+    return (v + k if nums else 0, nums, p + k)
+
+
+_ONE = [1]
+
+
+def _product_sum(terms, prec):
+    """The trimmed entry sum of x^v a b over the terms (v, a, b), a and b
+    numerator lists starting at x^0, known below prec.  A term whose b is
+    _ONE is added without a product."""
+    if not terms:
+        return (0, [], prec)
+    lo = min(t[0] for t in terms)
+    hi = min(prec, max(v + len(a) + len(b) - 1 for v, a, b in terms))
+    if lo >= hi:
+        return (0, [], prec)
+    n = hi - lo
+    acc = [0] * n
+    for v, ca, cb in terms:
+        off = v - lo
+        if cb is _ONE:
+            for s, x in enumerate(ca[: max(0, n - off)], off):
+                acc[s] += x
+            continue
+        for s, x in enumerate(ca[: max(0, n - off)], off):
+            if x:
+                for t, y in enumerate(cb[: n - s], s):
+                    acc[t] += x * y
+    return _trimmed(lo, acc, prec)
+
+
+def _primitive(col):
+    """The column divided by the gcd of its numerators.  A nonzero
+    rational constant is a unit of Q[[x]], so no valuation, precision or
+    Q[[x]]-span moves; the division only bounds coefficient growth."""
+    g = math.gcd(*[c for _, nums, _ in col for c in nums])
+    if g <= 1:
+        return col
+    return [(v, [c // g for c in nums], p) for v, nums, p in col]
 
 
 def _power_step(a, b, d: int):
@@ -239,6 +291,30 @@ def _power_step(a, b, d: int):
     return out
 
 
+def _window_valuation(b):
+    """v(B) of a window of entries, or None when every entry is zero to a
+    precision x^1 or beyond.
+
+    Raises PrecisionError when an entry zero only below x^p, with p under
+    the least known valuation (under x^1 when no entry has a known
+    term), leaves v(B) open: that entry may have valuation p.
+    """
+    known = [e[0] for row in b for e in row if e[1]]
+    v = min(known, default=1)
+    open_precs = [e[2] for row in b for e in row if not e[1] and e[2] < v]
+    if open_precs:
+        where = (
+            f"under the least known valuation {v}"
+            if known
+            else "and no entry has a known term"
+        )
+        raise PrecisionError(
+            f"power valuation indeterminate: an entry is zero only below "
+            f"x^{min(open_precs)}, {where}"
+        )
+    return v if known else None
+
+
 PRECISION_ATTEMPTS = 5
 
 
@@ -275,9 +351,13 @@ def katz_rank_spectral(
     N_{n+1} = N_A N_n + D delta(N_n).  A nonzero constant factor moves
     no valuation and no precision, so v(B_n) = v(N_n) and every
     diagnostic is the one the rational powers give, with no gcd taken.
+
+    An indeterminate v(B_1) = v(A) is the input's own precision running
+    out, which no larger window lifts, so it raises before any retry.
     """
     if n_max < 2:
         raise DiffError("n_max must be >= 2")
+    _window_valuation(_integer_matrix(module.matrix)[0])
     return _doubling_retry(
         lambda keep: _katz_run(module, n_max, window, keep), "keep", 16
     )
@@ -288,24 +368,18 @@ def _katz_run(module: DifferentialModule, n_max: int, window: int, keep: int):
     vals: list[Optional[int]] = []
     b = a  # numerators of B_n = N_n / d^n
     for _n in range(1, n_max + 1):
-        known = [e[0] for row in b for e in row if e[1]]
-        if not known:
+        v = _window_valuation(b)
+        if v is None:
             # zero as far as known: v(B_n) is at least the window bottom,
             # and superadditivity of power valuations then pins rho = 0
             # provided that bottom is positive.
-            if min((e[2] for row in b for e in row), default=1) >= 1:
-                return Fraction(0), {
-                    "valuations": vals,
-                    "ratios": [],
-                    "windowed": [],
-                    "window": 0,
-                    "converged": True,
-                }
-            raise PrecisionError("power valuation indeterminate")
-        v = min(known)
-        if any(not e[1] and e[2] < v for row in b for e in row):
-            # an entry zero only below x^p, p < v, may have valuation p
-            raise PrecisionError("power valuation indeterminate")
+            return Fraction(0), {
+                "valuations": vals,
+                "ratios": [],
+                "windowed": [],
+                "window": 0,
+                "converged": True,
+            }
         vals.append(v)
         # keep a bounded window above the running minimum
         b = [[_cut(e, v + keep) for e in row] for row in b]
@@ -331,7 +405,7 @@ def _katz_run(module: DifferentialModule, n_max: int, window: int, keep: int):
 # -- Gerard-Levelt lattice growth ----------------------------------------------------
 
 
-def _safe_valuation(s: Series):
+def _safe_valuation(entry):
     """Valuation, or None for an entry that is safely zero.
 
     Zero-as-stored is safe only when the unknown tail starts at x^1 or
@@ -339,22 +413,23 @@ def _safe_valuation(s: Series):
     generator set always contains.  An exhausted window below that level
     must raise so the caller can retry with more precision.
     """
-    try:
-        return s.valuation()
-    except PrecisionError:
-        if s.prec is not None and s.prec >= 1:
-            return None
-        raise
+    v, nums, p = entry
+    if nums:
+        return v
+    if p >= 1:
+        return None
+    raise PrecisionError(f"series is zero to precision O(x^{p}); valuation unknown")
 
 
-def _safely_zero(s: Series) -> bool:
-    return s.is_zero() and (s.prec is None or s.prec >= 1)
+def _safely_zero(entry) -> bool:
+    return not entry[1] and entry[2] >= 1
 
 
 def _reduce_columns(cols, r: int, floor_prec: int):
     """DVR column reduction over Q[[x]]; returns (sum of pivot diagonal
-    valuations, pivot columns).  Entries are Series known at least to
-    floor_prec.
+    valuations, pivot columns).  Columns are lists of trimmed integer
+    entries (vmin, numerators, prec), prec math.inf for an exact entry,
+    and are first cut to floor_prec.
 
     Each step takes as pivot the entry p of least valuation v over the
     rows left and the columns left, and replaces every other column by
@@ -364,23 +439,32 @@ def _reduce_columns(cols, r: int, floor_prec: int):
     only shifts and products, no inverse: the DVR form of fraction-free
     elimination (Bareiss; Cohen, GTM 138, 2.4).
 
-    The new column stays known to floor_prec.  A product a b is known
-    below min(prec_a + v(b), prec_b + v(a)), where Series counts v = 0 for
-    a factor that is zero as stored.  Since v is the least valuation over
-    the remaining block, every entry of the columns left has valuation
-    >= v or is zero, f has valuation >= 0 and is known to floor_prec - v,
-    and the unit u is known to floor_prec - v.  Both products col[i] u and
-    f pivot[i] are then known to floor_prec, provided v <= 0, which covers
-    the zero factors.  So every pivot must have valuation <= 0.
-    Gérard–Levelt meets that because its generators contain the identity:
-    the columns left span the lattice's vectors that vanish in the rows
-    already taken, among them the unit vector of each row left, so some
-    entry of the block has valuation <= 0.
+    A column stands for itself times any nonzero rational constant.  Such
+    a constant is a unit of Q[[x]], so scaling by it moves no valuation,
+    no precision, no pivot and no span: u and f are taken on numerators,
+    and each column formed is divided by the gcd of its numerators.  The
+    results are those of the rational elimination, with bounded integers.
+
+    Precision follows Series arithmetic exactly.  A product a b is known
+    below min(prec_a + v(b), prec_b + v(a)), where v = 0 for a factor
+    that is zero as stored, an exact zero included; a sum below the least
+    precision of its terms; a column formed is then known to floor_prec
+    at most, as col[i] is.
+    Since v is the least valuation over the remaining block, every entry
+    of the columns left has valuation >= v or is zero, f has valuation
+    >= 0 and is known to floor_prec - v, and the unit u is known to
+    floor_prec - v.  Both products col[i] u and f pivot[i] are then known
+    to floor_prec, provided v <= 0, which covers the zero factors.  So
+    every pivot must have valuation <= 0.  Gérard–Levelt meets that
+    because its generators contain the identity: the columns left span the
+    lattice's vectors that vanish in the rows already taken, among them
+    the unit vector of each row left, so some entry of the block has
+    valuation <= 0.
     """
     active = []
     for c in cols:
-        col = [e.truncate(floor_prec) for e in c]
-        if not all(_safely_zero(e) for e in col):
+        col = [_truncate(e, floor_prec) for e in c]
+        if not all(map(_safely_zero, col)):
             active.append(col)
     rows_left = list(range(r))
     pivots = []
@@ -396,19 +480,32 @@ def _reduce_columns(cols, r: int, floor_prec: int):
             raise PrecisionError("column reduction ran out of certified pivots")
         v, row, ci = best
         pivot = active.pop(ci)
-        u = pivot[row].shift(-v)
+        _, cu, pu = pivot[row]
+        pu -= v
+        formed = []
         for col in active:
-            e = col[row]
-            if _safe_valuation(e) is None:
+            ve, ce, pe = col[row]
+            if not ce:  # safely zero: the search above raised otherwise
+                formed.append(col)
                 continue
-            f = e.shift(-v)
-            for i in range(r):
-                col[i] = (col[i] * u - f * pivot[i]).truncate(floor_prec)
+            vf, pf = ve - v, pe - v
+            neg_f = [-c for c in ce]
+            new = []
+            for (vc, cc, pc), (vp, cp, pp) in zip(col, pivot):
+                prec = min(pc, pu + vc, pf + vp, pp + vf)
+                terms = []
+                if cc:
+                    terms.append((vc, cc, cu))
+                if cp:
+                    terms.append((vf + vp, neg_f, cp))
+                new.append(_product_sum(terms, prec))
+            if not all(map(_safely_zero, new)):
+                formed.append(_primitive(new))
+        active = formed
         rows_left.remove(row)
-        pivots.append((row, pivot))
+        pivots.append(pivot)
         total += v
-        active = [c for c in active if not all(_safely_zero(e) for e in c)]
-    return total, [p for _, p in pivots]
+    return total, pivots
 
 
 def gerard_levelt_irregularity(
@@ -419,6 +516,11 @@ def gerard_levelt_irregularity(
     Returns (irregularity, stabilized, diagnostics).  The reported value is
     the increment of dim(V_k/V_0) once constant over the final quarter of
     the iterations; stabilized=False marks an advisory result.
+
+    The lattices run on integer numerators: with A = N_A / D as in the
+    Katz powers, the image of a column is D (delta + A) col =
+    N_A col + D delta(col), a constant multiple of nabla(col), which
+    spans the same lattice (see _reduce_columns).
     """
     if n_max < 4:
         raise DiffError("n_max must be >= 4")
@@ -430,34 +532,33 @@ def gerard_levelt_irregularity(
     )
 
 
-def _identity_cols(r: int):
-    return [
-        [Series.one() if i == j else Series.zero() for i in range(r)]
-        for j in range(r)
-    ]
+def _image(a, col, d: int):
+    """N_A col + d delta(col) on integer entries, by the Series precision
+    rules with no exemption for an exact zero factor."""
+    out = []
+    for arow, (v, nums, prec) in zip(a, col):
+        terms = [(v, [d * t * c for t, c in enumerate(nums, v)], _ONE)] if nums else []
+        for (va, ca, pa), (vk, ck, pk) in zip(arow, col):
+            prec = min(prec, pa + vk, pk + va)
+            if ca and ck:
+                terms.append((va + vk, ca, ck))
+        out.append(_product_sum(terms, prec))
+    return _primitive(out)
 
 
 def _gl_run(a, r: int, n_max: int, floor: int):
+    na, d = _integer_matrix(a)
+    identity = [
+        [(0, _ONE, math.inf) if i == j else (0, [], math.inf) for i in range(r)]
+        for j in range(r)
+    ]
     dims = []
-    basis = _identity_cols(r)
+    basis = identity
     for _step in range(n_max):
-        grads = []
-        for col in basis:
-            twisted = [e.dlog_derivative() for e in col]
-            img = []
-            for i in range(r):
-                acc = twisted[i]
-                for k in range(r):
-                    acc = acc + a[i][k] * col[k]
-                img.append(acc)
-            grads.append(img)
-        gens = _identity_cols(r) + [list(c) for c in basis] + grads
-        vmin = min(
-            (e.valuation_or(0) or 0) for col in gens for e in col
-        )
-        total, pivots = _reduce_columns(gens, r, floor + max(0, -vmin))
+        gens = identity + basis + [_image(na, col, d) for col in basis]
+        vmin = min(e[0] for col in gens for e in col)
+        total, basis = _reduce_columns(gens, r, floor + max(0, -vmin))
         dims.append(-total)
-        basis = pivots
     increments = [dims[0]] + [b - a2 for a2, b in zip(dims, dims[1:])]
     quarter = max(1, n_max // 4)
     tail = increments[-quarter:]

@@ -20,15 +20,16 @@ precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .degrees import DegreeValue, SlopeError, SlopeKey
-from .diff import _reduce_columns
+from .diff import _integer_matrix, _reduce_columns, _shift
 from .errors import SlopesError
 from .polygon import NewtonPolygon, polygon_from_points
-from .series import PrecisionError, Series, _make
+from .series import PrecisionError, Series, _make, _min_prec
 
 DEFAULT_PRECISION = 40
 
@@ -98,19 +99,53 @@ class TwistedPolynomial:
         )
 
 
+def _valuation0(s: Series) -> int:
+    """v(s), or 0 for a series that is zero as stored, as Series.__mul__
+    counts it."""
+    for i, c in enumerate(s.coeffs):
+        if c:
+            return s.vmin + i
+    return 0
+
+
+def _zero_product_prec(a: Series, b: Series) -> Optional[int]:
+    """Precision of the product a b when a or b is zero as stored:
+    min(prec_a + v(b), prec_b + v(a)), by the Series.__mul__ rule."""
+    prec = None if a.prec is None else a.prec + _valuation0(b)
+    if b.prec is not None:
+        p2 = b.prec + _valuation0(a)
+        prec = p2 if prec is None else min(prec, p2)
+    return prec
+
+
+def _add_zero(s: Series, prec: Optional[int]) -> Series:
+    """s + Series.zero(prec), exactly as Series.__add__ forms it."""
+    prec = _min_prec(s.prec, prec)
+    if not s.coeffs:
+        return _make(0, (), prec)
+    return s if prec == s.prec else _make(s.vmin, s.coeffs, prec)
+
+
 def twisted_mul(p: TwistedPolynomial, q: TwistedPolynomial) -> TwistedPolynomial:
-    """Product in K<phi>: (a phi^i)(b phi^j) = a phi^i(b) phi^(i+j)."""
+    """Product in K<phi>: (a phi^i)(b phi^j) = a phi^i(b) phi^(i+j).
+
+    A product with a factor that is zero as stored is zero, known to a
+    precision fixed by the factors' valuations and precisions (the twist
+    is an isometry), so it is folded into the sum without being formed.
+    """
     if p.twist != q.twist:
         raise TwistError("twist mismatch")
     out = [Series.zero() for _ in range(p.degree + q.degree + 1)]
+    q_zero = [b.is_zero() for b in q.coeffs]
     for i, a in enumerate(p.coeffs):
-        if a.is_zero() and a.prec is None:
+        a_zero = a.is_zero()
+        if a_zero and a.prec is None:
             continue
         for j, b in enumerate(q.coeffs):
-            # a zero a gives a zero product whose precision depends only on
-            # b's valuation and precision, which the isometry keeps
-            term = a * (p.twist.apply(b, i) if a.coeffs else b)
-            out[i + j] = out[i + j] + term
+            if a_zero or q_zero[j]:
+                out[i + j] = _add_zero(out[i + j], _zero_product_prec(a, b))
+            else:
+                out[i + j] = out[i + j] + a * p.twist.apply(b, i)
     return TwistedPolynomial(tuple(out), p.twist)
 
 
@@ -320,25 +355,29 @@ class PhiMatrix:
         }
 
 
-def _top(e: Series) -> Optional[int]:
-    """Highest exponent known: prec - 1, or the last nonzero term of an
-    exact series (None for the exact zero)."""
-    if e.prec is not None:
-        return e.prec - 1
-    t = e.trimmed()
-    return t.vmin + len(t.coeffs) - 1 if t.coeffs else None
+def _top(entry) -> Optional[int]:
+    """Highest exponent known of an integer entry: prec - 1, or the last
+    nonzero term of an exact one (None for the exact zero)."""
+    v, nums, p = entry
+    if p != math.inf:
+        return p - 1
+    return v + len(nums) - 1 if nums else None
 
 
 def dm_degree(phi: PhiMatrix) -> DegreeValue:
     """Dieudonne-Manin style degree -v(det Phi), an exact rational.
 
     v(det) is the sum of the pivot valuations of the unit-scaled column
-    reduction `diff._reduce_columns`: O(r^3) series products, where a
-    Laplace expansion takes r!.  That reduction keeps its floor only
-    while every pivot has valuation <= 0, so column j is first multiplied
-    by x^(1 - k_j), k_j the least precision in the column: every known
-    entry then has valuation <= 0 and is known to x^1, the reduction runs
-    at floor 1, and v(det Phi) is its sum plus sum_j (k_j - 1).
+    reduction `diff._reduce_columns`: O(r^3) products, where a Laplace
+    expansion takes r!.  It runs on the integer numerators of Phi = N / D,
+    D the lcm of every coefficient denominator: det N = D^r det Phi and
+    D^r is a nonzero constant, so v(det N) = v(det Phi), and every column
+    the reduction forms may be scaled by a constant for the same reason.
+    That reduction keeps its floor only while every pivot has valuation
+    <= 0, so column j is first multiplied by x^(1 - k_j), k_j the least
+    precision in the column: every known entry then has valuation <= 0
+    and is known to x^1, the reduction runs at floor 1, and v(det Phi) is
+    its sum plus sum_j (k_j - 1).
 
     An exact column has no precision of its own; it gets
     k_j = s + B + 1, where s is the least valuation or precision of any
@@ -353,22 +392,22 @@ def dm_degree(phi: PhiMatrix) -> DegreeValue:
     -(r-1)B, and det Phi = 0.  On a matrix with a truncated entry the
     same stop only means the precision ran out.
     """
-    m = phi.entries
+    m, _ = _integer_matrix(phi.entries)
     r = phi.rank
-    lows = [e.valuation_or(e.prec) for row in m for e in row]
-    s = min((v for v in lows if v is not None), default=0)
+    lows = [v if nums else p for row in m for v, nums, p in row]
+    s = min((v for v in lows if v != math.inf), default=0)
     bound = sum(
         max([0] + [t - s for t in map(_top, row) if t is not None]) for row in m
     )
     ks = []
     for j in range(r):
-        precs = [row[j].prec for row in m if row[j].prec is not None]
+        precs = [row[j][2] for row in m if row[j][2] != math.inf]
         ks.append(min(precs, default=s + bound + 1))
-    cols = [[row[j].shift(1 - ks[j]) for row in m] for j in range(r)]
+    cols = [[_shift(row[j], 1 - ks[j]) for row in m] for j in range(r)]
     try:
         total, _ = _reduce_columns(cols, r, 1)
     except PrecisionError:
-        if any(e.prec is not None for row in m for e in row):
+        if any(e[2] != math.inf for row in m for e in row):
             raise
         raise SlopeError("matrix determinant is zero; degree undefined") from None
     return DegreeValue.rational(-(total + sum(k - 1 for k in ks)))

@@ -183,17 +183,26 @@ def test_rank_one_break_and_duality():
 
 
 def test_gerard_levelt_takes_no_inverse(monkeypatch):
-    """The unit-scaled elimination never calls Series.inverse; the lattice
-    growth gives the same irregularity and dims as the pivot-inverse
-    elimination did."""
-    inverses = []
-    real_inverse = Series.inverse
+    """Lattice growth forms no Series product and takes no inverse, and
+    runs its column reduction through the module global
+    diff._reduce_columns once per step; it gives the same irregularity and
+    dims as the pivot-inverse elimination did."""
+    calls = {"mul": 0, "inverse": 0, "reduce": 0}
+    real_mul, real_inverse = Series.__mul__, Series.inverse
+    real_reduce = diff_mod._reduce_columns
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return real_mul(self, other)
 
     def counting_inverse(self, prec):
-        inverses.append(prec)
+        calls["inverse"] += 1
         return real_inverse(self, prec)
 
-    monkeypatch.setattr(Series, "inverse", counting_inverse)
+    def counting_reduce(*args):
+        calls["reduce"] += 1
+        return real_reduce(*args)
+
     mixed = DifferentialOperator(
         (
             Series.from_coeffs(-3, [2, -1, Fraction(3, 2)]),
@@ -201,11 +210,17 @@ def test_gerard_levelt_takes_no_inverse(monkeypatch):
         )
     )
     cases = [(op(-3, -1), 3), (op(-5, -3, -4), 5), (op(-2, None, -1, None), 2), (mixed, 3)]
-    for o, ir in cases:
-        gl, stabilized, diag = gerard_levelt_irregularity(companion(o), 12)
+    modules = [(companion(o), ir) for o, ir in cases]
+    monkeypatch.setattr(Series, "__mul__", counting_mul)
+    monkeypatch.setattr(Series, "inverse", counting_inverse)
+    monkeypatch.setattr(diff_mod, "_reduce_columns", counting_reduce)
+    for m, ir in modules:
+        calls["reduce"] = 0
+        gl, stabilized, diag = gerard_levelt_irregularity(m, 12)
         assert (gl, stabilized) == (ir, True)
         assert diag["dims"] == [ir * k for k in range(1, 13)]
-    assert inverses == []
+        assert calls["reduce"] == 12
+    assert (calls["mul"], calls["inverse"]) == (0, 0)
 
 
 def test_katz_exact_zeros_keep_precision():
@@ -239,6 +254,32 @@ def test_katz_zero_to_precision_entry_is_indeterminate():
     assert est == 3
 
 
+def test_katz_blames_the_input_not_keep(monkeypatch):
+    """An indeterminate v(A) is the input's own precision running out: no
+    keep lifts it, so it raises once, before any retry, naming the entry's
+    precision and the least known valuation."""
+    runs = []
+    real_run = diff_mod._katz_run
+
+    def counting_run(*args):
+        runs.append(args[-1])
+        return real_run(*args)
+
+    monkeypatch.setattr(diff_mod, "_katz_run", counting_run)
+    x_inv = Series.monomial(1, -1)
+    m = DifferentialModule(((x_inv, Series.zero()), (Series.zero(), Series.zero(-3))))
+    with pytest.raises(PrecisionError) as info:
+        katz_rank_spectral(m)
+    assert str(info.value) == (
+        "power valuation indeterminate: an entry is zero only below x^-3, "
+        "under the least known valuation -1"
+    )
+    zero = DifferentialModule(((Series.zero(0),),))
+    with pytest.raises(PrecisionError, match="below x\\^0, and no entry has a known term$"):
+        katz_rank_spectral(zero)
+    assert runs == []
+
+
 # -- the Series-based Katz powers, kept as the reference ---------------------------
 # Two rules depart from Series arithmetic, as in _katz_run: an exact zero
 # stays exact through the cut, and a product with an exact zero factor
@@ -270,29 +311,40 @@ def _ref_power_step(a, b):
     return tuple(out)
 
 
+def _ref_window_check(b, v):
+    """Raise as _katz_run does when an entry zero only below x^p, p under
+    v (under x^1 when v is None), leaves v(B) open."""
+    bottom = 1 if v is None else v
+    open_precs = [
+        c.prec for row in b for c in row if c.prec is not None and c.is_zero() and c.prec < bottom
+    ]
+    if open_precs:
+        where = (
+            "and no entry has a known term"
+            if v is None
+            else f"under the least known valuation {v}"
+        )
+        raise PrecisionError(
+            "power valuation indeterminate: an entry is zero only below "
+            f"x^{min(open_precs)}, {where}"
+        )
+
+
 def _ref_katz_run(module, n_max, window, keep):
     a = module.matrix
     vals = []
     b = a
     for _n in range(1, n_max + 1):
         v = _matrix_min_valuation(b)
+        _ref_window_check(b, v)
         if v is None:
-            precs = [c.prec for row in b for c in row if c.prec is not None]
-            if not precs or min(precs) >= 1:
-                return Fraction(0), {
-                    "valuations": vals,
-                    "ratios": [],
-                    "windowed": [],
-                    "window": 0,
-                    "converged": True,
-                }
-            raise PrecisionError("power valuation indeterminate")
-        if any(
-            c.prec is not None and c.prec < v and c.valuation_or(None) is None
-            for row in b
-            for c in row
-        ):
-            raise PrecisionError("power valuation indeterminate")
+            return Fraction(0), {
+                "valuations": vals,
+                "ratios": [],
+                "windowed": [],
+                "window": 0,
+                "converged": True,
+            }
         vals.append(v)
         b = _ref_truncate_matrix(b, v + keep)
         if _n < n_max:
@@ -358,4 +410,141 @@ def test_katz_run_matches_series_powers(module, n_max, keep):
     finite-precision and zero entries."""
     assert _outcome(diff_mod._katz_run, module, n_max, 12, keep) == _outcome(
         _ref_katz_run, module, n_max, 12, keep
+    )
+
+
+# -- the Series-based lattice growth, kept as the reference ------------------------
+# The elimination of _reduce_columns on Series entries with rational
+# coefficients, every product and sum following Series precision.
+
+
+def _ref_safe_valuation(s):
+    try:
+        return s.valuation()
+    except PrecisionError:
+        if s.prec is not None and s.prec >= 1:
+            return None
+        raise
+
+
+def _ref_safely_zero(s):
+    return s.is_zero() and (s.prec is None or s.prec >= 1)
+
+
+def _ref_reduce_columns(cols, r, floor_prec):
+    active = []
+    for c in cols:
+        col = [e.truncate(floor_prec) for e in c]
+        if not all(_ref_safely_zero(e) for e in col):
+            active.append(col)
+    rows_left = list(range(r))
+    pivots = []
+    total = 0
+    while rows_left:
+        best = None
+        for ci, col in enumerate(active):
+            for row in rows_left:
+                v = _ref_safe_valuation(col[row])
+                if v is not None and (best is None or v < best[0]):
+                    best = (v, row, ci)
+        if best is None:
+            raise PrecisionError("column reduction ran out of certified pivots")
+        v, row, ci = best
+        pivot = active.pop(ci)
+        u = pivot[row].shift(-v)
+        for col in active:
+            e = col[row]
+            if _ref_safe_valuation(e) is None:
+                continue
+            f = e.shift(-v)
+            for i in range(r):
+                col[i] = (col[i] * u - f * pivot[i]).truncate(floor_prec)
+        rows_left.remove(row)
+        pivots.append(pivot)
+        total += v
+        active = [c for c in active if not all(_ref_safely_zero(e) for e in c)]
+    return total, pivots
+
+
+def _ref_identity_cols(r):
+    return [[Series.one() if i == j else Series.zero() for i in range(r)] for j in range(r)]
+
+
+def _ref_gl_run(a, r, n_max, floor):
+    dims = []
+    basis = _ref_identity_cols(r)
+    for _step in range(n_max):
+        grads = []
+        for col in basis:
+            img = []
+            for i in range(r):
+                acc = col[i].dlog_derivative()
+                for k in range(r):
+                    acc = acc + a[i][k] * col[k]
+                img.append(acc)
+            grads.append(img)
+        gens = _ref_identity_cols(r) + basis + grads
+        vmin = min((e.valuation_or(0) or 0) for col in gens for e in col)
+        total, basis = _ref_reduce_columns(gens, r, floor + max(0, -vmin))
+        dims.append(-total)
+    increments = [dims[0]] + [b - a2 for a2, b in zip(dims, dims[1:])]
+    quarter = max(1, n_max // 4)
+    tail = increments[-quarter:]
+    stabilized = all(t == tail[0] for t in tail)
+    return tail[-1], stabilized, {"dims": dims, "increments": increments}
+
+
+def _ref_gerard_levelt(module, n_max):
+    a, r = module.matrix, module.rank
+    h = max(0, -(_matrix_min_valuation(a) or 0))
+    return diff_mod._doubling_retry(
+        lambda floor: _ref_gl_run(a, r, n_max, floor), "floor", h * (n_max + 2) + 8
+    )
+
+
+def _module(*rows):
+    return DifferentialModule(tuple(tuple(row) for row in rows))
+
+
+_Z = Series.zero()
+_S = Series.from_coeffs
+# random draws in which one side of a product's precision in the
+# elimination step decides the outcome: prec(col) and prec(u) + v(col) of
+# col u, and prec(pivot) + v(f) of f pivot
+_ELIMINATION_PRECISION = [
+    _module(
+        (_S(2, [Fraction(-1, 4), 1]), _Z, _Z),
+        (Series.zero(2), _Z, _S(1, [1])),
+        (_S(-2, [1]), _S(1, [Fraction(-1, 3)]), _S(2, [Fraction(1, 3), Fraction(-3, 2)])),
+    ),
+    _module(
+        (_S(-3, [-1, 3, -1]), _Z, _Z),
+        (_S(-3, [-1, 0, Fraction(3, 4)]), _Z, _S(2, [Fraction(-3, 4), 1, 3, Fraction(3, 4)], 8)),
+        (_Z, _S(-2, [-1, Fraction(1, 2)], 1), Series.zero(1)),
+    ),
+    _module(
+        (_S(-1, [Fraction(-1, 2)]), _Z, _S(0, [1], 3)),
+        (
+            _S(-3, [Fraction(-3, 2), Fraction(-3, 2), -1]),
+            _S(1, [Fraction(3, 4), 1]),
+            Series.zero(2),
+        ),
+        (_Z, _S(1, [Fraction(1, 3)], 2), _S(0, [1, -1, -1], 6)),
+    ),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_modules())
+@example(_ELIMINATION_PRECISION[0])
+@example(_ELIMINATION_PRECISION[1])
+@example(_ELIMINATION_PRECISION[2])
+@example(_module((Series.monomial(1, -1), _Z), (_Z, Series.zero(-3))))
+@example(companion(op(-2, None, -1)))
+def test_gerard_levelt_matches_series_reference(module):
+    """The integer lattice growth returns the Series elimination's
+    (irregularity, stabilized, diagnostics), or raises PrecisionError with
+    the same text."""
+    assert _outcome(gerard_levelt_irregularity, module, 12) == _outcome(
+        _ref_gerard_levelt, module, 12
     )

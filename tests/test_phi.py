@@ -75,6 +75,48 @@ def test_twisted_mul_unit_and_twist_rule():
         twisted_mul(p, poly([ONE], TwistSpec(Fraction(3))))
 
 
+# -- the twisted product that forms every term, kept as the reference ------------
+
+
+def _ref_twisted_mul(p, q):
+    out = [Series.zero() for _ in range(p.degree + q.degree + 1)]
+    for i, a in enumerate(p.coeffs):
+        if a.is_zero() and a.prec is None:
+            continue
+        for j, b in enumerate(q.coeffs):
+            term = a * (p.twist.apply(b, i) if a.coeffs else b)
+            out[i + j] = out[i + j] + term
+    return TwistedPolynomial(tuple(out), p.twist)
+
+
+@st.composite
+def _twisted_coeffs(draw):
+    """Exact, zero-to-precision, exact-zero and truncated coefficients,
+    stored with leading and trailing zeros as well as trimmed."""
+    vmin = draw(st.integers(-3, 3))
+    digits = st.sampled_from([0, 0, 1, -1, Fraction(3, 2), Fraction(-2, 3)])
+    coeffs = draw(st.lists(digits, max_size=4))
+    prec = draw(st.one_of(st.none(), st.integers(vmin - 1, vmin + 5)))
+    return Series.from_coeffs(vmin, coeffs, prec)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(_twisted_coeffs(), min_size=1, max_size=4),
+    st.lists(_twisted_coeffs(), min_size=1, max_size=4),
+    st.sampled_from([Fraction(2), Fraction(-1, 3)]),
+)
+def test_twisted_mul_matches_every_term_product(pc, qc, q):
+    """Folding a product with a zero factor into the sum gives every
+    output coefficient the (vmin, coeffs, prec) that forming it gives."""
+    twist = TwistSpec(q)
+    p, r = TwistedPolynomial(tuple(pc), twist), TwistedPolynomial(tuple(qc), twist)
+    got, want = twisted_mul(p, r), _ref_twisted_mul(p, r)
+    assert [(c.vmin, c.coeffs, c.prec) for c in got.coeffs] == [
+        (c.vmin, c.coeffs, c.prec) for c in want.coeffs
+    ]
+
+
 def test_np_twisted_examples():
     got = np_twisted([-1, -1, 0])  # a_0, a_1, a_2
     assert got.to_json()["segments"] == [
