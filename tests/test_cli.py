@@ -310,6 +310,18 @@ THREE_SLOPE_PRODUCT = {
     "precision": 40,
 }
 
+# (phi + 3/2 x^-2 + 1)(phi - 2x + 1/3 x^2) twisted by q = -2/3, slopes 2
+# and -1, the constant coefficient known only below x^43: dilation by a
+# rational q with a denominator, and a truncated input
+RATIONAL_TWIST_PRODUCT = {
+    "twist": {"q": "-2/3"},
+    "coeffs": [
+        {"vmin": -1, "c": ["-3", "1/2", "-2", "1/3"], "prec": 43},
+        {"vmin": -2, "c": ["3/2", "0", "1", "4/3", "4/27"]},
+        {"vmin": 0, "c": ["1"]},
+    ],
+}
+
 _ZERO = {"vmin": 0, "c": []}
 
 # companion matrix of D^3 - (-2/3 + 3/2 D - 3/2 D^2) x^-2, common
@@ -364,6 +376,8 @@ PINNED_ARTIFACTS = {
         "d42eb543fe3ef9140c6219c87bc29f863f5ea37b9592ba8d07a527cdf407ad34",
     (FACTOR_40, "three_slope_product"):
         "b2239cf54b124cb2ebfb64b9e7ea5925410571df22c8da1c25b819345b0bf41e",
+    (FACTOR_40, "rational_twist_product"):
+        "249bae61e8aa7ca4d7039bd9237495c702d0c1187ab72b7befa60df4217944dc",
     ((*CHECK, "dominance", "--seed", "7"), None):
         "af6164ad847573d90c87329b4e14ff3ad0c8b45f735336733e719a0837b87524",
     ((*CHECK, "duality"), None):
@@ -392,6 +406,7 @@ def test_hn_artifacts_pinned(tmp_path, capsys):
         "diag_1_4_16": DIAG_1_4_16,
         "two_slope_product": TWO_SLOPE_PRODUCT,
         "three_slope_product": THREE_SLOPE_PRODUCT,
+        "rational_twist_product": RATIONAL_TWIST_PRODUCT,
         "diff_rank3_rational": DIFF_RANK3_RATIONAL,
         "diff_keep_doubling": DIFF_KEEP_DOUBLING,
     }
