@@ -291,6 +291,17 @@ def _power_step(a, b, d: int):
     return out
 
 
+def _open_below(b, level: int, what: str, where: str) -> None:
+    """Raise PrecisionError, naming ``what``, when an entry of b is zero
+    only below x^p with p < level."""
+    open_precs = [e[2] for row in b for e in row if not e[1] and e[2] < level]
+    if open_precs:
+        raise PrecisionError(
+            f"{what} indeterminate: an entry is zero only below "
+            f"x^{min(open_precs)}, {where}"
+        )
+
+
 def _window_valuation(b):
     """v(B) of a window of entries, or None when every entry is zero to a
     precision x^1 or beyond.
@@ -301,17 +312,12 @@ def _window_valuation(b):
     """
     known = [e[0] for row in b for e in row if e[1]]
     v = min(known, default=1)
-    open_precs = [e[2] for row in b for e in row if not e[1] and e[2] < v]
-    if open_precs:
-        where = (
-            f"under the least known valuation {v}"
-            if known
-            else "and no entry has a known term"
-        )
-        raise PrecisionError(
-            f"power valuation indeterminate: an entry is zero only below "
-            f"x^{min(open_precs)}, {where}"
-        )
+    where = (
+        f"under the least known valuation {v}"
+        if known
+        else "and no entry has a known term"
+    )
+    _open_below(b, v, "power valuation", where)
     return v if known else None
 
 
@@ -521,11 +527,17 @@ def gerard_levelt_irregularity(
     Katz powers, the image of a column is D (delta + A) col =
     N_A col + D delta(col), a constant multiple of nabla(col), which
     spans the same lattice (see _reduce_columns).
+
+    An entry of A zero only below x^p with p < 1 is the input's own
+    precision running out: its unknown terms lie outside x Q[[x]], so the
+    lattices depend on them and no floor lifts it; it raises before any
+    retry.
     """
     if n_max < 4:
         raise DiffError("n_max must be >= 4")
     a = module.matrix
     r = module.rank
+    _open_below(_integer_matrix(a)[0], 1, "lattice growth", "under x^1")
     h = max(0, -(_matrix_min_valuation(a) or 0))
     return _doubling_retry(
         lambda floor: _gl_run(a, r, n_max, floor), "floor", h * (n_max + 2) + 8

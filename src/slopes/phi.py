@@ -16,6 +16,14 @@ bilinearity, res - (dL*C + L*dC + dL*dC), so the residual's s-valuation rises
 with every pass.  Two exits raise PrecisionError rather than return a wrong
 factor: a level that fails to rise, and a pass cap linear in the working
 precision.
+
+The lift and twisted_mul run on integer windows (vmin, numerators, den,
+prec), with no Series in the loop.  L, C and the residual are updated in
+place; dL and dC are monomials, so a pass costs O(window) integer
+multiply-adds per product it forms, one common denominator and one gcd
+division per window it touches, and the dilation by q = a/b is integer
+too.  Precision follows the Series rules term for term, so every factor,
+prec field and error text is the one Series arithmetic gives.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from .degrees import DegreeValue, SlopeError, SlopeKey
 from .diff import _integer_matrix, _reduce_columns, _shift
 from .errors import SlopesError
 from .polygon import NewtonPolygon, polygon_from_points
-from .series import PrecisionError, Series, _make, _min_prec
+from .series import PrecisionError, Series, _make
 
 DEFAULT_PRECISION = 40
 
@@ -99,54 +107,176 @@ class TwistedPolynomial:
         )
 
 
-def _valuation0(s: Series) -> int:
-    """v(s), or 0 for a series that is zero as stored, as Series.__mul__
-    counts it."""
-    for i, c in enumerate(s.coeffs):
+# -- integer windows -------------------------------------------------------------
+# Twisted products and the lift run on windows (vmin, nums, den, prec): the
+# series sum_t nums[t]/den x^(vmin + t), den > 0, known below x^prec
+# (math.inf: exact).  Each rule below is the Series rule it names, so a
+# window converts back to the Series that Series arithmetic would build.
+
+
+def _window(s: Series):
+    d = math.lcm(*[c.denominator for c in s.coeffs])
+    return (
+        s.vmin,
+        [c.numerator * (d // c.denominator) for c in s.coeffs],
+        d,
+        math.inf if s.prec is None else s.prec,
+    )
+
+
+def _cut(v: int, nums: list, prec) -> list:
+    """The numerators below x^prec, as Series cuts a stored window."""
+    return nums if prec == math.inf else nums[: max(0, prec - v)]
+
+
+def _series(win, prec=math.inf) -> Series:
+    """The window known below x^prec as a Series, vmin and stored zeros
+    kept."""
+    v, nums, d, p = win
+    p = min(p, prec)
+    coeffs = tuple(Fraction(c, d) for c in _cut(v, nums, p))
+    return _make(v, coeffs, None if p == math.inf else p)
+
+
+def _val0(win) -> int:
+    """v of the window, or 0 when it is zero as stored (Series.__mul__'s
+    count)."""
+    for t, c in enumerate(win[1]):
         if c:
-            return s.vmin + i
+            return win[0] + t
     return 0
 
 
-def _zero_product_prec(a: Series, b: Series) -> Optional[int]:
-    """Precision of the product a b when a or b is zero as stored:
-    min(prec_a + v(b), prec_b + v(a)), by the Series.__mul__ rule."""
-    prec = None if a.prec is None else a.prec + _valuation0(b)
-    if b.prec is not None:
-        p2 = b.prec + _valuation0(a)
-        prec = p2 if prec is None else min(prec, p2)
-    return prec
+def _trimmed(v: int, nums: list, d: int, prec):
+    """The window trimmed as Series.trimmed trims it: a window of zeros
+    becomes empty at its end."""
+    lo, hi = 0, len(nums)
+    while lo < hi and not nums[lo]:
+        lo += 1
+    if lo == hi:
+        return (v + hi, [], 1, prec)
+    while not nums[hi - 1]:
+        hi -= 1
+    return (v + lo, nums[lo:hi], d, prec)
 
 
-def _add_zero(s: Series, prec: Optional[int]) -> Series:
-    """s + Series.zero(prec), exactly as Series.__add__ forms it."""
-    prec = _min_prec(s.prec, prec)
-    if not s.coeffs:
-        return _make(0, (), prec)
-    return s if prec == s.prec else _make(s.vmin, s.coeffs, prec)
+def _normal(v: int, acc: list, d: int, prec):
+    """The window trimmed and divided by the gcd of its numerators and
+    denominator."""
+    v, acc, d, prec = _trimmed(v, acc, d, prec)
+    g = math.gcd(d, *acc)
+    if g > 1:
+        acc = [c // g for c in acc]
+        d //= g
+    return (v, acc, d, prec)
+
+
+def _add(x, y):
+    """x + y by Series.__add__: known below the lesser precision; an empty
+    operand passes the other through, cut; otherwise the sum is cut and
+    trimmed."""
+    prec = min(x[3], y[3])
+    if not x[1] or not y[1]:
+        v, nums, d, _ = y if not x[1] else x
+        return (v, _cut(v, nums, prec), d, prec)
+    lo = min(x[0], y[0])
+    big_d = math.lcm(x[2], y[2])
+    acc = [0] * (max(x[0] + len(x[1]), y[0] + len(y[1])) - lo)
+    for v, nums, d, _ in (x, y):
+        f = big_d // d
+        for t, c in enumerate(nums, v - lo):
+            if c:
+                acc[t] += c * f
+    return _normal(lo, _cut(lo, acc, prec), big_d, prec)
+
+
+def _mul(a, b, i: int, prec, dilation: "_Dilation"):
+    """a phi^i(b) by Series.__mul__, for a and b with a known term, known
+    below prec: the product of the trimmed windows, cut and trimmed."""
+    a, b = _trimmed(*a), _trimmed(*b)
+    v = a[0] + b[0]
+    n = min(prec - v, len(a[1]) + len(b[1]) - 1)
+    if n <= 0:
+        return (v, [], 1, prec)
+    bn, num, den = dilation.apply(b, i, n)
+    acc = [0] * n
+    for s, x in enumerate(a[1][:n]):
+        if x:
+            x *= num
+            for t, y in enumerate(bn[: n - s], s):
+                acc[t] += x * y
+    return _normal(v, acc, a[2] * den, prec)
+
+
+class _Dilation:
+    """phi^i on windows for the twist x -> qx: with q^i = A/B in lowest
+    terms, coefficient t of a window of length n becomes
+    num_t A^t B^(n-1-t) over den B^(n-1), times (A/B)^vmin.  The powers of
+    A and B are kept per i and extended on demand."""
+
+    def __init__(self, q: Fraction):
+        self.a, self.b = q.numerator, q.denominator
+        self.powers = {}  # i -> (A, B, [A^t], [B^t])
+
+    def power(self, e: int) -> tuple[int, int]:
+        """(num, den) of q^e, den > 0."""
+        num, den = (self.a**e, self.b**e) if e >= 0 else (self.b**-e, self.a**-e)
+        return (-num, -den) if den < 0 else (num, den)
+
+    def apply(self, win, i: int, n: int):
+        """(nums, num, den): phi^i of the window's first n coefficients is
+        num * nums[t] / den at x^(vmin + t)."""
+        v, nums, d, _ = win
+        nums = nums[:n]
+        if i == 0:
+            return nums, 1, d
+        if i not in self.powers:
+            self.powers[i] = (self.a**i, self.b**i, [1], [1])
+        big_a, big_b, pa, pb = self.powers[i]
+        n = len(nums)
+        while len(pa) < n:
+            pa.append(pa[-1] * big_a)
+            pb.append(pb[-1] * big_b)
+        if big_b == 1:
+            out = [c * pa[t] for t, c in enumerate(nums)]
+        else:
+            last = n - 1
+            out = [c * pa[t] * pb[last - t] for t, c in enumerate(nums)]
+            d *= pb[last]
+        num, den = self.power(i * v)
+        return out, num, d * den
 
 
 def twisted_mul(p: TwistedPolynomial, q: TwistedPolynomial) -> TwistedPolynomial:
     """Product in K<phi>: (a phi^i)(b phi^j) = a phi^i(b) phi^(i+j).
 
-    A product with a factor that is zero as stored is zero, known to a
-    precision fixed by the factors' valuations and precisions (the twist
-    is an isometry), so it is folded into the sum without being formed.
+    It runs on integer windows, and each output coefficient takes the
+    terms in the order Series arithmetic sums them, so it has the
+    (vmin, coeffs, prec) that summing the Series products gives.  An exact
+    zero left factor adds nothing.  A product with a factor that is zero
+    as stored is zero, known below min(prec_a + v(b), prec_b + v(a)) (v =
+    0 for such a factor; the twist is an isometry), so it is folded into
+    the sum without being formed.
     """
     if p.twist != q.twist:
         raise TwistError("twist mismatch")
-    out = [Series.zero() for _ in range(p.degree + q.degree + 1)]
-    q_zero = [b.is_zero() for b in q.coeffs]
-    for i, a in enumerate(p.coeffs):
-        a_zero = a.is_zero()
-        if a_zero and a.prec is None:
+    dilation = _Dilation(p.twist.q)
+    right = [_window(b) for b in q.coeffs]
+    rinfo = [(_val0(b), b[3], any(b[1])) for b in right]
+    out = [(0, [], 1, math.inf)] * (p.degree + q.degree + 1)
+    for i, a in enumerate(map(_window, p.coeffs)):
+        a_zero = not any(a[1])
+        if a_zero and a[3] == math.inf:
             continue
-        for j, b in enumerate(q.coeffs):
-            if a_zero or q_zero[j]:
-                out[i + j] = _add_zero(out[i + j], _zero_product_prec(a, b))
+        va = _val0(a)
+        for j, (vb, pb, b_nonzero) in enumerate(rinfo):
+            prec = min(a[3] + vb, pb + va)
+            if a_zero or not b_nonzero:
+                term = (0, [], 1, prec)
             else:
-                out[i + j] = out[i + j] + a * p.twist.apply(b, i)
-    return TwistedPolynomial(tuple(out), p.twist)
+                term = _mul(a, right[j], i, prec, dilation)
+            out[i + j] = _add(out[i + j], term)
+    return TwistedPolynomial(tuple(map(_series, out)), p.twist)
 
 
 def np_twisted(valuations: Sequence[Optional[int]]) -> NewtonPolygon:
@@ -185,31 +315,12 @@ def np_of_poly(p: TwistedPolynomial) -> NewtonPolygon:
 # -- slope factorization -------------------------------------------------------
 
 
-def _gauss_val(p: TwistedPolynomial, s: Fraction) -> Optional[Fraction]:
-    """min over j of v(a_j) - s*j; None when zero to precision."""
-    best = None
-    for j, c in enumerate(p.coeffs):
-        v = c.valuation_or(None)
-        if v is None:
-            continue
-        w = Fraction(v) - s * j
-        if best is None or w < best:
-            best = w
-    return best
-
-
-def _poly_add(p: TwistedPolynomial, q: TwistedPolynomial) -> TwistedPolynomial:
-    d = max(p.degree, q.degree)
-    return TwistedPolynomial(
-        tuple(p.coeff(i) + q.coeff(i) for i in range(d + 1)), p.twist
-    )
-
-
-def _poly_sub(p: TwistedPolynomial, q: TwistedPolynomial) -> TwistedPolynomial:
-    d = max(p.degree, q.degree)
-    return TwistedPolynomial(
-        tuple(p.coeff(i) - q.coeff(i) for i in range(d + 1)), p.twist
-    )
+def _gauss_val(res, s: Fraction) -> Optional[Fraction]:
+    """min over j of v(r_j) - s*j over the residual windows r_j, trimmed
+    as _normal leaves them; None when every window is zero to precision."""
+    sn, sd = s.numerator, s.denominator
+    scaled = [v * sd - sn * j for j, (v, nums, _, _) in enumerate(res) if nums]
+    return Fraction(min(scaled), sd) if scaled else None
 
 
 def _representative(s: Series, prec: int) -> Series:
@@ -218,6 +329,81 @@ def _representative(s: Series, prec: int) -> Series:
     if s.prec is None or s.prec >= prec:
         return s
     return _make(s.vmin, s.coeffs, prec)
+
+
+def _monomial(num: int, den: int, k: int, prec: int):
+    """(num/den) x^k known below x^prec, stored with a positive
+    denominator; at or beyond prec it is dropped and, as Series.monomial
+    stores it, keeps vmin k."""
+    if k >= prec:
+        return (k, [], 1, prec)
+    return (k, [-num], -den, prec) if den < 0 else (k, [num], den, prec)
+
+
+def _minus(win, terms, prec, dilation: _Dilation):
+    """win - sum of the terms (cn/cd) x^e phi^i(w), known below x^prec: one
+    common denominator, then one trim and one gcd division.  With no terms
+    the window is only cut to prec and trimmed."""
+    v, nums, d, _ = win
+    nums = nums[: max(0, prec - v)]
+    if not terms:
+        return _trimmed(v, nums, d, prec)
+    parts = []  # (start, numerators, factor, den)
+    for cn, cd, e, w, i in terms:
+        n = prec - e - w[0]
+        if n > 0:
+            out, num, den = dilation.apply(w, i, n)
+            parts.append((e + w[0], out, -cn * num, cd * den))
+    if nums:
+        parts.append((v, nums, 1, d))
+    if not parts:
+        return (0, [], 1, prec)
+    big_d = math.lcm(*[p[3] for p in parts])
+    lo = min(p[0] for p in parts)
+    acc = [0] * (max(p[0] + len(p[1]) for p in parts) - lo)
+    for start, out, num, den in parts:
+        f = num * (big_d // den)
+        for t, x in enumerate(out, start - lo):
+            if x:
+                acc[t] += f * x
+    return _normal(lo, acc, big_d, prec)
+
+
+def _sub_products(res, pairs, dilation: _Dilation) -> None:
+    """res -= left * right for each (left, right) in pairs, in K<phi> on
+    windows, in place.
+
+    Precision follows twisted_mul and the Series rules: an exact zero left
+    factor adds nothing; a product is known below
+    min(prec_a + v(b), prec_b + v(a)), v = 0 for a factor zero as stored,
+    and such a factor adds its precision but no term; a sum is known below
+    its terms' least precision.  Every product with no zero factor has a
+    monomial side, so its terms cost O(window).
+    """
+    precs = [w[3] for w in res]
+    terms = [[] for _ in res]
+    for left, right in pairs:
+        rvals = [(_val0(b), b[3], any(b[1])) for b in right]
+        for i, a in enumerate(left):
+            a_zero = not any(a[1])
+            if a_zero and a[3] == math.inf:
+                continue
+            va, pa = _val0(a), a[3]
+            for j, (vb, pb, b_nonzero) in enumerate(rvals):
+                k = i + j
+                precs[k] = min(precs[k], pa + vb, pb + va)
+                if a_zero or not b_nonzero:
+                    continue
+                b = right[j]
+                if len(a[1]) == 1:
+                    # c x^e phi^i(b)
+                    terms[k].append((a[1][0], a[2], a[0], b, i))
+                else:
+                    # a phi^i(c x^e) = c q^(ie) x^e a
+                    qn, qd = dilation.power(i * b[0])
+                    terms[k].append((b[1][0] * qn, b[2] * qd, b[0], a, 0))
+    for k, w in enumerate(res):
+        res[k] = _minus(w, terms[k], precs[k], dilation)
 
 
 def _split_once(
@@ -241,63 +427,61 @@ def _split_once(
     s = (lowest.deg.value + second.deg.value) / 2
     twist = p.twist
     q = twist.q
+    dilation = _Dilation(q)
 
     # initial approximations: L = phi^m, C = phi^(n-m) + phi^{-m}(a_m)
-    zero = Series.zero(prec)
-    lser = [zero] * m + [Series.one()]
-    cser = [zero] * (n - m + 1)
-    cser[-1] = Series.one()
-    cser[0] = twist.apply(p.coeff(m).truncate(prec), -m)
-    lfac = TwistedPolynomial(tuple(lser), twist)
-    cfac = TwistedPolynomial(tuple(cser), twist)
+    c0 = twist.apply(p.coeff(m).truncate(prec), -m)
+    zero = (0, [], 1, prec)
+    one = (0, [1], 1, math.inf)
+    lwin = [zero] * m + [one]
+    cwin = [_window(c0)] + [zero] * (n - m - 1) + [one]
 
-    uc = cfac.coeffs[0].valuation()  # v of the cofactor's constant term
-    alpha = cfac.coeffs[0].coeff(uc)
+    uc = c0.valuation()  # v of the cofactor's constant term
+    alpha = c0.coeff(uc)
+    sn, sd = s.numerator, s.denominator
 
-    def graded_solve(res: TwistedPolynomial, w: Fraction):
-        """Kill the s-graded level w, the lowest of res: returns (dL, dC)."""
-        dl = [Series.zero(prec) for _ in range(m)]
-        dc = [Series.zero(prec) for _ in range(n - m)]
-        for j, cj in enumerate(res.coeffs):
-            v = cj.valuation_or(None)
-            if v is None or Fraction(v) - s * j != w:
+    def graded_solve(w: Fraction):
+        """Kill the s-graded level w, the lowest of res: the monomial
+        windows of dL and dC."""
+        dl = [zero] * (m + 1)
+        dc = [zero] * (n - m + 1)
+        target = w * sd
+        for j, (v, nums, d, _) in enumerate(res):
+            if not nums or v * sd - sn * j != target:
                 continue
-            lead = cj.coeff(v)
             if j >= m:
                 # phi^m * (dc_{j-m} x^v-ish): coefficient picks up q^(m*v)
-                dc[j - m] = dc[j - m] + Series.monomial(
-                    lead / q ** (m * v), v, prec
-                )
+                qn, qd = dilation.power(m * v)
+                dc[j - m] = _monomial(nums[0] * qd, d * qn, v, prec)
             else:
                 # dl_j * phi^j(c0): leading coeff alpha q^(j*uc) at x^uc
-                dl[j] = dl[j] + Series.monomial(
-                    lead / (alpha * q ** (j * uc)), v - uc, prec
+                qn, qd = dilation.power(j * uc)
+                dl[j] = _monomial(
+                    nums[0] * alpha.denominator * qd,
+                    d * alpha.numerator * qn,
+                    v - uc,
+                    prec,
                 )
-        return (
-            TwistedPolynomial(tuple(dl + [Series.zero(prec)]), twist),
-            TwistedPolynomial(tuple(dc + [Series.zero(prec)]), twist),
-        )
+        return dl, dc
 
     pass_cap = 4 * (prec + int(abs(s)) * n + n + 8) * max(
         1, s.denominator, lowest.deg.value.denominator
     )
     # p - (L + dL)(C + dC) = res - (dL C + L dC + dL dC): the twisted product
     # is bilinear, so the residual is updated rather than recomputed
-    res = _poly_sub(p.truncate(prec), twisted_mul(lfac, cfac))
+    res = [_window(c) for c in p.truncate(prec).coeffs]
+    _sub_products(res, [(lwin, cwin)], dilation)
     w = _gauss_val(res, s)
     for _ in range(pass_cap):
         if w is None:
-            return lfac.truncate(prec), cfac.truncate(prec)
-        dl, dc = graded_solve(res, w)
-        res = _poly_sub(
-            res,
-            _poly_add(
-                _poly_add(twisted_mul(dl, cfac), twisted_mul(lfac, dc)),
-                twisted_mul(dl, dc),
-            ),
-        )
-        lfac = _poly_add(lfac, dl)
-        cfac = _poly_add(cfac, dc)
+            return (
+                TwistedPolynomial(tuple(_series(x, prec) for x in lwin), twist),
+                TwistedPolynomial(tuple(_series(x, prec) for x in cwin), twist),
+            )
+        dl, dc = graded_solve(w)
+        _sub_products(res, [(dl, cwin), (lwin, dc), (dl, dc)], dilation)
+        lwin = list(map(_add, lwin, dl))
+        cwin = list(map(_add, cwin, dc))
         w_next = _gauss_val(res, s)
         if w_next is not None and w_next <= w:
             raise PrecisionError("residual valuation failed to increase during lift")

@@ -147,9 +147,21 @@ class Series:
     # -- ring operations ------------------------------------------------------------
 
     def __add__(self, other: "Series") -> "Series":
+        return self._combine(other, 1)
+
+    def __neg__(self) -> "Series":
+        return _make(self.vmin, tuple(-c for c in self.coeffs), self.prec)
+
+    def __sub__(self, other: "Series") -> "Series":
+        """self + (-other), without forming -other."""
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Series", sign: int) -> "Series":
+        """self + sign * other, sign = 1 or -1."""
         prec = _min_prec(self.prec, other.prec)
         if not self.coeffs:
-            return _make(other.vmin, other.coeffs, prec)
+            coeffs = other.coeffs if sign == 1 else tuple(-c for c in other.coeffs)
+            return _make(other.vmin, coeffs, prec)
         if not other.coeffs:
             return _make(self.vmin, self.coeffs, prec)
         lo = min(self.vmin, other.vmin)
@@ -160,14 +172,11 @@ class Series:
         out = [_ZERO] * (self.vmin - lo) + list(self.coeffs) + [_ZERO] * (hi - end)
         for i, c in enumerate(other.coeffs, other.vmin - lo):
             if c:
-                out[i] = out[i] + c if out[i] else c
+                if sign == 1:
+                    out[i] = out[i] + c if out[i] else c
+                else:
+                    out[i] = out[i] - c if out[i] else -c
         return _make(lo, tuple(out), prec).trimmed()
-
-    def __neg__(self) -> "Series":
-        return _make(self.vmin, tuple(-c for c in self.coeffs), self.prec)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return self + (-other)
 
     def __mul__(self, other: "Series") -> "Series":
         # O(x^p) * (q + ...) is O(x^(p + v(q))); both cross terms count.

@@ -280,6 +280,35 @@ def test_katz_blames_the_input_not_keep(monkeypatch):
     assert runs == []
 
 
+def test_gerard_levelt_blames_the_input_not_floor(monkeypatch):
+    """An entry of A zero only below x^p, p < 1, leaves the lattices open
+    whatever the floor: it raises once, before any retry, naming the
+    entry's precision."""
+    runs = []
+    real_run = diff_mod._gl_run
+
+    def counting_run(*args):
+        runs.append(args[-1])
+        return real_run(*args)
+
+    monkeypatch.setattr(diff_mod, "_gl_run", counting_run)
+    x_inv = Series.monomial(1, -1)
+    m = DifferentialModule(((x_inv, Series.zero()), (Series.zero(), Series.zero(-3))))
+    with pytest.raises(PrecisionError) as info:
+        gerard_levelt_irregularity(m)
+    assert str(info.value) == (
+        "lattice growth indeterminate: an entry is zero only below x^-3, under x^1"
+    )
+    with pytest.raises(PrecisionError, match="below x\\^0, under x\\^1$"):
+        gerard_levelt_irregularity(
+            DifferentialModule(((x_inv, Series.zero(0)), (Series.zero(), x_inv)))
+        )
+    assert runs == []
+    # a zero entry known to x^1 is safe: the run starts
+    ir, _, _ = gerard_levelt_irregularity(DifferentialModule(((Series.zero(1),),)))
+    assert (ir, len(runs)) == (0, 1)
+
+
 # -- the Series-based Katz powers, kept as the reference ---------------------------
 # Two rules depart from Series arithmetic, as in _katz_run: an exact zero
 # stays exact through the cut, and a product with an exact zero factor
@@ -496,6 +525,19 @@ def _ref_gl_run(a, r, n_max, floor):
 
 def _ref_gerard_levelt(module, n_max):
     a, r = module.matrix, module.rank
+    # the input check that precedes the retry: an entry zero only below
+    # x^p, p < 1, is rejected before any lattice is grown
+    open_precs = [
+        e.prec
+        for row in a
+        for e in row
+        if e.prec is not None and e.prec < 1 and e.is_zero()
+    ]
+    if open_precs:
+        raise PrecisionError(
+            "lattice growth indeterminate: an entry is zero only below "
+            f"x^{min(open_precs)}, under x^1"
+        )
     h = max(0, -(_matrix_min_valuation(a) or 0))
     return diff_mod._doubling_retry(
         lambda floor: _ref_gl_run(a, r, n_max, floor), "floor", h * (n_max + 2) + 8

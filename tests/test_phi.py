@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -204,6 +205,209 @@ def test_factor_lift_precision_errors(monkeypatch):
     monkeypatch.setattr(phi, "_gauss_val", lambda res, s: Fraction(next(levels)))
     with pytest.raises(PrecisionError, match="failed to converge"):
         slope_factor(p, 40)
+
+
+# -- the Series lift, kept as the reference ----------------------------------------
+
+
+def _ref_gauss_val(p, s):
+    best = None
+    for j, c in enumerate(p.coeffs):
+        v = c.valuation_or(None)
+        if v is None:
+            continue
+        w = Fraction(v) - s * j
+        if best is None or w < best:
+            best = w
+    return best
+
+
+def _ref_poly_add(p, q):
+    d = max(p.degree, q.degree)
+    return poly([p.coeff(i) + q.coeff(i) for i in range(d + 1)], p.twist)
+
+
+def _ref_poly_sub(p, q):
+    d = max(p.degree, q.degree)
+    return poly([p.coeff(i) - q.coeff(i) for i in range(d + 1)], p.twist)
+
+
+def _ref_split_once(p, prec):
+    """The graded Hensel lift on Series, with three full twisted products
+    a pass."""
+    p = poly([phi._representative(c, prec) for c in p.coeffs], p.twist)
+    segs = np_of_poly(p).segments
+    lowest = segs[-1].reduced()
+    second = segs[-2].reduced()
+    m = segs[-1].rk
+    n = p.degree
+    s = (lowest.deg.value + second.deg.value) / 2
+    twist = p.twist
+    q = twist.q
+
+    zero = Series.zero(prec)
+    lser = [zero] * m + [Series.one()]
+    cser = [zero] * (n - m + 1)
+    cser[-1] = Series.one()
+    cser[0] = twist.apply(p.coeff(m).truncate(prec), -m)
+    lfac = poly(lser, twist)
+    cfac = poly(cser, twist)
+
+    uc = cfac.coeffs[0].valuation()
+    alpha = cfac.coeffs[0].coeff(uc)
+
+    def graded_solve(res, w):
+        dl = [Series.zero(prec) for _ in range(m)]
+        dc = [Series.zero(prec) for _ in range(n - m)]
+        for j, cj in enumerate(res.coeffs):
+            v = cj.valuation_or(None)
+            if v is None or Fraction(v) - s * j != w:
+                continue
+            lead = cj.coeff(v)
+            if j >= m:
+                dc[j - m] = dc[j - m] + Series.monomial(
+                    lead / q ** (m * v), v, prec
+                )
+            else:
+                dl[j] = dl[j] + Series.monomial(
+                    lead / (alpha * q ** (j * uc)), v - uc, prec
+                )
+        return (
+            poly(dl + [Series.zero(prec)], twist),
+            poly(dc + [Series.zero(prec)], twist),
+        )
+
+    pass_cap = 4 * (prec + int(abs(s)) * n + n + 8) * max(
+        1, s.denominator, lowest.deg.value.denominator
+    )
+    res = _ref_poly_sub(p.truncate(prec), _ref_twisted_mul(lfac, cfac))
+    w = _ref_gauss_val(res, s)
+    for _ in range(pass_cap):
+        if w is None:
+            return lfac.truncate(prec), cfac.truncate(prec)
+        dl, dc = graded_solve(res, w)
+        res = _ref_poly_sub(
+            res,
+            _ref_poly_add(
+                _ref_poly_add(_ref_twisted_mul(dl, cfac), _ref_twisted_mul(lfac, dc)),
+                _ref_twisted_mul(dl, dc),
+            ),
+        )
+        lfac = _ref_poly_add(lfac, dl)
+        cfac = _ref_poly_add(cfac, dc)
+        w_next = _ref_gauss_val(res, s)
+        if w_next is not None and w_next <= w:
+            raise PrecisionError("residual valuation failed to increase during lift")
+        w = w_next
+    raise PrecisionError("twisted factor lift failed to converge at this precision")
+
+
+def _ref_slope_factor(p, precision):
+    if len(np_of_poly(p).segments) <= 1:
+        return [p]
+    lfac, cfac = _ref_split_once(p, phi._lift_precision(p, precision))
+    if len(np_of_poly(lfac).segments) != 1:
+        raise PrecisionError("left factor polygon failed to be one-sloped")
+    return [lfac] + _ref_slope_factor(cfac, precision)
+
+
+def _factor_outcome(run, p, precision):
+    try:
+        return [f.to_json() for f in run(p, precision)]
+    except (SlopeError, PrecisionError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+_TWISTS = [Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-2, 3), Fraction(5, 2)]
+_lift_coeff = st.sampled_from(
+    [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+)
+
+
+@st.composite
+def _one_slope_factor(draw, twist):
+    """Monic phi^d + ... + a_0, d = 1 or 2, with a one-slope polygon: a_0
+    of valuation -k, and for d = 2 an a_1 of valuation at least -k/2 or
+    zero; a_0 and a_1 have up to three terms."""
+    d = draw(st.integers(1, 2))
+    k = draw(st.integers(-3, 4))
+    a0 = Series.from_coeffs(
+        -k, [draw(_lift_coeff)] + draw(st.lists(_lift_coeff | st.just(0), max_size=2))
+    )
+    coeffs = [a0]
+    if d == 2:
+        if draw(st.booleans()):
+            v1 = -(k // 2) + draw(st.integers(0, 2))
+            terms = draw(st.lists(_lift_coeff, min_size=1, max_size=3))
+            coeffs.append(Series.from_coeffs(v1, terms))
+        else:
+            coeffs.append(Series.zero())
+    return poly(coeffs + [ONE], twist)
+
+
+@st.composite
+def _lift_inputs(draw):
+    twist = TwistSpec(draw(st.sampled_from(_TWISTS)))
+    factors = draw(st.lists(_one_slope_factor(twist), min_size=2, max_size=3))
+    prod = factors[0]
+    for f in factors[1:]:
+        prod = twisted_mul(prod, f)
+    cut = draw(st.sampled_from([None, 30, 40, 60]))
+    if cut is not None:
+        # truncate every coefficient, or only the constant term
+        if draw(st.booleans()):
+            prod = prod.truncate(cut)
+        else:
+            prod = poly([prod.coeffs[0].truncate(cut)] + list(prod.coeffs[1:]), twist)
+    if draw(st.booleans()):
+        # store the coefficients with leading and trailing zeros
+        prod = poly(
+            [Series(c.vmin - 1, (0,) + c.coeffs + (0,), c.prec) for c in prod.coeffs],
+            twist,
+        )
+    return prod, draw(st.sampled_from([20, 30, 40]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lift_inputs())
+def test_lift_matches_series_reference(case):
+    """The integer lift returns the Series lift's factors, coefficient for
+    coefficient in to_json(), or raises the same error with the same text,
+    over rational twists and exact and truncated inputs."""
+    p, precision = case
+    assert _factor_outcome(slope_factor, p, precision) == _factor_outcome(
+        _ref_slope_factor, p, precision
+    )
+
+
+def test_lift_calls_its_traced_names(monkeypatch):
+    """The names the benchmark trace wraps stay live: slope_factor enters
+    _split_once once through the module global, the lift calls _gauss_val
+    once per pass (92 passes at precision 40 on this slopes -1, 0 shape),
+    and forms no Series product and no twisted_mul per pass."""
+    p = twisted_mul(poly([mono(2, 0), ONE]), poly([mono(-3, 1), ONE])).truncate(40)
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(phi, "_split_once", counting("split", phi._split_once))
+    monkeypatch.setattr(phi, "_gauss_val", counting("gauss", phi._gauss_val))
+    monkeypatch.setattr(phi, "twisted_mul", counting("twisted_mul", phi.twisted_mul))
+    monkeypatch.setattr(Series, "__mul__", counting("series_mul", Series.__mul__))
+    seen = []
+    for precision in (40, 80):
+        counts.clear()
+        assert len(slope_factor(p, precision)) == 2
+        seen.append(dict(counts))
+    assert [c["split"] for c in seen] == [1, 1]
+    assert [c["gauss"] for c in seen] == [93, 173]  # passes + 1
+    for name in ("twisted_mul", "series_mul"):
+        assert seen[0].get(name, 0) == seen[1].get(name, 0), name
 
 
 def test_factor_known_example():

@@ -223,3 +223,23 @@ def test_add_matches_termwise():
         for got, want in ((a + b, reference_add(a, b)), (a - b, reference_add(a, -b))):
             assert (got.vmin, got.coeffs, got.prec) == want, (a, b)
             assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@st.composite
+def _stored_windows(draw):
+    """Empty, zero-as-stored and rational windows with leading, inner and
+    trailing zeros, exact or truncated inside or beyond the window."""
+    digits = st.sampled_from([0, 0, 1, -1, Fraction(3, 2), Fraction(-5, 4)])
+    coeffs = draw(st.lists(digits, max_size=6))
+    vmin = draw(st.integers(-4, 4))
+    prec = draw(st.one_of(st.none(), st.integers(vmin - 1, vmin + len(coeffs) + 2)))
+    return Series(vmin, tuple(Fraction(c) for c in coeffs), prec)
+
+
+@given(_stored_windows(), _stored_windows())
+def test_sub_is_add_of_negation(a, b):
+    """a - b is formed without negating b, and gives the (vmin, coeffs,
+    prec) of a + (-b), trim included."""
+    got, want = a - b, a + (-b)
+    assert (got.vmin, got.coeffs, got.prec) == (want.vmin, want.coeffs, want.prec)
+    assert all(type(c) is Fraction for c in got.coeffs)
