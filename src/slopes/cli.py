@@ -258,13 +258,14 @@ def cmd_factor(args, seed: int):
     )
     if not verified:
         raise PrecisionError("factor product failed verification")
-    canonical = json.dumps([f.to_json() for f in factors], sort_keys=True).encode()
+    factor_docs = [f.to_json() for f in factors]
+    canonical = json.dumps(factor_docs, sort_keys=True).encode()
     result = {
         "command": "factor",
         "seed": seed,
         "precision": prec,
         "polygon": np_of_poly(poly).to_json(),
-        "factors": [f.to_json() for f in factors],
+        "factors": factor_docs,
         "factor_slopes": [np_of_poly(f).segments[0].slope_json() for f in factors],
         "product_verification": {
             "verified_mod_x_prec": verified,

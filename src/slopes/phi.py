@@ -20,16 +20,27 @@ precision.
 The lift and twisted_mul run on integer windows (vmin, numerators, den,
 prec), with no Series in the loop.  L, C and the residual are updated in
 place; dL and dC are monomials, so a pass costs O(window) integer
-multiply-adds per product it forms, one common denominator and one gcd
-division per window it touches, and the dilation by q = a/b is integer
-too.  Precision follows the Series rules term for term, so every factor,
-prec field and error text is the one Series arithmetic gives.
+multiply-adds per product it forms, and the dilation by q = a/b is integer
+too.  The residual windows and the twisted_mul sums are divided by the gcd
+of their numerators and denominator each time they are formed: terms
+cancel there, and undivided numerators would grow pass after pass.  The
+merges of dL into L and dC into C are not: a monomial in lowest terms is
+added at one place, and the window is rescaled only when its denominator
+does not divide the window's.  A window scaled by a nonzero constant
+stands for the same series, so nothing read off L or C moves, and the
+factors are brought to lowest terms once, as Series, at the end.
+Precision follows the Series rules term for term, so every factor, prec
+field and error text is the one Series arithmetic gives.
+
+Each TwistedPolynomial builds its Newton polygon once (``polygon``): a
+two-factor split builds three, the input's and its two factors'.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -94,6 +105,30 @@ class TwistedPolynomial:
     def precision(self) -> Optional[int]:
         precs = [c.prec for c in self.coeffs if c.prec is not None]
         return min(precs) if precs else None
+
+    @cached_property
+    def polygon(self) -> NewtonPolygon:
+        """The Newton polygon, built once per polynomial.
+
+        A coefficient a_k zero only below x^p is left out of the hull: its
+        point (n - k, -v(a_k)) lies on or below (n - k, -p), so it can move
+        the polygon only if (n - k, -p) lies strictly above the hull of the
+        known points.  Then the polygon is open at this precision and
+        PrecisionError names a_k; otherwise the polygon is certified.
+        """
+        vals = [c.valuation_or(None) for c in self.coeffs]
+        poly = np_twisted(vals)
+        n = self.degree
+        for k, (v, c) in enumerate(zip(vals, self.coeffs)):
+            if v is None and c.prec is not None:
+                scale, height = poly.height_at(n - k)
+                if -c.prec * scale > height.value:
+                    raise PrecisionError(
+                        f"indeterminate polygon: a_{k} is zero only below "
+                        f"x^{c.prec}, and ({n - k}, {-c.prec}) lies above "
+                        "the hull of the known points"
+                    )
+        return poly
 
     def to_json(self):
         return {
@@ -188,6 +223,35 @@ def _add(x, y):
             if c:
                 acc[t] += c * f
     return _normal(lo, _cut(lo, acc, prec), big_d, prec)
+
+
+def _merge(x, y):
+    """x + y for a monomial or empty y, as _add forms it but for one
+    constant factor on x's numerators and denominator: y is brought to
+    lowest terms, x is scaled only when y's denominator does not divide
+    x's, and the sum is cut and trimmed with no gcd division.  The terms
+    and precision are _add's, so _series gives the same Series."""
+    prec = min(x[3], y[3])
+    if not x[1] or not y[1]:
+        v, nums, d, _ = y if not x[1] else x
+        return (v, _cut(v, nums, prec), d, prec)
+    v, nums, d, _ = x
+    k, (c,), e, _ = y
+    g = math.gcd(c, e)
+    c, e = c // g, e // g
+    f = e // math.gcd(d, e)
+    if f > 1:
+        nums = [t * f for t in nums]
+        d *= f
+    else:
+        nums = nums[:]
+    lo = min(v, k)
+    if k < v:
+        nums[:0] = [0] * (v - k)
+    elif k >= v + len(nums):
+        nums += [0] * (k + 1 - v - len(nums))
+    nums[k - lo] += c * (d // e)
+    return _trimmed(lo, _cut(lo, nums, prec), d, prec)
 
 
 def _mul(a, b, i: int, prec, dilation: "_Dilation"):
@@ -309,18 +373,21 @@ def np_twisted(valuations: Sequence[Optional[int]]) -> NewtonPolygon:
 
 
 def np_of_poly(p: TwistedPolynomial) -> NewtonPolygon:
-    return np_twisted([c.valuation_or(None) for c in p.coeffs])
+    return p.polygon
 
 
 # -- slope factorization -------------------------------------------------------
 
 
-def _gauss_val(res, s: Fraction) -> Optional[Fraction]:
+def _gauss_val(res, s: Fraction) -> Optional[int]:
     """min over j of v(r_j) - s*j over the residual windows r_j, trimmed
-    as _normal leaves them; None when every window is zero to precision."""
+    as _normal leaves them, as an integer in units of 1/sd (s = sn/sd);
+    None when every window is zero to precision."""
     sn, sd = s.numerator, s.denominator
-    scaled = [v * sd - sn * j for j, (v, nums, _, _) in enumerate(res) if nums]
-    return Fraction(min(scaled), sd) if scaled else None
+    return min(
+        (v * sd - sn * j for j, (v, nums, _, _) in enumerate(res) if nums),
+        default=None,
+    )
 
 
 def _representative(s: Series, prec: int) -> Series:
@@ -415,11 +482,12 @@ def _split_once(
     internal precision; the returned factors multiply back to p wherever
     p's own coefficients are certified.
     """
+    # zero-extending moves no known valuation and no open coefficient above
+    # the hull, so the representative has p's polygon
+    segs = np_of_poly(p).segments
     p = TwistedPolynomial(
         tuple(_representative(c, prec) for c in p.coeffs), p.twist
     )
-    poly = np_of_poly(p)
-    segs = poly.segments
     lowest = segs[-1].reduced()
     second = segs[-2].reduced()
     m = segs[-1].rk
@@ -440,14 +508,13 @@ def _split_once(
     alpha = c0.coeff(uc)
     sn, sd = s.numerator, s.denominator
 
-    def graded_solve(w: Fraction):
-        """Kill the s-graded level w, the lowest of res: the monomial
+    def graded_solve(w: int):
+        """Kill the s-graded level w/sd, the lowest of res: the monomial
         windows of dL and dC."""
         dl = [zero] * (m + 1)
         dc = [zero] * (n - m + 1)
-        target = w * sd
         for j, (v, nums, d, _) in enumerate(res):
-            if not nums or v * sd - sn * j != target:
+            if not nums or v * sd - sn * j != w:
                 continue
             if j >= m:
                 # phi^m * (dc_{j-m} x^v-ish): coefficient picks up q^(m*v)
@@ -480,8 +547,8 @@ def _split_once(
             )
         dl, dc = graded_solve(w)
         _sub_products(res, [(dl, cwin), (lwin, dc), (dl, dc)], dilation)
-        lwin = list(map(_add, lwin, dl))
-        cwin = list(map(_add, cwin, dc))
+        lwin = list(map(_merge, lwin, dl))
+        cwin = list(map(_merge, cwin, dc))
         w_next = _gauss_val(res, s)
         if w_next is not None and w_next <= w:
             raise PrecisionError("residual valuation failed to increase during lift")

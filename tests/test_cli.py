@@ -73,6 +73,73 @@ def test_factor_verifies(capsys):
     assert doc["product_verification"]["verified_mod_x_prec"] is True
 
 
+def _three_slope_input(tmp_path):
+    """(phi + x^2)(phi - 3x^-2)(phi + 2x^-3), q = 2: slopes -2, 2, 3."""
+    from slopes.phi import TwistSpec, TwistedPolynomial, twisted_mul
+    from slopes.series import Series
+
+    twist = TwistSpec(2)
+    prod = None
+    for c, k in ((1, 2), (-3, -2), (2, -3)):
+        f = TwistedPolynomial((Series.monomial(c, k), Series.one()), twist)
+        prod = f if prod is None else twisted_mul(prod, f)
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({**prod.to_json(), "precision": 40}))
+    return path
+
+
+def test_factor_builds_each_polygon_once(tmp_path, monkeypatch, capsys):
+    """A factor job builds one Newton polygon per polynomial it holds: the
+    input's and each factor's, plus the cofactor of every split."""
+    from slopes import phi
+
+    calls = []
+
+    def counting(vals):
+        calls.append(vals)
+        return np_twisted(vals)
+
+    np_twisted = phi.np_twisted
+    monkeypatch.setattr(phi, "np_twisted", counting)
+    for path, slopes, want in (
+        (FIXTURES / "twisted_two_slopes.json", ["0", "1"], 3),
+        (_three_slope_input(tmp_path), ["-2", "2", "3"], 5),
+    ):
+        calls.clear()
+        code, out = run_cli(["factor", "--in", str(path), "--prec", "40"], capsys)
+        assert code == 0
+        assert json.loads(out)["factor_slopes"] == slopes
+        assert len(calls) == want, path
+
+
+@pytest.mark.parametrize(
+    "a1, want",
+    [
+        # a_1 zero only below x^-5: (1, 5) lies above the hull of (0, 0)
+        # and (2, -2), so the polygon is open
+        ({"vmin": 0, "c": [], "prec": -5}, None),
+        # its completion a_1 = x^-5
+        ({"vmin": -5, "c": ["1"]}, ["5", "-7"]),
+    ],
+)
+def test_np_twisted_open_coefficient(tmp_path, capsys, a1, want):
+    """phi^2 + a_1 phi + x^2: a coefficient known only to x^p is certified
+    absent from the hull only when (i, -p) does not lie above it."""
+    f = tmp_path / "open.json"
+    coeffs = [{"vmin": 2, "c": ["1"]}, a1, {"vmin": 0, "c": ["1"]}]
+    f.write_text(json.dumps({"twist": {"q": "2"}, "coeffs": coeffs}))
+    argv = ["np", "--backend", "twisted", "--require-complete", "--in", str(f)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if want is None:
+        assert code == 2
+        assert "a_1 is zero only below x^-5" in captured.err
+    else:
+        assert code == 0
+        segs = json.loads(captured.out)["polygon"]["segments"]
+        assert [s["slope"] for s in segs] == want
+
+
 def test_swan(capsys):
     code, out = run_cli(["swan", "--in", str(FIXTURES / "artin_schreier.json")], capsys)
     assert code == 0

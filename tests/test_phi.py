@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -130,6 +131,26 @@ def test_np_twisted_examples():
         np_twisted([None, None, 0])
     with pytest.raises(SlopeError):
         np_twisted([-1, -1, -1])  # not monic
+
+
+def test_np_of_poly_open_coefficient():
+    """phi^2 + a_1 phi + x^2 with a_1 zero only below x^p: the known points
+    (0, 0) and (2, -2) put the hull at -1 over i = 1, so a_1 is certified
+    absent for p >= 1 and leaves the polygon open for p < 1.  A constant
+    term zero to precision stays a SlopeError."""
+    def with_a1(a1):
+        return poly([mono(1, 2), a1, ONE])
+
+    for p in (1, 5):
+        got = np_of_poly(with_a1(Series.zero(p)))
+        assert got.to_json()["segments"] == [{"slope": "-1", "mult": 2}]
+    for p in (0, -5):
+        with pytest.raises(PrecisionError, match=f"a_1 is zero only below x\\^{p},"):
+            np_of_poly(with_a1(Series.zero(p)))
+    got = np_of_poly(with_a1(mono(1, -5)))
+    assert [s["slope"] for s in got.to_json()["segments"]] == ["5", "-7"]
+    with pytest.raises(SlopeError, match="constant coefficient"):
+        np_of_poly(poly([Series.zero(3), mono(1, -1), ONE]))
 
 
 def test_np_endpoint_is_constant_valuation():
@@ -378,6 +399,47 @@ def test_lift_matches_series_reference(case):
     assert _factor_outcome(slope_factor, p, precision) == _factor_outcome(
         _ref_slope_factor, p, precision
     )
+
+
+@st.composite
+def _lift_window(draw):
+    """A window as the lift holds one: stored leading and trailing zeros,
+    zero as stored, exact or known below a finite precision."""
+    vmin = draw(st.integers(-4, 4))
+    nums = draw(st.lists(st.integers(-6, 6) | st.just(0), max_size=5))
+    prec = draw(st.just(math.inf) | st.integers(vmin - 1, vmin + 7))
+    return (vmin, nums, draw(st.integers(1, 12)), prec)
+
+
+@st.composite
+def _lift_monomial(draw, q, prec):
+    """A monomial as graded_solve forms one: (c q^-e)/d x^k known below
+    prec, dropped at or beyond prec, or the zero window."""
+    if draw(st.booleans()):
+        return (0, [], 1, prec)
+    qn, qd = phi._Dilation(q).power(draw(st.integers(-3, 3)))
+    c = draw(st.integers(-6, 6).filter(bool))
+    d = draw(st.integers(1, 12))
+    k = draw(st.integers(-6, prec + 1 if prec != math.inf else 8))
+    return phi._monomial(c * qd, d * qn, k, prec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_merge_matches_add(data):
+    """Merging a pass's monomials into a window without the gcd division
+    leaves every Series the lift reads off it as _add leaves it: a chain
+    of merges and a chain of _add give the same _series at the working
+    precision and exactly, over the twists q = 2, 1/2, -2/3."""
+    q = data.draw(st.sampled_from([Fraction(2), Fraction(1, 2), Fraction(-2, 3)]))
+    prec = data.draw(st.integers(-2, 12))
+    merged = added = data.draw(_lift_window())
+    for _ in range(data.draw(st.integers(1, 4))):
+        y = data.draw(_lift_monomial(q, data.draw(st.sampled_from([prec, math.inf]))))
+        merged, added = phi._merge(merged, y), phi._add(added, y)
+        for cut in (prec, math.inf):
+            assert phi._series(merged, cut) == phi._series(added, cut)
+        assert merged[0] == added[0] and len(merged[1]) == len(added[1])
 
 
 def test_lift_calls_its_traced_names(monkeypatch):
