@@ -9,13 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from slopes import cli
+from slopes import cli, phi
 from slopes.cli import main
 from slopes.errors import SchemaError
 from slopes.filtered import FilteredSpace
 from slopes.lattices import EuclideanLattice
+from slopes.phi import TwistSpec, TwistedPolynomial, twisted_mul
 from slopes.polygon import NewtonPolygon
 from slopes.ramification import load_ramification
+from slopes.series import Series
 from slopes.tables import load_table
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "slopes" / "fixtures"
@@ -75,9 +77,6 @@ def test_factor_verifies(capsys):
 
 def _three_slope_input(tmp_path):
     """(phi + x^2)(phi - 3x^-2)(phi + 2x^-3), q = 2: slopes -2, 2, 3."""
-    from slopes.phi import TwistSpec, TwistedPolynomial, twisted_mul
-    from slopes.series import Series
-
     twist = TwistSpec(2)
     prod = None
     for c, k in ((1, 2), (-3, -2), (2, -3)):
@@ -91,15 +90,13 @@ def _three_slope_input(tmp_path):
 def test_factor_builds_each_polygon_once(tmp_path, monkeypatch, capsys):
     """A factor job builds one Newton polygon per polynomial it holds: the
     input's and each factor's, plus the cofactor of every split."""
-    from slopes import phi
-
     calls = []
+    np_twisted = phi.np_twisted
 
     def counting(vals):
         calls.append(vals)
         return np_twisted(vals)
 
-    np_twisted = phi.np_twisted
     monkeypatch.setattr(phi, "np_twisted", counting)
     for path, slopes, want in (
         (FIXTURES / "twisted_two_slopes.json", ["0", "1"], 3),
