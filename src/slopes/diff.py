@@ -205,34 +205,6 @@ def _shift(entry, k: int):
     return (v + k if nums else 0, nums, p + k)
 
 
-_ONE = [1]
-
-
-def _product_sum(terms, prec):
-    """The trimmed entry sum of x^v a b over the terms (v, a, b), a and b
-    numerator lists starting at x^0, known below prec.  A term whose b is
-    _ONE is added without a product."""
-    if not terms:
-        return (0, [], prec)
-    lo = min(t[0] for t in terms)
-    hi = min(prec, max(v + len(a) + len(b) - 1 for v, a, b in terms))
-    if lo >= hi:
-        return (0, [], prec)
-    n = hi - lo
-    acc = [0] * n
-    for v, ca, cb in terms:
-        off = v - lo
-        if cb is _ONE:
-            for s, x in enumerate(ca[: max(0, n - off)], off):
-                acc[s] += x
-            continue
-        for s, x in enumerate(ca[: max(0, n - off)], off):
-            if x:
-                for t, y in enumerate(cb[: n - s], s):
-                    acc[t] += x * y
-    return _trimmed(lo, acc, prec)
-
-
 def _primitive(col):
     """The column divided by the gcd of its numerators.  A nonzero
     rational constant is a unit of Q[[x]], so no valuation, precision or
@@ -243,9 +215,29 @@ def _primitive(col):
     return [(v, [c // g for c in nums], p) for v, nums, p in col]
 
 
-def _power_step(a, b, d: int):
+def _sparse_rows(a):
+    """Each row of a as its entries that are not exact zeros, (k, va, ca,
+    pa, x) for the entry (va, ca, pa) in column k; x is the one numerator
+    of a monomial entry, None otherwise."""
+    return [
+        [
+            (k, va, ca, pa, ca[0] if len(ca) == 1 else None)
+            for k, (va, ca, pa) in enumerate(row)
+            if ca or pa != math.inf
+        ]
+        for row in a
+    ]
+
+
+def _power_step(rows, b, d: int):
     """N -> a N + d delta(N) entrywise on (vmin, numerators, prec) entries,
-    a the numerators of the connection and delta(c_k x^k) = k c_k x^k.
+    a the numerators of the connection given by its _sparse_rows and
+    delta(c_k x^k) = k c_k x^k.
+
+    a is fixed for a whole run, so its exact zeros are dropped once, in
+    _sparse_rows, and each entry of a N loops over the entries of a that
+    are left.  A monomial entry of a multiplies one scalar into the
+    product, and the unit numerator 1 none at all.
 
     Precision follows Series arithmetic: a product is known below
     min(prec_a + v_b, prec_b + v_a), with v = 0 for a zero factor (as a
@@ -253,26 +245,27 @@ def _power_step(a, b, d: int):
     terms; delta keeps precision.  One departure: a product with an exact
     zero factor is exactly zero and costs no precision.
     """
-    r = len(a)
+    r = len(b)
     out = []
-    for i in range(r):
-        arow = a[i]
+    for brow, arow in zip(b, rows):
         row = []
         for j in range(r):
-            vb, cb, prec = b[i][j]
+            vb, cb, prec = brow[j]
+            lo = vb if cb else math.inf
             prods = []
-            for k in range(r):
-                va, ca, pa = arow[k]
+            for k, va, ca, pa, x in arow:
                 vk, ck, pk = b[k][j]
-                if (not ca and pa == math.inf) or (not ck and pk == math.inf):
+                if not ck and pk == math.inf:
                     continue
-                prec = min(prec, pa + vk, pk + va)
+                if pa + vk < prec:
+                    prec = pa + vk
+                if pk + va < prec:
+                    prec = pk + va
                 if ca and ck:
-                    prods.append((va + vk, ca, ck))
-            starts = [v for v, _, _ in prods]
-            if cb:
-                starts.append(vb)
-            lo = min(starts, default=prec)
+                    v = va + vk
+                    if v < lo:
+                        lo = v
+                    prods.append((v, ca, x, ck))
             if lo >= prec:
                 row.append((0, [], prec))
                 continue
@@ -280,12 +273,21 @@ def _power_step(a, b, d: int):
             acc = [0] * n
             for t, c in enumerate(cb[: max(0, prec - vb)], vb):
                 acc[t - lo] += d * t * c
-            for v, ca, ck in prods:
+            for v, ca, x, ck in prods:
                 off = v - lo
-                for s, x in enumerate(ca[: max(0, n - off)], off):
-                    if x:
-                        for t, y in enumerate(ck[: n - s], s):
-                            acc[t] += x * y
+                if off >= n:
+                    continue
+                if x is None:
+                    for s, c in enumerate(ca[: n - off], off):
+                        if c:
+                            for t, y in enumerate(ck[: n - s], s):
+                                acc[t] += c * y
+                elif x == 1:
+                    for t, y in enumerate(ck[: n - off], off):
+                        acc[t] += y
+                else:
+                    for t, y in enumerate(ck[: n - off], off):
+                        acc[t] += x * y
             row.append(_trimmed(lo, acc, prec))
         out.append(row)
     return out
@@ -371,6 +373,7 @@ def katz_rank_spectral(
 
 def _katz_run(module: DifferentialModule, n_max: int, window: int, keep: int):
     a, d = _integer_matrix(module.matrix)
+    rows = _sparse_rows(a)
     vals: list[Optional[int]] = []
     b = a  # numerators of B_n = N_n / d^n
     for _n in range(1, n_max + 1):
@@ -390,7 +393,7 @@ def _katz_run(module: DifferentialModule, n_max: int, window: int, keep: int):
         # keep a bounded window above the running minimum
         b = [[_cut(e, v + keep) for e in row] for row in b]
         if _n < n_max:
-            b = _power_step(a, b, d)
+            b = _power_step(rows, b, d)
     ratios = [Fraction(-vals[n - 1], n) for n in range(1, n_max + 1)]
     w = min(window, n_max - 1)
     windowed = []
@@ -411,24 +414,9 @@ def _katz_run(module: DifferentialModule, n_max: int, window: int, keep: int):
 # -- Gerard-Levelt lattice growth ----------------------------------------------------
 
 
-def _safe_valuation(entry):
-    """Valuation, or None for an entry that is safely zero.
-
-    Zero-as-stored is safe only when the unknown tail starts at x^1 or
-    later: such content lies in x [[x]]^r, inside the standard lattice the
-    generator set always contains.  An exhausted window below that level
-    must raise so the caller can retry with more precision.
-    """
-    v, nums, p = entry
-    if nums:
-        return v
-    if p >= 1:
-        return None
-    raise PrecisionError(f"series is zero to precision O(x^{p}); valuation unknown")
-
-
-def _safely_zero(entry) -> bool:
-    return not entry[1] and entry[2] >= 1
+def _terms(v: int, nums: list):
+    """The nonzero terms (exponent, numerator) of x^v nums, in order."""
+    return [(t, c) for t, c in enumerate(nums, v) if c]
 
 
 def _reduce_columns(cols, r: int, floor_prec: int):
@@ -445,11 +433,23 @@ def _reduce_columns(cols, r: int, floor_prec: int):
     only shifts and products, no inverse: the DVR form of fraction-free
     elimination (Bareiss; Cohen, GTM 138, 2.4).
 
+    An entry that is zero as stored is safe only when its unknown tail
+    starts at x^1 or later: such content lies in x Q[[x]]^r, inside the
+    standard lattice that the generators always contain.  The pivot
+    search raises PrecisionError at a zero entry known only below x^p,
+    p < 1, so that the caller can retry with more precision; a column
+    whose entries are all safely zero is dropped.
+
     A column stands for itself times any nonzero rational constant.  Such
     a constant is a unit of Q[[x]], so scaling by it moves no valuation,
     no precision, no pivot and no span: u and f are taken on numerators,
     and each column formed is divided by the gcd of its numerators.  The
     results are those of the rational elimination, with bounded integers.
+
+    The unit u and the pivot column serve every column that the pivot
+    clears, so their nonzero terms are listed once per pivot, and f's once
+    per column; each entry of col u - f pivot is then summed over those
+    terms alone.  No value, precision or error depends on this.
 
     Precision follows Series arithmetic exactly.  A product a b is known
     below min(prec_a + v(b), prec_b + v(a)), where v = 0 for a factor
@@ -470,7 +470,7 @@ def _reduce_columns(cols, r: int, floor_prec: int):
     active = []
     for c in cols:
         col = [_truncate(e, floor_prec) for e in c]
-        if not all(map(_safely_zero, col)):
+        if any(e[1] or e[2] < 1 for e in col):
             active.append(col)
     rows_left = list(range(r))
     pivots = []
@@ -479,15 +479,24 @@ def _reduce_columns(cols, r: int, floor_prec: int):
         best = None  # (val, row, col index)
         for ci, col in enumerate(active):
             for row in rows_left:
-                v = _safe_valuation(col[row])
-                if v is not None and (best is None or v < best[0]):
-                    best = (v, row, ci)
+                v, nums, p = col[row]
+                if nums:
+                    if best is None or v < best[0]:
+                        best = (v, row, ci)
+                elif p < 1:
+                    raise PrecisionError(
+                        f"series is zero to precision O(x^{p}); valuation unknown"
+                    )
         if best is None:
             raise PrecisionError("column reduction ran out of certified pivots")
         v, row, ci = best
         pivot = active.pop(ci)
         _, cu, pu = pivot[row]
         pu -= v
+        u = _terms(0, cu)
+        ulen = len(cu)
+        # per row of the pivot: (vmin, prec, end exponent, nonzero terms)
+        pinfo = [(vp, pp, vp + len(cp), _terms(vp, cp)) for vp, cp, pp in pivot]
         formed = []
         for col in active:
             ve, ce, pe = col[row]
@@ -495,17 +504,39 @@ def _reduce_columns(cols, r: int, floor_prec: int):
                 formed.append(col)
                 continue
             vf, pf = ve - v, pe - v
-            neg_f = [-c for c in ce]
+            f = _terms(vf, ce)
+            ftop = vf + len(ce) - 1
             new = []
-            for (vc, cc, pc), (vp, cp, pp) in zip(col, pivot):
+            for (vc, cc, pc), (vp, pp, pend, pt) in zip(col, pinfo):
                 prec = min(pc, pu + vc, pf + vp, pp + vf)
-                terms = []
-                if cc:
-                    terms.append((vc, cc, cu))
-                if cp:
-                    terms.append((vf + vp, neg_f, cp))
-                new.append(_product_sum(terms, prec))
-            if not all(map(_safely_zero, new)):
+                # the exponents [lo, hi) that col[i] u - f pivot[i] can reach
+                lo, hi = (vc, vc + len(cc) + ulen - 1) if cc else (math.inf, 0)
+                if pt:
+                    if vf + vp < lo:
+                        lo = vf + vp
+                    if ftop + pend > hi:
+                        hi = ftop + pend
+                if prec < hi:
+                    hi = prec
+                if lo >= hi:
+                    new.append((0, [], prec))
+                    continue
+                n = hi - lo
+                acc = [0] * n
+                for s, x in enumerate(cc[: max(0, hi - vc)], vc - lo):
+                    if x:
+                        for t, y in u:
+                            if s + t >= n:
+                                break
+                            acc[s + t] += x * y
+                for s, x in f:
+                    s -= lo
+                    for t, y in pt:
+                        if s + t >= n:
+                            break
+                        acc[s + t] -= x * y
+                new.append(_trimmed(lo, acc, prec))
+            if any(e[1] or e[2] < 1 for e in new):
                 formed.append(_primitive(new))
         active = formed
         rows_left.remove(row)
@@ -549,19 +580,35 @@ def _image(a, col, d: int):
     rules with no exemption for an exact zero factor."""
     out = []
     for arow, (v, nums, prec) in zip(a, col):
-        terms = [(v, [d * t * c for t, c in enumerate(nums, v)], _ONE)] if nums else []
+        lo, hi = (v, v + len(nums)) if nums else (math.inf, 0)
+        prods = []
         for (va, ca, pa), (vk, ck, pk) in zip(arow, col):
             prec = min(prec, pa + vk, pk + va)
             if ca and ck:
-                terms.append((va + vk, ca, ck))
-        out.append(_product_sum(terms, prec))
+                prods.append((va + vk, ca, ck))
+                lo = min(lo, va + vk)
+                hi = max(hi, va + vk + len(ca) + len(ck) - 1)
+        hi = min(hi, prec)
+        if lo >= hi:
+            out.append((0, [], prec))
+            continue
+        n = hi - lo
+        acc = [0] * n
+        for t, c in enumerate(nums[: max(0, hi - v)], v):
+            acc[t - lo] = d * t * c
+        for w, ca, ck in prods:
+            for s, x in enumerate(ca[: max(0, hi - w)], w - lo):
+                if x:
+                    for t, y in enumerate(ck[: n - s], s):
+                        acc[t] += x * y
+        out.append(_trimmed(lo, acc, prec))
     return _primitive(out)
 
 
 def _gl_run(a, r: int, n_max: int, floor: int):
     na, d = _integer_matrix(a)
     identity = [
-        [(0, _ONE, math.inf) if i == j else (0, [], math.inf) for i in range(r)]
+        [(0, [1], math.inf) if i == j else (0, [], math.inf) for i in range(r)]
         for j in range(r)
     ]
     dims = []

@@ -20,6 +20,7 @@ from slopes.diff import (
     tensor_rank_one,
 )
 from slopes.series import PrecisionError, Series
+from test_acceptance import DIFF_FIXTURES
 
 
 def op(*vals):
@@ -221,6 +222,33 @@ def test_gerard_levelt_takes_no_inverse(monkeypatch):
         assert diag["dims"] == [ir * k for k in range(1, 13)]
         assert calls["reduce"] == 12
     assert (calls["mul"], calls["inverse"]) == (0, 0)
+
+
+def test_katz_calls_its_traced_names(monkeypatch):
+    """The names the benchmark trace wraps stay live: katz_rank_spectral
+    enters _katz_run once, and _katz_run calls diff._power_step through
+    the module global once per power after the first, n_max - 1 times,
+    on companion modules of the benchmark's shape."""
+    counts = {"run": 0, "step": 0}
+    real_run, real_step = diff_mod._katz_run, diff_mod._power_step
+
+    def counting_run(*args):
+        counts["run"] += 1
+        return real_run(*args)
+
+    def counting_step(*args):
+        counts["step"] += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(diff_mod, "_katz_run", counting_run)
+    monkeypatch.setattr(diff_mod, "_power_step", counting_step)
+    for vals, rho in (((-2, -2, -2), 2), ((None, None, None, -1), 1)):
+        m = companion(op(*vals))
+        for n_max in (64, 24):
+            counts.update(run=0, step=0)
+            est, diag = katz_rank_spectral(m, n_max)
+            assert est == rho and diag["converged"]
+            assert counts == {"run": 1, "step": n_max - 1}
 
 
 def test_katz_exact_zeros_keep_precision():
@@ -590,3 +618,30 @@ def test_gerard_levelt_matches_series_reference(module):
     assert _outcome(gerard_levelt_irregularity, module, 12) == _outcome(
         _ref_gerard_levelt, module, 12
     )
+
+
+# Companion modules of the criterion-6 operators, orders 1 to 4, with
+# a_i = c_i x^(v_i): the unit entries of the subdiagonal, monomials with
+# coefficients +-1 and beyond, and the long stride-2 supports that order 4
+# grows, which the random draws above seldom give.
+_COEFFS = (1, -2, 3, -1)
+
+
+def _criterion_6_module(vals):
+    return companion(
+        DifferentialOperator(
+            tuple(
+                Series.zero() if v is None else Series.monomial(c, v)
+                for c, v in zip(_COEFFS, vals)
+            )
+        )
+    )
+
+
+@pytest.mark.parametrize("vals", DIFF_FIXTURES, ids=str)
+def test_criterion_6_matches_series_reference(vals):
+    """On every criterion-6 operator the integer Katz powers and lattice
+    growth give the Series references' results."""
+    m = _criterion_6_module(vals)
+    assert diff_mod._katz_run(m, 64, 12, 16) == _ref_katz_run(m, 64, 12, 16)
+    assert gerard_levelt_irregularity(m, 12) == _ref_gerard_levelt(m, 12)
