@@ -362,10 +362,26 @@ def katz_rank_spectral(
 
     An indeterminate v(B_1) = v(A) is the input's own precision running
     out, which no larger window lifts, so it raises before any retry.
+
+    The powers first run once keeping 4 terms above the running minimum.
+    That run's entries are the series of a wider window's run, known to
+    less precision, so where it certifies v(B_n) for every n <= n_max,
+    each value, and hence the estimate and every diagnostic, is the one
+    the wider window gives.  Otherwise, when it raises PrecisionError or
+    finds some B_n zero as far as known, the powers run again keeping 16
+    terms, doubled after each PrecisionError, and that schedule alone
+    gives the result or the error.
     """
     if n_max < 2:
         raise DiffError("n_max must be >= 2")
     _window_valuation(_integer_matrix(module.matrix)[0])
+    try:
+        est, diagnostics = _katz_run(module, n_max, window, 4)
+    except PrecisionError:
+        pass
+    else:
+        if len(diagnostics["valuations"]) == n_max:
+            return est, diagnostics
     return _doubling_retry(
         lambda keep: _katz_run(module, n_max, window, keep), "keep", 16
     )
@@ -435,7 +451,7 @@ def _reduce_columns(cols, r: int, floor_prec: int):
 
     An entry that is zero as stored is safe only when its unknown tail
     starts at x^1 or later: such content lies in x Q[[x]]^r, inside the
-    standard lattice that the generators always contain.  The pivot
+    standard lattice, which the generators' span always contains.  The pivot
     search raises PrecisionError at a zero entry known only below x^p,
     p < 1, so that the caller can retry with more precision; a column
     whose entries are all safely zero is dropped.
@@ -462,10 +478,14 @@ def _reduce_columns(cols, r: int, floor_prec: int):
     floor_prec - v.  Both products col[i] u and f pivot[i] are then known
     to floor_prec, provided v <= 0, which covers the zero factors.  So
     every pivot must have valuation <= 0.  Gérard–Levelt meets that
-    because its generators contain the identity: the columns left span the
-    lattice's vectors that vanish in the rows already taken, among them
-    the unit vector of each row left, so some entry of the block has
-    valuation <= 0.
+    because its generators span a lattice V_k that contains the standard
+    lattice V_0 = Q[[x]]^r.  They are the basis of V_k that the last
+    reduction returned, cut to the floor, and its images.  A cut column
+    differs from its exact one by a vector of x^floor Q[[x]]^r, inside
+    x V_0 and so inside x V_k; by Nakayama's lemma the cut basis still
+    spans V_k.  The columns left then span the vectors of V_k that vanish
+    in the rows already taken, among them the unit vector of each row
+    left, so some entry of the block has valuation <= 0.
     """
     active = []
     for c in cols:
@@ -554,6 +574,13 @@ def gerard_levelt_irregularity(
     the increment of dim(V_k/V_0) once constant over the final quarter of
     the iterations; stabilized=False marks an advisory result.
 
+    Each step reduces 2r columns: the basis of V_k and its images.  V_k
+    contains V_0 = Q[[x]]^r, so the identity is not among them (see
+    _reduce_columns).  A zero increment means V_{k+1} = V_k, and then
+    every later lattice is V_k again: the run stops there and repeats the
+    last dimension up to n_max, so a regular module (v(A) >= 0) takes one
+    step.
+
     The lattices run on integer numerators: with A = N_A / D as in the
     Katz powers, the image of a column is D (delta + A) col =
     N_A col + D delta(col), a constant multiple of nabla(col), which
@@ -607,17 +634,20 @@ def _image(a, col, d: int):
 
 def _gl_run(a, r: int, n_max: int, floor: int):
     na, d = _integer_matrix(a)
-    identity = [
+    basis = [
         [(0, [1], math.inf) if i == j else (0, [], math.inf) for i in range(r)]
         for j in range(r)
     ]
     dims = []
-    basis = identity
-    for _step in range(n_max):
-        gens = identity + basis + [_image(na, col, d) for col in basis]
+    for step in range(n_max):
+        gens = basis + [_image(na, col, d) for col in basis]
         vmin = min(e[0] for col in gens for e in col)
         total, basis = _reduce_columns(gens, r, floor + max(0, -vmin))
         dims.append(-total)
+        if dims[-1] == (dims[-2] if step else 0):
+            # a zero increment: V_{k+1} = V_k, and so is every later lattice
+            dims += dims[-1:] * (n_max - len(dims))
+            break
     increments = [dims[0]] + [b - a2 for a2, b in zip(dims, dims[1:])]
     quarter = max(1, n_max // 4)
     tail = increments[-quarter:]

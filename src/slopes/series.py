@@ -211,14 +211,6 @@ class Series:
         c = _frac(c)
         return _make(self.vmin, tuple(c * a for a in self.coeffs), self.prec)
 
-    def shift(self, k: int) -> "Series":
-        """Multiply by x**k."""
-        return _make(
-            self.vmin + k,
-            self.coeffs,
-            None if self.prec is None else self.prec + k,
-        )
-
     def dlog_derivative(self) -> "Series":
         """Apply x d/dx: c_k x^k -> k c_k x^k.  Valuation never drops."""
         return _make(

@@ -200,9 +200,10 @@ def test_gerard_levelt_takes_no_inverse(monkeypatch):
         calls["inverse"] += 1
         return real_inverse(self, prec)
 
-    def counting_reduce(*args):
+    def counting_reduce(cols, r, floor_prec):
         calls["reduce"] += 1
-        return real_reduce(*args)
+        assert len(cols) == 2 * r
+        return real_reduce(cols, r, floor_prec)
 
     mixed = DifferentialOperator(
         (
@@ -222,6 +223,39 @@ def test_gerard_levelt_takes_no_inverse(monkeypatch):
         assert diag["dims"] == [ir * k for k in range(1, 13)]
         assert calls["reduce"] == 12
     assert (calls["mul"], calls["inverse"]) == (0, 0)
+
+
+def test_gerard_levelt_stops_at_its_fixed_point(monkeypatch):
+    """On a regular module (v(A) >= 0) the first step already adds
+    nothing, V_1 = V_0, so lattice growth stops after at most two
+    reductions of 2r columns each and reports dims 0 at every step."""
+    sizes = []
+    real_reduce = diff_mod._reduce_columns
+
+    def counting_reduce(cols, r, floor_prec):
+        sizes.append((len(cols), r))
+        return real_reduce(cols, r, floor_prec)
+
+    monkeypatch.setattr(diff_mod, "_reduce_columns", counting_reduce)
+    regular = [
+        companion(op(0, 2)),
+        companion(op(0, None, 1)),
+        DifferentialModule(((Series.monomial(7, 0),),)),
+        DifferentialModule(
+            (
+                (Series.monomial(2, 0), Series.zero()),
+                (Series.one(), _S(1, [1, Fraction(-1, 2)], 5)),
+            )
+        ),
+    ]
+    for m in regular:
+        for n_max in (4, 12, 24):
+            sizes.clear()
+            ir, stabilized, diag = gerard_levelt_irregularity(m, n_max)
+            assert (ir, stabilized) == (0, True)
+            assert diag["dims"] == [0] * n_max
+            assert 1 <= len(sizes) <= 2
+            assert all(n == 2 * r for n, r in sizes)
 
 
 def test_katz_calls_its_traced_names(monkeypatch):
@@ -448,6 +482,14 @@ def _modules(draw):
     )
 
 
+def _module(*rows):
+    return DifferentialModule(tuple(tuple(row) for row in rows))
+
+
+_Z = Series.zero()
+_S = Series.from_coeffs
+
+
 # a module whose valuations depend on the common denominator scaling the
 # delta term: random draws seldom hit such a cancellation
 _CANCELLING = DifferentialModule(
@@ -470,6 +512,57 @@ def test_katz_run_matches_series_powers(module, n_max, keep):
     )
 
 
+def _katz_doubling(module, n_max):
+    """The spectral estimate by the doubling schedule alone, keep = 16,
+    32, ..., after the same check of v(A)."""
+    diff_mod._window_valuation(diff_mod._integer_matrix(module.matrix)[0])
+    return diff_mod._doubling_retry(
+        lambda keep: diff_mod._katz_run(module, n_max, 12, keep), "keep", 16
+    )
+
+
+# the narrow window fails where the doubling schedule returns: its run
+# raises on the first, and finds B_2 zero as far as known on the second,
+# whose x^6 term only the wider windows keep
+_NARROW_RAISES = _module(
+    (_S(1, [1], 4), Series.monomial(1, -3)), (Series.monomial(1, 2), Series.monomial(3, 0))
+)
+_NARROW_EARLY = _module((_Z, _S(0, [1, 0, 0, 0, 0, 0, 1])), (_Z, _Z))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_modules(), st.integers(2, 64))
+@example(_NARROW_RAISES, 24)
+@example(_NARROW_EARLY, 8)
+def test_katz_narrow_window_matches_doubling(module, n_max):
+    """Running a window of 4 first gives the doubling schedule's estimate
+    and diagnostics, or its PrecisionError text."""
+    assert _outcome(katz_rank_spectral, module, n_max) == _outcome(
+        _katz_doubling, module, n_max
+    )
+
+
+def test_katz_narrow_window_falls_back(monkeypatch):
+    """When the narrow run raises or stops early, katz_rank_spectral runs
+    the doubling schedule from keep = 16, and returns its full run."""
+    keeps = []
+    real_run = diff_mod._katz_run
+
+    def recording_run(*args):
+        keeps.append(args[-1])
+        return real_run(*args)
+
+    monkeypatch.setattr(diff_mod, "_katz_run", recording_run)
+    for m, n_max, vals in (
+        (_NARROW_RAISES, 24, [-3, -2, -4, -4, -5, -5]),
+        (_NARROW_EARLY, 8, [0, 6, 6, 6, 6, 6]),
+    ):
+        keeps.clear()
+        _, diag = katz_rank_spectral(m, n_max)
+        assert keeps == [4, 16]
+        assert diag["valuations"][:6] == vals and len(diag["valuations"]) == n_max
+
+
 # -- the Series-based lattice growth, kept as the reference ------------------------
 # The elimination of _reduce_columns on Series entries with rational
 # coefficients, every product and sum following Series precision.
@@ -486,6 +579,11 @@ def _ref_safe_valuation(s):
 
 def _ref_safely_zero(s):
     return s.is_zero() and (s.prec is None or s.prec >= 1)
+
+
+def _ref_shift(s, k):
+    """s times x^k."""
+    return Series(s.vmin + k, s.coeffs, None if s.prec is None else s.prec + k)
 
 
 def _ref_reduce_columns(cols, r, floor_prec):
@@ -508,12 +606,12 @@ def _ref_reduce_columns(cols, r, floor_prec):
             raise PrecisionError("column reduction ran out of certified pivots")
         v, row, ci = best
         pivot = active.pop(ci)
-        u = pivot[row].shift(-v)
+        u = _ref_shift(pivot[row], -v)
         for col in active:
             e = col[row]
             if _ref_safe_valuation(e) is None:
                 continue
-            f = e.shift(-v)
+            f = _ref_shift(e, -v)
             for i in range(r):
                 col[i] = (col[i] * u - f * pivot[i]).truncate(floor_prec)
         rows_left.remove(row)
@@ -527,10 +625,13 @@ def _ref_identity_cols(r):
     return [[Series.one() if i == j else Series.zero() for i in range(r)] for j in range(r)]
 
 
-def _ref_gl_run(a, r, n_max, floor):
+def _ref_gl_run(a, r, n_max, floor, identity=False):
+    """The lattice growth on Series; identity=True is the first form,
+    which also reduces the identity columns at every step and runs all
+    n_max steps."""
     dims = []
     basis = _ref_identity_cols(r)
-    for _step in range(n_max):
+    for step in range(n_max):
         grads = []
         for col in basis:
             img = []
@@ -540,10 +641,13 @@ def _ref_gl_run(a, r, n_max, floor):
                     acc = acc + a[i][k] * col[k]
                 img.append(acc)
             grads.append(img)
-        gens = _ref_identity_cols(r) + basis + grads
+        gens = (_ref_identity_cols(r) if identity else []) + basis + grads
         vmin = min((e.valuation_or(0) or 0) for col in gens for e in col)
         total, basis = _ref_reduce_columns(gens, r, floor + max(0, -vmin))
         dims.append(-total)
+        if not identity and dims[-1] == (dims[-2] if step else 0):
+            dims += dims[-1:] * (n_max - len(dims))
+            break
     increments = [dims[0]] + [b - a2 for a2, b in zip(dims, dims[1:])]
     quarter = max(1, n_max // 4)
     tail = increments[-quarter:]
@@ -551,7 +655,7 @@ def _ref_gl_run(a, r, n_max, floor):
     return tail[-1], stabilized, {"dims": dims, "increments": increments}
 
 
-def _ref_gerard_levelt(module, n_max):
+def _ref_gerard_levelt(module, n_max, identity=False):
     a, r = module.matrix, module.rank
     # the input check that precedes the retry: an entry zero only below
     # x^p, p < 1, is rejected before any lattice is grown
@@ -568,16 +672,12 @@ def _ref_gerard_levelt(module, n_max):
         )
     h = max(0, -(_matrix_min_valuation(a) or 0))
     return diff_mod._doubling_retry(
-        lambda floor: _ref_gl_run(a, r, n_max, floor), "floor", h * (n_max + 2) + 8
+        lambda floor: _ref_gl_run(a, r, n_max, floor, identity),
+        "floor",
+        h * (n_max + 2) + 8,
     )
 
 
-def _module(*rows):
-    return DifferentialModule(tuple(tuple(row) for row in rows))
-
-
-_Z = Series.zero()
-_S = Series.from_coeffs
 # random draws in which one side of a product's precision in the
 # elimination step decides the outcome: prec(col) and prec(u) + v(col) of
 # col u, and prec(pivot) + v(f) of f pivot
@@ -618,6 +718,33 @@ def test_gerard_levelt_matches_series_reference(module):
     assert _outcome(gerard_levelt_irregularity, module, 12) == _outcome(
         _ref_gerard_levelt, module, 12
     )
+
+
+# the floor-blaming module of the second ROADMAP correctness leftover: a
+# nonzero entry known only below x^0
+_FLOOR_BLAMED = _module(
+    (Series.monomial(1, -1), _S(-1, [1], 0)), (_Z, Series.monomial(1, -1))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_modules())
+@example(_ELIMINATION_PRECISION[0])
+@example(_ELIMINATION_PRECISION[1])
+@example(_ELIMINATION_PRECISION[2])
+@example(_FLOOR_BLAMED)
+@example(companion(op(-2, None, -1)))
+@example(_module((Series.monomial(2, 0), _Z), (Series.one(), Series.monomial(1, 1))))
+def test_gerard_levelt_values_match_identity_generators(module):
+    """Wherever the first form of the lattice growth returns, reducing the
+    identity columns at every step and running all 12 steps, the growth
+    from the basis and its images, stopped at its fixed point, returns
+    the same irregularity, verdict, dims and increments."""
+    try:
+        expected = _ref_gerard_levelt(module, 12, identity=True)
+    except PrecisionError:
+        return
+    assert gerard_levelt_irregularity(module, 12) == expected
 
 
 # Companion modules of the criterion-6 operators, orders 1 to 4, with
