@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .degrees import DegreeValue, SlopeKey
 from .errors import SlopesError
 from .polygon import NewtonPolygon, polygon_from_points
-from .series import PrecisionError, Series
+from .series import PrecisionError, Series, trim
 
 
 class DiffError(SlopesError, ValueError):
@@ -155,24 +155,18 @@ def _matrix_min_valuation(mat) -> Optional[int]:
 
 
 def _trimmed(v: int, nums: list, prec):
-    """The entry (v, nums, prec) without leading or trailing zeros; a zero
-    entry is (0, [], prec)."""
-    lo, hi = 0, len(nums)
-    while lo < hi and not nums[lo]:
-        lo += 1
-    while hi > lo and not nums[hi - 1]:
-        hi -= 1
-    return (v + lo, nums[lo:hi], prec) if lo < hi else (0, [], prec)
+    """The entry (v, nums, prec) in the normal form of series.trim."""
+    return (*trim(v, nums), prec)
 
 
 def _integer_matrix(mat):
     """(N, D) with mat = N / D: D is the lcm of every coefficient
-    denominator, and N holds trimmed (vmin, numerators, prec) entries, prec
-    math.inf for an exact entry."""
+    denominator, and N holds (vmin, numerators, prec) entries in the
+    normal form of the Series, prec math.inf for an exact entry."""
     d = math.lcm(*(c.denominator for row in mat for s in row for c in s.coeffs))
     return [
         [
-            _trimmed(
+            (
                 s.vmin,
                 [c.numerator * (d // c.denominator) for c in s.coeffs],
                 math.inf if s.prec is None else s.prec,
@@ -240,8 +234,8 @@ def _power_step(rows, b, d: int):
     product, and the unit numerator 1 none at all.
 
     Precision follows Series arithmetic: a product is known below
-    min(prec_a + v_b, prec_b + v_a), with v = 0 for a zero factor (as a
-    trimmed zero entry stores it); a sum below the least precision of its
+    min(prec_a + v_b, prec_b + v_a), with v = 0 for a zero factor (the
+    vmin of a zero entry in normal form); a sum below the least precision of its
     terms; delta keeps precision.  One departure: a product with an exact
     zero factor is exactly zero and costs no precision.
     """
@@ -437,8 +431,8 @@ def _terms(v: int, nums: list):
 
 def _reduce_columns(cols, r: int, floor_prec: int):
     """DVR column reduction over Q[[x]]; returns (sum of pivot diagonal
-    valuations, pivot columns).  Columns are lists of trimmed integer
-    entries (vmin, numerators, prec), prec math.inf for an exact entry,
+    valuations, pivot columns).  Columns are lists of integer entries
+    (vmin, numerators, prec) in normal form, prec math.inf for an exact entry,
     and are first cut to floor_prec.
 
     Each step takes as pivot the entry p of least valuation v over the

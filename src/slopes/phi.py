@@ -18,17 +18,20 @@ factor: a level that fails to rise, and a pass cap linear in the working
 precision.
 
 The lift and twisted_mul run on integer windows (vmin, numerators, den,
-prec), with no Series in the loop.  L, C and the residual are updated in
-place; dL and dC are monomials, so a pass costs O(window) integer
-multiply-adds per product it forms, and the dilation by q = a/b is integer
-too.  The residual windows and the twisted_mul sums are divided by the gcd
-of their numerators and denominator each time they are formed: terms
-cancel there, and undivided numerators would grow pass after pass.  The
-merges of dL into L and dC into C are not: a monomial in lowest terms is
-added at one place, and the window is rescaled only when its denominator
-does not divide the window's.  A window scaled by a nonzero constant
-stands for the same series, so nothing read off L or C moves, and the
-factors are brought to lowest terms once, as Series, at the end.
+prec), with no Series in the loop.  A window keeps the Series normal form
+(series.trim), so its vmin is its valuation, or 0 when it is zero.  Both
+sum their products on one path, _sub_products and _minus: each product
+a phi^i(b) is one convolution with the shorter factor outer, so a lift
+pass, whose corrections dL and dC are monomials, costs O(window) integer
+multiply-adds per product it forms, and the dilation by q = a/b is
+integer too.  L, C and the residual are updated in place.  The sums
+_minus forms are divided by the gcd of their numerators and denominator:
+terms cancel there, and undivided numerators would grow pass after pass.
+The merges of dL into L and dC into C are not: a monomial in lowest
+terms is added at one place, and the window is rescaled only when its
+denominator does not divide the window's.  A window scaled by a nonzero
+constant stands for the same series, so nothing read off L or C moves,
+and the factors are brought to lowest terms once, as Series, at the end.
 Precision follows the Series rules term for term, so every factor, prec
 field and error text is the one Series arithmetic gives.
 
@@ -48,7 +51,7 @@ from .degrees import DegreeValue, SlopeError, SlopeKey
 from .diff import _integer_matrix, _reduce_columns, _shift
 from .errors import SlopesError
 from .polygon import NewtonPolygon, polygon_from_points
-from .series import PrecisionError, Series, _make
+from .series import PrecisionError, Series, _make, trim
 
 DEFAULT_PRECISION = 40
 
@@ -145,8 +148,9 @@ class TwistedPolynomial:
 # -- integer windows -------------------------------------------------------------
 # Twisted products and the lift run on windows (vmin, nums, den, prec): the
 # series sum_t nums[t]/den x^(vmin + t), den > 0, known below x^prec
-# (math.inf: exact).  Each rule below is the Series rule it names, so a
-# window converts back to the Series that Series arithmetic would build.
+# (math.inf: exact), in the Series normal form.  Each rule below is the
+# Series rule it names, so a window converts back to the Series that Series
+# arithmetic would build.
 
 
 def _window(s: Series):
@@ -165,34 +169,18 @@ def _cut(v: int, nums: list, prec) -> list:
 
 
 def _series(win, prec=math.inf) -> Series:
-    """The window known below x^prec as a Series, vmin and stored zeros
-    kept."""
+    """The window known below x^prec as a Series."""
     v, nums, d, p = win
     p = min(p, prec)
     coeffs = tuple(Fraction(c, d) for c in _cut(v, nums, p))
     return _make(v, coeffs, None if p == math.inf else p)
 
 
-def _val0(win) -> int:
-    """v of the window, or 0 when it is zero as stored (Series.__mul__'s
-    count)."""
-    for t, c in enumerate(win[1]):
-        if c:
-            return win[0] + t
-    return 0
-
-
 def _trimmed(v: int, nums: list, d: int, prec):
-    """The window trimmed as Series.trimmed trims it: a window of zeros
-    becomes empty at its end."""
-    lo, hi = 0, len(nums)
-    while lo < hi and not nums[lo]:
-        lo += 1
-    if lo == hi:
-        return (v + hi, [], 1, prec)
-    while not nums[hi - 1]:
-        hi -= 1
-    return (v + lo, nums[lo:hi], d, prec)
+    """The window in the normal form of series.trim; a zero window has
+    den 1."""
+    v, nums = trim(v, nums)
+    return (v, nums, d if nums else 1, prec)
 
 
 def _normal(v: int, acc: list, d: int, prec):
@@ -206,35 +194,17 @@ def _normal(v: int, acc: list, d: int, prec):
     return (v, acc, d, prec)
 
 
-def _add(x, y):
-    """x + y by Series.__add__: known below the lesser precision; an empty
-    operand passes the other through, cut; otherwise the sum is cut and
-    trimmed."""
-    prec = min(x[3], y[3])
-    if not x[1] or not y[1]:
-        v, nums, d, _ = y if not x[1] else x
-        return (v, _cut(v, nums, prec), d, prec)
-    lo = min(x[0], y[0])
-    big_d = math.lcm(x[2], y[2])
-    acc = [0] * (max(x[0] + len(x[1]), y[0] + len(y[1])) - lo)
-    for v, nums, d, _ in (x, y):
-        f = big_d // d
-        for t, c in enumerate(nums, v - lo):
-            if c:
-                acc[t] += c * f
-    return _normal(lo, _cut(lo, acc, prec), big_d, prec)
-
-
 def _merge(x, y):
-    """x + y for a monomial or empty y, as _add forms it but for one
-    constant factor on x's numerators and denominator: y is brought to
-    lowest terms, x is scaled only when y's denominator does not divide
-    x's, and the sum is cut and trimmed with no gcd division.  The terms
-    and precision are _add's, so _series gives the same Series."""
+    """x + y for a monomial or empty y, by the rules of Series.__add__ up
+    to one constant factor on x's numerators and denominator: y is brought
+    to lowest terms, x is scaled only when y's denominator does not divide
+    x's, and the sum is cut and trimmed with no gcd division, so _series
+    gives the Series x + y.  An empty operand passes the other through,
+    cut and trimmed."""
     prec = min(x[3], y[3])
     if not x[1] or not y[1]:
         v, nums, d, _ = y if not x[1] else x
-        return (v, _cut(v, nums, prec), d, prec)
+        return _trimmed(v, _cut(v, nums, prec), d, prec)
     v, nums, d, _ = x
     k, (c,), e, _ = y
     g = math.gcd(c, e)
@@ -252,24 +222,6 @@ def _merge(x, y):
         nums += [0] * (k + 1 - v - len(nums))
     nums[k - lo] += c * (d // e)
     return _trimmed(lo, _cut(lo, nums, prec), d, prec)
-
-
-def _mul(a, b, i: int, prec, dilation: "_Dilation"):
-    """a phi^i(b) by Series.__mul__, for a and b with a known term, known
-    below prec: the product of the trimmed windows, cut and trimmed."""
-    a, b = _trimmed(*a), _trimmed(*b)
-    v = a[0] + b[0]
-    n = min(prec - v, len(a[1]) + len(b[1]) - 1)
-    if n <= 0:
-        return (v, [], 1, prec)
-    bn, num, den = dilation.apply(b, i, n)
-    acc = [0] * n
-    for s, x in enumerate(a[1][:n]):
-        if x:
-            x *= num
-            for t, y in enumerate(bn[: n - s], s):
-                acc[t] += x * y
-    return _normal(v, acc, a[2] * den, prec)
 
 
 class _Dilation:
@@ -311,35 +263,78 @@ class _Dilation:
         return out, num, d * den
 
 
+def _minus(win, terms, prec, dilation: _Dilation):
+    """win - sum of the products a phi^i(b) over the terms (a, b, i), known
+    below x^prec: one common denominator and one convolution loop, the
+    shorter factor outer, so a product with a monomial side costs
+    O(window); then one trim and one gcd division.  With no terms the
+    window is only cut to prec and trimmed."""
+    v, nums, d, _ = win
+    nums = _cut(v, nums, prec)
+    if not terms:
+        return _trimmed(v, nums, d, prec)
+    parts = [(v, [1], nums, 1, d)] if nums else []  # (start, x, y, num, den)
+    for a, b, i in terms:
+        start = a[0] + b[0]
+        n = min(prec - start, len(a[1]) + len(b[1]) - 1)
+        if n > 0:
+            bn, num, den = dilation.apply(b, i, n)
+            parts.append((start, a[1][:n], bn, -num, a[2] * den))
+    if not parts:
+        return (0, [], 1, prec)
+    big_d = math.lcm(*[p[4] for p in parts])
+    lo = min(p[0] for p in parts)
+    n = min(prec, max(p[0] + len(p[1]) + len(p[2]) - 1 for p in parts)) - lo
+    acc = [0] * n
+    for start, x, y, num, den in parts:
+        f = num * (big_d // den)
+        if len(x) > len(y):
+            x, y = y, x
+        for s, c in enumerate(x, start - lo):
+            if c:
+                c *= f
+                for t, e in enumerate(y[: n - s], s):
+                    acc[t] += c * e
+    return _normal(lo, acc, big_d, prec)
+
+
+def _sub_products(res, pairs, dilation: _Dilation) -> None:
+    """res -= left * right for each (left, right) in pairs, in K<phi> on
+    windows, in place.
+
+    Precision follows the Series rules: an exact zero left factor adds
+    nothing; a product a phi^i(b) is known below
+    min(prec_a + v(b), prec_b + v(a)) (the twist is an isometry), where a
+    zero factor counts its vmin 0 and adds its precision but no term; a
+    sum is known below its terms' least precision.
+    """
+    precs = [w[3] for w in res]
+    terms = [[] for _ in res]
+    for left, right in pairs:
+        for i, a in enumerate(left):
+            if not a[1] and a[3] == math.inf:
+                continue
+            for j, b in enumerate(right):
+                k = i + j
+                precs[k] = min(precs[k], a[3] + b[0], b[3] + a[0])
+                if a[1] and b[1]:
+                    terms[k].append((a, b, i))
+    for k, w in enumerate(res):
+        res[k] = _minus(w, terms[k], precs[k], dilation)
+
+
 def twisted_mul(p: TwistedPolynomial, q: TwistedPolynomial) -> TwistedPolynomial:
     """Product in K<phi>: (a phi^i)(b phi^j) = a phi^i(b) phi^(i+j).
 
-    It runs on integer windows, and each output coefficient takes the
-    terms in the order Series arithmetic sums them, so it has the
-    (vmin, coeffs, prec) that summing the Series products gives.  An exact
-    zero left factor adds nothing.  A product with a factor that is zero
-    as stored is zero, known below min(prec_a + v(b), prec_b + v(a)) (v =
-    0 for such a factor; the twist is an isometry), so it is folded into
-    the sum without being formed.
+    It is _sub_products on a zero residual with p negated, so each output
+    coefficient has the (vmin, coeffs, prec) that summing the Series
+    products a phi^i(b) gives.
     """
     if p.twist != q.twist:
         raise TwistError("twist mismatch")
-    dilation = _Dilation(p.twist.q)
-    right = [_window(b) for b in q.coeffs]
-    rinfo = [(_val0(b), b[3], any(b[1])) for b in right]
     out = [(0, [], 1, math.inf)] * (p.degree + q.degree + 1)
-    for i, a in enumerate(map(_window, p.coeffs)):
-        a_zero = not any(a[1])
-        if a_zero and a[3] == math.inf:
-            continue
-        va = _val0(a)
-        for j, (vb, pb, b_nonzero) in enumerate(rinfo):
-            prec = min(a[3] + vb, pb + va)
-            if a_zero or not b_nonzero:
-                term = (0, [], 1, prec)
-            else:
-                term = _mul(a, right[j], i, prec, dilation)
-            out[i + j] = _add(out[i + j], term)
+    left = [(v, [-c for c in nums], d, pr) for v, nums, d, pr in map(_window, p.coeffs)]
+    _sub_products(out, [(left, list(map(_window, q.coeffs)))], _Dilation(p.twist.q))
     return TwistedPolynomial(tuple(map(_series, out)), p.twist)
 
 
@@ -380,9 +375,9 @@ def np_of_poly(p: TwistedPolynomial) -> NewtonPolygon:
 
 
 def _gauss_val(res, s: Fraction) -> Optional[int]:
-    """min over j of v(r_j) - s*j over the residual windows r_j, trimmed
-    as _normal leaves them, as an integer in units of 1/sd (s = sn/sd);
-    None when every window is zero to precision."""
+    """min over j of v(r_j) - s*j over the residual windows r_j, in normal
+    form, as an integer in units of 1/sd (s = sn/sd); None when every
+    window is zero to precision."""
     sn, sd = s.numerator, s.denominator
     return min(
         (v * sd - sn * j for j, (v, nums, _, _) in enumerate(res) if nums),
@@ -399,78 +394,11 @@ def _representative(s: Series, prec: int) -> Series:
 
 
 def _monomial(num: int, den: int, k: int, prec: int):
-    """(num/den) x^k known below x^prec, stored with a positive
-    denominator; at or beyond prec it is dropped and, as Series.monomial
-    stores it, keeps vmin k."""
+    """(num/den) x^k known below x^prec, num != 0, stored with a positive
+    denominator; at or beyond prec it is dropped, the zero window."""
     if k >= prec:
-        return (k, [], 1, prec)
-    return (k, [-num], -den, prec) if den < 0 else (k, [num], den, prec)
-
-
-def _minus(win, terms, prec, dilation: _Dilation):
-    """win - sum of the terms (cn/cd) x^e phi^i(w), known below x^prec: one
-    common denominator, then one trim and one gcd division.  With no terms
-    the window is only cut to prec and trimmed."""
-    v, nums, d, _ = win
-    nums = nums[: max(0, prec - v)]
-    if not terms:
-        return _trimmed(v, nums, d, prec)
-    parts = []  # (start, numerators, factor, den)
-    for cn, cd, e, w, i in terms:
-        n = prec - e - w[0]
-        if n > 0:
-            out, num, den = dilation.apply(w, i, n)
-            parts.append((e + w[0], out, -cn * num, cd * den))
-    if nums:
-        parts.append((v, nums, 1, d))
-    if not parts:
         return (0, [], 1, prec)
-    big_d = math.lcm(*[p[3] for p in parts])
-    lo = min(p[0] for p in parts)
-    acc = [0] * (max(p[0] + len(p[1]) for p in parts) - lo)
-    for start, out, num, den in parts:
-        f = num * (big_d // den)
-        for t, x in enumerate(out, start - lo):
-            if x:
-                acc[t] += f * x
-    return _normal(lo, acc, big_d, prec)
-
-
-def _sub_products(res, pairs, dilation: _Dilation) -> None:
-    """res -= left * right for each (left, right) in pairs, in K<phi> on
-    windows, in place.
-
-    Precision follows twisted_mul and the Series rules: an exact zero left
-    factor adds nothing; a product is known below
-    min(prec_a + v(b), prec_b + v(a)), v = 0 for a factor zero as stored,
-    and such a factor adds its precision but no term; a sum is known below
-    its terms' least precision.  Every product with no zero factor has a
-    monomial side, so its terms cost O(window).
-    """
-    precs = [w[3] for w in res]
-    terms = [[] for _ in res]
-    for left, right in pairs:
-        rvals = [(_val0(b), b[3], any(b[1])) for b in right]
-        for i, a in enumerate(left):
-            a_zero = not any(a[1])
-            if a_zero and a[3] == math.inf:
-                continue
-            va, pa = _val0(a), a[3]
-            for j, (vb, pb, b_nonzero) in enumerate(rvals):
-                k = i + j
-                precs[k] = min(precs[k], pa + vb, pb + va)
-                if a_zero or not b_nonzero:
-                    continue
-                b = right[j]
-                if len(a[1]) == 1:
-                    # c x^e phi^i(b)
-                    terms[k].append((a[1][0], a[2], a[0], b, i))
-                else:
-                    # a phi^i(c x^e) = c q^(ie) x^e a
-                    qn, qd = dilation.power(i * b[0])
-                    terms[k].append((b[1][0] * qn, b[2] * qd, b[0], a, 0))
-    for k, w in enumerate(res):
-        res[k] = _minus(w, terms[k], precs[k], dilation)
+    return (k, [-num], -den, prec) if den < 0 else (k, [num], den, prec)
 
 
 def _split_once(

@@ -6,6 +6,12 @@ Laurent polynomial (every unstored coefficient is genuinely zero), which is
 what all shipped fixtures use; truncation only enters through the slope
 factorization, whose outputs carry finite precision.
 
+Every series is stored in one normal form (``trim``): no leading or
+trailing zero coefficient, and the zero series, exact or O(x^p), at vmin 0.
+So ``vmin`` is the valuation of a nonzero series, and the 0 that the
+product's precision rule counts for a zero factor.  The integer windows of
+``phi`` and ``diff`` keep the same form.
+
 Arithmetic propagates precision pessimistically and never invents a
 coefficient: asking for the valuation of a window that is zero out to its
 precision raises ``PrecisionError`` instead of guessing.
@@ -18,11 +24,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
-from .errors import SlopesError
+from .errors import SchemaError, SlopesError
 
 Rat = Union[Fraction, int, str]
-
-INF = None  # precision sentinel for exact series
 
 _ZERO = Fraction(0)
 
@@ -35,16 +39,37 @@ def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _make(vmin: int, coeffs: tuple, prec: Optional[int]) -> "Series":
-    """Series from a tuple that already holds Fractions, cut to ``prec``;
-    skips the per-coefficient conversion of the public constructor."""
+def trim(v: int, nums):
+    """(v, nums) in normal form: no leading or trailing zero stored, and the
+    zero series (exact or O(x^p)) at vmin 0.  nums is a tuple or list of
+    coefficients or numerators, returned as the same type."""
+    lo, hi = 0, len(nums)
+    while lo < hi and not nums[lo]:
+        lo += 1
+    if lo == hi:
+        return 0, nums[:0]
+    while not nums[hi - 1]:
+        hi -= 1
+    if lo == 0 and hi == len(nums):
+        return v, nums
+    return v + lo, nums[lo:hi]
+
+
+def _store(s: "Series", vmin: int, coeffs: tuple, prec: Optional[int]) -> "Series":
+    """Set the fields of s to the window cut to ``prec``, in normal form."""
     if prec is not None and vmin + len(coeffs) > prec:
         coeffs = coeffs[: max(0, prec - vmin)]
-    s = object.__new__(Series)
+    vmin, coeffs = trim(vmin, coeffs)
     object.__setattr__(s, "vmin", vmin)
     object.__setattr__(s, "coeffs", coeffs)
     object.__setattr__(s, "prec", prec)
     return s
+
+
+def _make(vmin: int, coeffs: tuple, prec: Optional[int]) -> "Series":
+    """Series from a tuple that already holds Fractions, cut to ``prec``;
+    skips the per-coefficient conversion of the public constructor."""
+    return _store(object.__new__(Series), vmin, coeffs, prec)
 
 
 def _integral(coeffs) -> tuple[list[int], int]:
@@ -69,11 +94,7 @@ class Series:
     prec: Optional[int] = None  # exponents >= prec are unknown; None = exact
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_frac(c) for c in self.coeffs))
-        if self.prec is not None and self.vmin + len(self.coeffs) > self.prec:
-            object.__setattr__(
-                self, "coeffs", self.coeffs[: max(0, self.prec - self.vmin)]
-            )
+        _store(self, self.vmin, tuple(_frac(c) for c in self.coeffs), self.prec)
 
     # -- constructors ----------------------------------------------------------
 
@@ -106,7 +127,7 @@ class Series:
 
     def is_zero(self) -> bool:
         """True when zero as far as known (exactly zero if exact)."""
-        return all(c == 0 for c in self.coeffs)
+        return not self.coeffs
 
     def valuation(self) -> Optional[int]:
         """Least exponent with a nonzero coefficient.
@@ -114,9 +135,8 @@ class Series:
         Returns None for the exact zero series; raises PrecisionError when a
         truncated series is zero out to its precision.
         """
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return self.vmin + i
+        if self.coeffs:
+            return self.vmin
         if self.prec is None:
             return None
         raise PrecisionError(
@@ -128,18 +148,6 @@ class Series:
             return self.valuation()
         except PrecisionError:
             return default
-
-    def trimmed(self) -> "Series":
-        lo = 0
-        coeffs = self.coeffs
-        while lo < len(coeffs) and coeffs[lo] == 0:
-            lo += 1
-        hi = len(coeffs)
-        while hi > lo and coeffs[hi - 1] == 0:
-            hi -= 1
-        if lo == 0 and hi == len(coeffs):
-            return self
-        return _make(self.vmin + lo, coeffs[lo:hi], self.prec)
 
     def truncate(self, prec: int) -> "Series":
         return _make(self.vmin, self.coeffs, _min_prec(self.prec, prec))
@@ -176,18 +184,17 @@ class Series:
                     out[i] = out[i] + c if out[i] else c
                 else:
                     out[i] = out[i] - c if out[i] else -c
-        return _make(lo, tuple(out), prec).trimmed()
+        return _make(lo, tuple(out), prec)
 
     def __mul__(self, other: "Series") -> "Series":
-        # O(x^p) * (q + ...) is O(x^(p + v(q))); both cross terms count.
-        va = self.trimmed()
-        vb = other.trimmed()
+        # O(x^p) * (q + ...) is O(x^(p + v(q))); both cross terms count, and
+        # a zero factor counts v = 0, the vmin of its normal form.
+        va, vb = self, other
         prec = None
-        if self.prec is not None:
-            prec = self.prec + (vb.vmin if vb.coeffs else 0)
-        if other.prec is not None:
-            p2 = other.prec + (va.vmin if va.coeffs else 0)
-            prec = _min_prec(prec, p2)
+        if va.prec is not None:
+            prec = va.prec + vb.vmin
+        if vb.prec is not None:
+            prec = _min_prec(prec, vb.prec + va.vmin)
         if not va.coeffs or not vb.coeffs:
             return Series.zero(prec)
         vmin = va.vmin + vb.vmin
@@ -205,7 +212,7 @@ class Series:
                 for j, b in enumerate(nb):
                     out[i + j] += a * b
         d = da * db
-        return _make(vmin, tuple([Fraction(c, d) for c in out]), prec).trimmed()
+        return _make(vmin, tuple([Fraction(c, d) for c in out]), prec)
 
     def scale(self, c: Rat) -> "Series":
         c = _frac(c)
@@ -217,7 +224,7 @@ class Series:
             self.vmin,
             tuple(c * (self.vmin + i) for i, c in enumerate(self.coeffs)),
             self.prec,
-        ).trimmed()
+        )
 
     def dilate(self, q: Fraction) -> "Series":
         """Substitute x -> q x (the q-dilation twist); an isometry."""
@@ -236,17 +243,16 @@ class Series:
         v = self.valuation()
         if v is None:
             raise ZeroDivisionError("inverse of the zero series")
-        t = self.trimmed()
         nterms = prec - (-v)
         if nterms <= 0:
             return Series.zero(prec)
-        if t.prec is not None and t.prec - v < nterms:
+        if self.prec is not None and self.prec - v < nterms:
             raise PrecisionError("not enough terms to invert at this precision")
-        # With t = (n_0 + n_1 x + ...) x^v / d, the k-th inverse coefficient
+        # With self = (n_0 + n_1 x + ...) x^v / d, the k-th inverse coefficient
         # is d m_k / n_0^(k+1), where m_0 = 1 and
         # m_k = -sum_{j>=1} n_j n_0^(j-1) m_{k-j}: integers only, and one
         # normalisation per output coefficient.
-        nums, d = _integral(t.coeffs[:nterms])
+        nums, d = _integral(self.coeffs[:nterms])
         n0 = nums[0]
         terms = []  # (j, n_j n_0^(j-1)) for the nonzero n_j, j >= 1
         pw = 1
@@ -270,44 +276,38 @@ class Series:
         return _make(-v, tuple(out), prec)
 
     def eq_to_precision(self, other: "Series", prec: Optional[int] = None) -> bool:
-        d = (self - other).trimmed()
+        # d is in normal form, so its first stored term is its first nonzero one
+        d = self - other
         limit = _min_prec(d.prec, prec)
-        if limit is None:
-            return d.is_zero()
-        return all(
-            c == 0 for i, c in enumerate(d.coeffs) if d.vmin + i < limit
-        )
+        return not d.coeffs or (limit is not None and d.vmin >= limit)
 
     # -- io ---------------------------------------------------------------------------
 
     def to_json(self):
-        t = self.trimmed()
-        out = {"vmin": t.vmin, "c": [str(c) for c in t.coeffs]}
-        if t.prec is not None:
-            out["prec"] = t.prec
+        out = {"vmin": self.vmin, "c": [str(c) for c in self.coeffs]}
+        if self.prec is not None:
+            out["prec"] = self.prec
         return out
 
     @staticmethod
     def from_json(obj) -> "Series":
         if isinstance(obj, str):
             return Series(0, (Fraction(obj),))
-        return Series(
-            int(obj.get("vmin", 0)),
-            tuple(Fraction(c) for c in obj.get("c", [])),
-            obj.get("prec"),
-        )
+        vmin, prec = obj.get("vmin", 0), obj.get("prec")
+        # type() rather than isinstance(): a JSON true is a bool, not an int
+        if type(vmin) is not int:
+            raise SchemaError(f"series vmin must be an integer, got {vmin!r}")
+        if prec is not None and type(prec) is not int:
+            raise SchemaError(f"series prec must be an integer, got {prec!r}")
+        return Series(vmin, tuple(Fraction(c) for c in obj.get("c", [])), prec)
 
     def __repr__(self):
-        t = self.trimmed()
-        if not t.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for i, c in enumerate(t.coeffs):
-                if c == 0:
-                    continue
-                k = t.vmin + i
-                parts.append(f"{c}*x^{k}" if k else f"{c}")
-            body = " + ".join(parts) or "0"
-        tail = f" + O(x^{t.prec})" if t.prec is not None else ""
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            k = self.vmin + i
+            parts.append(f"{c}*x^{k}" if k else f"{c}")
+        body = " + ".join(parts) or "0"
+        tail = f" + O(x^{self.prec})" if self.prec is not None else ""
         return f"<{body}{tail}>"

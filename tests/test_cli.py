@@ -137,6 +137,70 @@ def test_np_twisted_open_coefficient(tmp_path, capsys, a1, want):
         assert [s["slope"] for s in segs] == want
 
 
+_MONIC = {"vmin": 0, "c": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, field",
+    [
+        (
+            ["np", "--backend", "diff"],
+            {"matrix": [[{"vmin": -2, "c": ["1"], "prec": 2.5}]]},
+            "prec",
+        ),
+        (
+            ["factor"],
+            {"twist": {"q": "2"}, "coeffs": [{"vmin": 1.5, "c": ["1"]}, _MONIC]},
+            "vmin",
+        ),
+        (
+            ["factor"],
+            {
+                "twist": {"q": "2"},
+                "coeffs": [{"vmin": -1, "c": ["1"], "prec": True}, _MONIC],
+            },
+            "prec",
+        ),
+        (
+            ["np", "--backend", "twisted"],
+            {
+                "twist": {"q": "2"},
+                "coeffs": [{"vmin": -1, "c": ["1"], "prec": 5.5}, _MONIC],
+            },
+            "prec",
+        ),
+    ],
+    ids=["diff-float-prec", "factor-float-vmin", "factor-bool-prec", "twisted-float-prec"],
+)
+def test_series_fields_must_be_integers(tmp_path, capsys, argv, doc, field):
+    """A series vmin or prec that is a float or a bool is a bad input
+    (exit 2), never read as an integer nor left to fail as a bug."""
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(doc))
+    code = main(argv + ["--in", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"series {field} must be an integer" in err
+
+
+def test_factor_echoes_a_zero_coefficient_at_vmin_0(tmp_path, capsys):
+    """A one-slope input is its own factor, echoed in the Series normal
+    form: a_1 written as {"vmin": 3, "c": ["0"]} is the zero series and
+    prints vmin 0."""
+    f = tmp_path / "in.json"
+    coeffs = [{"vmin": -1, "c": ["1"]}, {"vmin": 3, "c": ["0"]}, _MONIC]
+    f.write_text(json.dumps({"twist": {"q": "2"}, "coeffs": coeffs}))
+    out = tmp_path / "out.json"
+    assert main(["factor", "--prec", "40", "--in", str(f), "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["factor_slopes"] == ["1/2"]
+    assert doc["factors"][0]["coeffs"][1] == {"vmin": 0, "c": []}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "31255edaeec2dbcbe839daa6dbc7b19070f95609fb1fb55241adc13e63a96667"
+    )
+
+
 def test_swan(capsys):
     code, out = run_cli(["swan", "--in", str(FIXTURES / "artin_schreier.json")], capsys)
     assert code == 0

@@ -403,8 +403,9 @@ def test_lift_matches_series_reference(case):
 
 @st.composite
 def _lift_window(draw):
-    """A window as the lift holds one: stored leading and trailing zeros,
-    zero as stored, exact or known below a finite precision."""
+    """A window with stored leading and trailing zeros or in normal form,
+    zero as stored, exact or known below a finite precision: _merge leaves
+    its sum in normal form either way."""
     vmin = draw(st.integers(-4, 4))
     nums = draw(st.lists(st.integers(-6, 6) | st.just(0), max_size=5))
     prec = draw(st.just(math.inf) | st.integers(vmin - 1, vmin + 7))
@@ -428,18 +429,21 @@ def _lift_monomial(draw, q, prec):
 @given(st.data())
 def test_merge_matches_add(data):
     """Merging a pass's monomials into a window without the gcd division
-    leaves every Series the lift reads off it as _add leaves it: a chain
-    of merges and a chain of _add give the same _series at the working
-    precision and exactly, over the twists q = 2, 1/2, -2/3."""
+    leaves every Series the lift reads off it as Series addition leaves
+    it: a chain of merges and the chain of Series sums give the same
+    Series at the working precision and exactly, and the merged window
+    has the sum's vmin and length, over the twists q = 2, 1/2, -2/3."""
     q = data.draw(st.sampled_from([Fraction(2), Fraction(1, 2), Fraction(-2, 3)]))
     prec = data.draw(st.integers(-2, 12))
-    merged = added = data.draw(_lift_window())
+    merged = data.draw(_lift_window())
+    added = phi._series(merged)
     for _ in range(data.draw(st.integers(1, 4))):
         y = data.draw(_lift_monomial(q, data.draw(st.sampled_from([prec, math.inf]))))
-        merged, added = phi._merge(merged, y), phi._add(added, y)
+        merged, added = phi._merge(merged, y), added + phi._series(y)
         for cut in (prec, math.inf):
-            assert phi._series(merged, cut) == phi._series(added, cut)
-        assert merged[0] == added[0] and len(merged[1]) == len(added[1])
+            want = added if cut == math.inf else added.truncate(cut)
+            assert phi._series(merged, cut) == want
+        assert merged[0] == added.vmin and len(merged[1]) == len(added.coeffs)
 
 
 def test_lift_calls_its_traced_names(monkeypatch):

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from slopes.series import PrecisionError, Series
+from slopes import diff, phi
+from slopes.series import PrecisionError, Series, trim
 
 
 def ser(vmin, *coeffs):
@@ -116,19 +117,30 @@ def test_dilate_matches_termwise(a, q):
         assert d.coeff(a.vmin + i) == c * q ** (a.vmin + i)
 
 
+def normal_form(vmin, coeffs, prec):
+    """(vmin, coeffs, prec) with no leading or trailing zero coefficient,
+    and the zero series at vmin 0."""
+    out = list(coeffs)
+    while out and out[0] == 0:
+        out.pop(0)
+        vmin += 1
+    while out and out[-1] == 0:
+        out.pop()
+    return (vmin if out else 0), tuple(out), prec
+
+
 def reference_inverse(s, prec):
     """Termwise Fraction recurrence for the inverse: (vmin, coeffs, prec)."""
     v = s.valuation()
     if v is None:
         raise ZeroDivisionError("inverse of the zero series")
-    t = s.trimmed()
     nterms = prec + v
     if nterms <= 0:
         return 0, (), prec
-    if t.prec is not None and t.prec - v < nterms:
+    if s.prec is not None and s.prec - v < nterms:
         raise PrecisionError("not enough terms")
-    lead = t.coeffs[0]
-    u = [c / lead for c in t.coeffs] + [Fraction(0)] * nterms
+    lead = s.coeffs[0]
+    u = [c / lead for c in s.coeffs] + [Fraction(0)] * nterms
     inv = [Fraction(1)]
     for k in range(1, nterms):
         inv.append(-sum((u[j] * inv[k - j] for j in range(1, k + 1)), Fraction(0)))
@@ -153,7 +165,7 @@ def outcome(fn):
         r = fn()
     except (PrecisionError, ZeroDivisionError) as exc:
         return type(exc)
-    return r if isinstance(r, tuple) else (r.vmin, r.coeffs, r.prec)
+    return normal_form(*r) if isinstance(r, tuple) else (r.vmin, r.coeffs, r.prec)
 
 
 def test_inverse_matches_fraction_recurrence():
@@ -195,11 +207,12 @@ def test_inverse_times_self_is_one(s, p):
 def reference_add(a, b):
     """(vmin, coeffs, prec) of a + b: a dense Fraction window summed term by
     term, cut at the precision and trimmed; an empty operand passes the
-    other through uncut of zeros."""
+    other through, cut and trimmed."""
     prec = a.prec if b.prec is None else b.prec if a.prec is None else min(a.prec, b.prec)
     if not a.coeffs or not b.coeffs:
         s = b if not a.coeffs else a
-        return s.vmin, s.coeffs[: None if prec is None else max(0, prec - s.vmin)], prec
+        cut = s.coeffs[: None if prec is None else max(0, prec - s.vmin)]
+        return normal_form(s.vmin, cut, prec)
     lo = min(a.vmin, b.vmin)
     hi = max(a.vmin + len(a.coeffs), b.vmin + len(b.coeffs))
     if prec is not None:
@@ -208,12 +221,7 @@ def reference_add(a, b):
         sum((s.coeffs[k - s.vmin] for s in (a, b) if 0 <= k - s.vmin < len(s.coeffs)), Fraction(0))
         for k in range(lo, hi)
     ]
-    while out and out[0] == 0:
-        out.pop(0)
-        lo += 1
-    while out and out[-1] == 0:
-        out.pop()
-    return lo, tuple(out), prec
+    return normal_form(lo, out, prec)
 
 
 def test_add_matches_termwise():
@@ -243,3 +251,85 @@ def test_sub_is_add_of_negation(a, b):
     got, want = a - b, a + (-b)
     assert (got.vmin, got.coeffs, got.prec) == (want.vmin, want.coeffs, want.prec)
     assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def _is_normal(v, coeffs):
+    """No leading or trailing zero stored, and the zero series at vmin 0:
+    checked by trim and directly."""
+    direct = coeffs[0] != 0 and coeffs[-1] != 0 if coeffs else v == 0
+    return direct and trim(v, coeffs) == (v, coeffs)
+
+
+_digit = st.sampled_from([0, 0, 1, -1, Fraction(3, 2), Fraction(-5, 4)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_stored_windows(), min_size=4, max_size=4), st.data())
+def test_every_series_and_window_is_normal(abcd, data):
+    """Every Series the constructors, from_json and the arithmetic form is
+    in normal form, and so is every integer window or entry that phi and
+    diff form, whatever zeros the inputs were written with."""
+    a, b, c, d = abcd
+    k = data.draw(st.integers(-4, 6))
+    q = data.draw(st.sampled_from([Fraction(2), Fraction(-2, 3)]))
+    stored = data.draw(st.lists(_digit, max_size=5))
+    prec = data.draw(st.none() | st.integers(k - 1, k + 6))
+    doc = {"vmin": k, "c": [str(x) for x in stored]}
+    if prec is not None:
+        doc["prec"] = prec
+    series = [
+        Series(k, tuple(Fraction(x) for x in stored), prec),
+        Series.zero(prec),
+        Series.one(),
+        Series.monomial(data.draw(_digit), k, prec),
+        Series.from_coeffs(k, stored, prec),
+        Series.from_json(doc),
+        a + b,
+        a - b,
+        a * b,
+        -a,
+        a.dilate(q),
+        a.truncate(k),
+        a.scale(data.draw(_digit)),
+    ]
+    try:
+        series.append(a.inverse(k))
+    except (PrecisionError, ZeroDivisionError):
+        pass
+    for s in series:
+        assert _is_normal(s.vmin, s.coeffs), s
+
+    # phi: windows of Series, a monomial, merges and twisted product-sums
+    wins = [phi._window(s) for s in abcd]
+    num = data.draw(st.integers(-6, 6).filter(bool))
+    den = data.draw(st.sampled_from([3, -2]))
+    mono = phi._monomial(num, den, k, data.draw(st.integers(k - 1, k + 2)))
+    res = wins[:3]
+    phi._sub_products(res, [(wins[:2], wins[2:]), (wins[2:], [mono])], phi._Dilation(q))
+    merged = [phi._merge(wins[0], mono), phi._merge(wins[1], (0, [], 1, k))]
+    formed = wins + res + [mono] + merged
+    for w in formed:
+        assert _is_normal(w[0], w[1]), w
+
+    # diff: the integer matrix, a Katz power step and a column reduction
+    n, den = diff._integer_matrix([[a, b], [c, d]])
+    entries = [e for row in n for e in row]
+    # Katz cuts B_n to a window above its valuation before each step
+    b = [[diff._cut(e, k + 4) for e in row] for row in n]
+    step = diff._power_step(diff._sparse_rows(n), b, den)
+    entries += [e for row in step for e in row]
+    cols = [[row[j] for row in m] for m in (n, step) for j in range(2)]
+    try:
+        _, pivots = diff._reduce_columns(cols, 2, data.draw(st.integers(1, 6)))
+    except PrecisionError:
+        pivots = []
+    entries += [e for col in pivots for e in col]
+    for e in entries:
+        assert _is_normal(e[0], e[1]), e
+
+
+def test_normal_form_equality():
+    """Two ways of writing one series are one Series."""
+    assert Series(0, (0, 1)) == Series(1, (1,))
+    assert Series(3, (0,)) == Series.zero() and Series(-2, (0, 0), 5) == Series.zero(5)
+    assert hash(Series(-1, (0, 2, 0))) == hash(Series.monomial(2, 0))
