@@ -34,7 +34,7 @@ from .diff import (
     katz_rank_spectral,
     np_diff,
 )
-from .errors import DECODE_ERRORS, SchemaError, SlopesError
+from .errors import DECODE_ERRORS, SchemaError, SlopesError, integer_field
 from .filtered import FilteredBackend, FilteredSpace
 from .lattices import EuclideanLattice, LatticeBackend
 from .phi import (
@@ -172,7 +172,7 @@ def _load_twist(doc) -> TwistSpec:
 def _load_diff_operator(doc) -> DifferentialOperator:
     if "valuations" in doc:
         return DifferentialOperator.from_valuations(
-            [None if v is None else int(v) for v in doc["valuations"]]
+            [None if v is None else integer_field(v, "valuation") for v in doc["valuations"]]
         )
     return DifferentialOperator(
         tuple(Series.from_json(c) for c in doc["coeffs"])
@@ -190,7 +190,7 @@ def _load_twisted(doc) -> TwistedPolynomial:
     coeffs = [Series.from_json(c) for c in doc["coeffs"]]
     prec = doc.get("precision")
     if prec is not None:
-        coeffs = [c.truncate(int(prec)) for c in coeffs]
+        coeffs = [c.truncate(integer_field(prec, "precision")) for c in coeffs]
     return TwistedPolynomial(tuple(coeffs), _load_twist(doc))
 
 
@@ -198,7 +198,10 @@ def _load_twisted_input(doc):
     """Coefficient valuations (leading coefficient first in the file,
     returned constant term first), a PhiMatrix or a TwistedPolynomial."""
     if "valuations" in doc:
-        return [None if v is None else int(v) for v in reversed(doc["valuations"])]
+        return [
+            None if v is None else integer_field(v, "valuation")
+            for v in reversed(doc["valuations"])
+        ]
     if "matrix" in doc:
         return PhiMatrix(_load_series_matrix(doc), _load_twist(doc))
     return _load_twisted(doc)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .degrees import DegreeValue, SlopeKey
 from .errors import SlopesError
 from .polygon import NewtonPolygon, polygon_from_points
-from .series import PrecisionError, Series, trim
+from .series import PrecisionError, Series, _integer_matrix, trim
 
 
 class DiffError(SlopesError, ValueError):
@@ -144,37 +144,9 @@ def highest_break(poly: NewtonPolygon) -> Fraction:
 # -- spectral Katz rank ------------------------------------------------------------
 
 
-def _matrix_min_valuation(mat) -> Optional[int]:
-    vals = []
-    for row in mat:
-        for c in row:
-            v = c.valuation_or(None)
-            if v is not None:
-                vals.append(v)
-    return min(vals) if vals else None
-
-
 def _trimmed(v: int, nums: list, prec):
     """The entry (v, nums, prec) in the normal form of series.trim."""
     return (*trim(v, nums), prec)
-
-
-def _integer_matrix(mat):
-    """(N, D) with mat = N / D: D is the lcm of every coefficient
-    denominator, and N holds (vmin, numerators, prec) entries in the
-    normal form of the Series, prec math.inf for an exact entry."""
-    d = math.lcm(*(c.denominator for row in mat for s in row for c in s.coeffs))
-    return [
-        [
-            (
-                s.vmin,
-                [c.numerator * (d // c.denominator) for c in s.coeffs],
-                math.inf if s.prec is None else s.prec,
-            )
-            for s in row
-        ]
-        for row in mat
-    ], d
 
 
 def _truncate(entry, prec: int):
@@ -193,12 +165,6 @@ def _cut(entry, prec: int):
     return _truncate(entry, prec)
 
 
-def _shift(entry, k: int):
-    """The entry times x^k; a zero entry keeps vmin 0."""
-    v, nums, p = entry
-    return (v + k if nums else 0, nums, p + k)
-
-
 def _primitive(col):
     """The column divided by the gcd of its numerators.  A nonzero
     rational constant is a unit of Q[[x]], so no valuation, precision or
@@ -211,11 +177,12 @@ def _primitive(col):
 
 def _sparse_rows(a):
     """Each row of a as its entries that are not exact zeros, (k, va, ca,
-    pa, x) for the entry (va, ca, pa) in column k; x is the one numerator
-    of a monomial entry, None otherwise."""
+    pa, x) for the entry (va, ca, pa) in column k, va replaced by
+    min(va, pa) as the product rule counts it; x is the one numerator of
+    a monomial entry, None otherwise."""
     return [
         [
-            (k, va, ca, pa, ca[0] if len(ca) == 1 else None)
+            (k, min(va, pa), ca, pa, ca[0] if len(ca) == 1 else None)
             for k, (va, ca, pa) in enumerate(row)
             if ca or pa != math.inf
         ]
@@ -234,8 +201,8 @@ def _power_step(rows, b, d: int):
     product, and the unit numerator 1 none at all.
 
     Precision follows Series arithmetic: a product is known below
-    min(prec_a + v_b, prec_b + v_a), with v = 0 for a zero factor (the
-    vmin of a zero entry in normal form); a sum below the least precision of its
+    min(prec_a + v_b, prec_b + v_a), with v = min(vmin, prec), so
+    min(0, prec) for a zero factor; a sum below the least precision of its
     terms; delta keeps precision.  One departure: a product with an exact
     zero factor is exactly zero and costs no precision.
     """
@@ -249,8 +216,11 @@ def _power_step(rows, b, d: int):
             prods = []
             for k, va, ca, pa, x in arow:
                 vk, ck, pk = b[k][j]
-                if not ck and pk == math.inf:
-                    continue
+                if not ck:
+                    if pk == math.inf:
+                        continue
+                    if pk < vk:
+                        vk = pk
                 if pa + vk < prec:
                     prec = pa + vk
                 if pk + va < prec:
@@ -368,21 +338,23 @@ def katz_rank_spectral(
     """
     if n_max < 2:
         raise DiffError("n_max must be >= 2")
-    _window_valuation(_integer_matrix(module.matrix)[0])
+    a, d = _integer_matrix(module.matrix)
+    _window_valuation(a)
     try:
-        est, diagnostics = _katz_run(module, n_max, window, 4)
+        est, diagnostics = _katz_run(a, d, n_max, window, 4)
     except PrecisionError:
         pass
     else:
         if len(diagnostics["valuations"]) == n_max:
             return est, diagnostics
     return _doubling_retry(
-        lambda keep: _katz_run(module, n_max, window, keep), "keep", 16
+        lambda keep: _katz_run(a, d, n_max, window, keep), "keep", 16
     )
 
 
-def _katz_run(module: DifferentialModule, n_max: int, window: int, keep: int):
-    a, d = _integer_matrix(module.matrix)
+def _katz_run(a, d: int, n_max: int, window: int, keep: int):
+    """(estimate, diagnostics) of the powers of A = a / d, a from
+    _integer_matrix, keeping keep terms above the running minimum."""
     rows = _sparse_rows(a)
     vals: list[Optional[int]] = []
     b = a  # numerators of B_n = N_n / d^n
@@ -462,8 +434,9 @@ def _reduce_columns(cols, r: int, floor_prec: int):
     terms alone.  No value, precision or error depends on this.
 
     Precision follows Series arithmetic exactly.  A product a b is known
-    below min(prec_a + v(b), prec_b + v(a)), where v = 0 for a factor
-    that is zero as stored, an exact zero included; a sum below the least
+    below min(prec_a + v(b), prec_b + v(a)), where v = min(vmin, prec):
+    min(0, prec) for a factor that is zero as stored, and 0 for an exact
+    zero; a sum below the least
     precision of its terms; a column formed is then known to floor_prec
     at most, as col[i] is.
     Since v is the least valuation over the remaining block, every entry
@@ -509,8 +482,9 @@ def _reduce_columns(cols, r: int, floor_prec: int):
         pu -= v
         u = _terms(0, cu)
         ulen = len(cu)
-        # per row of the pivot: (vmin, prec, end exponent, nonzero terms)
-        pinfo = [(vp, pp, vp + len(cp), _terms(vp, cp)) for vp, cp, pp in pivot]
+        # per row of the pivot: (min(vmin, prec), prec, end exponent,
+        # nonzero terms)
+        pinfo = [(min(vp, pp), pp, vp + len(cp), _terms(vp, cp)) for vp, cp, pp in pivot]
         formed = []
         for col in active:
             ve, ce, pe = col[row]
@@ -522,7 +496,7 @@ def _reduce_columns(cols, r: int, floor_prec: int):
             ftop = vf + len(ce) - 1
             new = []
             for (vc, cc, pc), (vp, pp, pend, pt) in zip(col, pinfo):
-                prec = min(pc, pu + vc, pf + vp, pp + vf)
+                prec = min(pc, pu + (vc if vc < pc else pc), pf + vp, pp + vf)
                 # the exponents [lo, hi) that col[i] u - f pivot[i] can reach
                 lo, hi = (vc, vc + len(cc) + ulen - 1) if cc else (math.inf, 0)
                 if pt:
@@ -587,12 +561,11 @@ def gerard_levelt_irregularity(
     """
     if n_max < 4:
         raise DiffError("n_max must be >= 4")
-    a = module.matrix
-    r = module.rank
-    _open_below(_integer_matrix(a)[0], 1, "lattice growth", "under x^1")
-    h = max(0, -(_matrix_min_valuation(a) or 0))
+    a, d = _integer_matrix(module.matrix)
+    _open_below(a, 1, "lattice growth", "under x^1")
+    h = max(0, -min((e[0] for row in a for e in row if e[1]), default=0))
     return _doubling_retry(
-        lambda floor: _gl_run(a, r, n_max, floor), "floor", h * (n_max + 2) + 8
+        lambda floor: _gl_run(a, d, n_max, floor), "floor", h * (n_max + 2) + 8
     )
 
 
@@ -604,7 +577,7 @@ def _image(a, col, d: int):
         lo, hi = (v, v + len(nums)) if nums else (math.inf, 0)
         prods = []
         for (va, ca, pa), (vk, ck, pk) in zip(arow, col):
-            prec = min(prec, pa + vk, pk + va)
+            prec = min(prec, pa + (vk if vk < pk else pk), pk + (va if va < pa else pa))
             if ca and ck:
                 prods.append((va + vk, ca, ck))
                 lo = min(lo, va + vk)
@@ -626,8 +599,10 @@ def _image(a, col, d: int):
     return _primitive(out)
 
 
-def _gl_run(a, r: int, n_max: int, floor: int):
-    na, d = _integer_matrix(a)
+def _gl_run(na, d: int, n_max: int, floor: int):
+    """(increment, stabilized, diagnostics) of the lattices of A = na / d,
+    na from _integer_matrix, reduced at the given floor."""
+    r = len(na)
     basis = [
         [(0, [1], math.inf) if i == j else (0, [], math.inf) for i in range(r)]
         for j in range(r)

@@ -32,6 +32,15 @@ DECODE_ERRORS = (
 )
 
 
+def integer_field(value, what: str) -> int:
+    """value when it is a JSON integer; SchemaError naming ``what``
+    otherwise.  type() rather than isinstance(): a JSON true is a bool,
+    not an int, and a float is never truncated."""
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def decoder(load):
     """Make a loader of JSON documents raise SchemaError on a malformed
     one; a SlopesError it raises passes through unchanged."""

@@ -17,14 +17,15 @@ with every pass.  Two exits raise PrecisionError rather than return a wrong
 factor: a level that fails to rise, and a pass cap linear in the working
 precision.
 
-The lift and twisted_mul run on integer windows (vmin, numerators, den,
-prec), with no Series in the loop.  A window keeps the Series normal form
-(series.trim), so its vmin is its valuation, or 0 when it is zero.  Both
-sum their products on one path, _sub_products and _minus: each product
-a phi^i(b) is one convolution with the shorter factor outer, so a lift
-pass, whose corrections dL and dC are monomials, costs O(window) integer
-multiply-adds per product it forms, and the dilation by q = a/b is
-integer too.  L, C and the residual are updated in place.  The sums
+The lift and twisted_mul run on the integer windows (vmin, numerators,
+den, prec) of series.py, with no Series in the loop.  A window keeps the
+Series normal form (series.trim), so its vmin is its valuation, or 0 when
+it is zero.  Both sum their products on one path, _sub_products and
+_minus, which dilates each product a phi^i(b) and hands the sum to
+series._product_sum: one convolution with the shorter factor outer, so a
+lift pass, whose corrections dL and dC are monomials, costs O(window)
+integer multiply-adds per product it forms, and the dilation by q = a/b
+is integer too.  L, C and the residual are updated in place.  The sums
 _minus forms are divided by the gcd of their numerators and denominator:
 terms cancel there, and undivided numerators would grow pass after pass.
 The merges of dL into L and dC into C are not: a monomial in lowest
@@ -48,10 +49,21 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .degrees import DegreeValue, SlopeError, SlopeKey
-from .diff import _integer_matrix, _reduce_columns, _shift
+from .diff import _reduce_columns
 from .errors import SlopesError
 from .polygon import NewtonPolygon, polygon_from_points
-from .series import PrecisionError, Series, _make, trim
+from .series import (
+    PrecisionError,
+    Series,
+    _cut,
+    _integer_matrix,
+    _make,
+    _product_sum,
+    _series,
+    _shift,
+    _trimmed,
+    _window,
+)
 
 DEFAULT_PRECISION = 40
 
@@ -146,52 +158,7 @@ class TwistedPolynomial:
 
 
 # -- integer windows -------------------------------------------------------------
-# Twisted products and the lift run on windows (vmin, nums, den, prec): the
-# series sum_t nums[t]/den x^(vmin + t), den > 0, known below x^prec
-# (math.inf: exact), in the Series normal form.  Each rule below is the
-# Series rule it names, so a window converts back to the Series that Series
-# arithmetic would build.
-
-
-def _window(s: Series):
-    d = math.lcm(*[c.denominator for c in s.coeffs])
-    return (
-        s.vmin,
-        [c.numerator * (d // c.denominator) for c in s.coeffs],
-        d,
-        math.inf if s.prec is None else s.prec,
-    )
-
-
-def _cut(v: int, nums: list, prec) -> list:
-    """The numerators below x^prec, as Series cuts a stored window."""
-    return nums if prec == math.inf else nums[: max(0, prec - v)]
-
-
-def _series(win, prec=math.inf) -> Series:
-    """The window known below x^prec as a Series."""
-    v, nums, d, p = win
-    p = min(p, prec)
-    coeffs = tuple(Fraction(c, d) for c in _cut(v, nums, p))
-    return _make(v, coeffs, None if p == math.inf else p)
-
-
-def _trimmed(v: int, nums: list, d: int, prec):
-    """The window in the normal form of series.trim; a zero window has
-    den 1."""
-    v, nums = trim(v, nums)
-    return (v, nums, d if nums else 1, prec)
-
-
-def _normal(v: int, acc: list, d: int, prec):
-    """The window trimmed and divided by the gcd of its numerators and
-    denominator."""
-    v, acc, d, prec = _trimmed(v, acc, d, prec)
-    g = math.gcd(d, *acc)
-    if g > 1:
-        acc = [c // g for c in acc]
-        d //= g
-    return (v, acc, d, prec)
+# Twisted products and the lift run on the integer windows of series.py.
 
 
 def _merge(x, y):
@@ -265,10 +232,9 @@ class _Dilation:
 
 def _minus(win, terms, prec, dilation: _Dilation):
     """win - sum of the products a phi^i(b) over the terms (a, b, i), known
-    below x^prec: one common denominator and one convolution loop, the
-    shorter factor outer, so a product with a monomial side costs
-    O(window); then one trim and one gcd division.  With no terms the
-    window is only cut to prec and trimmed."""
+    below x^prec: each product is dilated here and summed by
+    series._product_sum.  With no terms the window is only cut to prec
+    and trimmed."""
     v, nums, d, _ = win
     nums = _cut(v, nums, prec)
     if not terms:
@@ -280,22 +246,7 @@ def _minus(win, terms, prec, dilation: _Dilation):
         if n > 0:
             bn, num, den = dilation.apply(b, i, n)
             parts.append((start, a[1][:n], bn, -num, a[2] * den))
-    if not parts:
-        return (0, [], 1, prec)
-    big_d = math.lcm(*[p[4] for p in parts])
-    lo = min(p[0] for p in parts)
-    n = min(prec, max(p[0] + len(p[1]) + len(p[2]) - 1 for p in parts)) - lo
-    acc = [0] * n
-    for start, x, y, num, den in parts:
-        f = num * (big_d // den)
-        if len(x) > len(y):
-            x, y = y, x
-        for s, c in enumerate(x, start - lo):
-            if c:
-                c *= f
-                for t, e in enumerate(y[: n - s], s):
-                    acc[t] += c * e
-    return _normal(lo, acc, big_d, prec)
+    return _product_sum(parts, prec)
 
 
 def _sub_products(res, pairs, dilation: _Dilation) -> None:
@@ -304,9 +255,10 @@ def _sub_products(res, pairs, dilation: _Dilation) -> None:
 
     Precision follows the Series rules: an exact zero left factor adds
     nothing; a product a phi^i(b) is known below
-    min(prec_a + v(b), prec_b + v(a)) (the twist is an isometry), where a
-    zero factor counts its vmin 0 and adds its precision but no term; a
-    sum is known below its terms' least precision.
+    min(prec_a + v(b), prec_b + v(a)) (the twist is an isometry), where
+    each factor counts v = min(vmin, prec), so a zero one counts
+    min(0, prec) and adds its precision but no term; a sum is known below
+    its terms' least precision.
     """
     precs = [w[3] for w in res]
     terms = [[] for _ in res]
@@ -314,9 +266,11 @@ def _sub_products(res, pairs, dilation: _Dilation) -> None:
         for i, a in enumerate(left):
             if not a[1] and a[3] == math.inf:
                 continue
+            va = min(a[0], a[3])
             for j, b in enumerate(right):
                 k = i + j
-                precs[k] = min(precs[k], a[3] + b[0], b[3] + a[0])
+                vb = b[0] if b[0] < b[3] else b[3]  # min(vmin, prec)
+                precs[k] = min(precs[k], a[3] + vb, b[3] + va)
                 if a[1] and b[1]:
                     terms[k].append((a, b, i))
     for k, w in enumerate(res):

@@ -8,9 +8,18 @@ factorization, whose outputs carry finite precision.
 
 Every series is stored in one normal form (``trim``): no leading or
 trailing zero coefficient, and the zero series, exact or O(x^p), at vmin 0.
-So ``vmin`` is the valuation of a nonzero series, and the 0 that the
-product's precision rule counts for a zero factor.  The integer windows of
-``phi`` and ``diff`` keep the same form.
+So ``vmin`` is the valuation of a nonzero series.  The product's
+precision rule counts each factor at min(vmin, prec): its valuation when
+it is nonzero, and for a zero one min(0, p), p its precision, since its
+unknown terms may start at x^p.
+
+This module also owns the integer window format that ``phi`` and ``diff``
+run on: one conversion of a Series to integer numerators (``_window``;
+``_integer_matrix`` for a matrix over one common denominator), one cut
+(``_cut``) and one trim (``_trimmed``), and one product-sum,
+``_product_sum``.  ``Series`` multiplication, addition and subtraction and
+phi's twisted products all sum on it, so they share one set of precision
+rules.
 
 Arithmetic propagates precision pessimistically and never invents a
 coefficient: asking for the valuation of a window that is zero out to its
@@ -19,16 +28,14 @@ precision raises ``PrecisionError`` instead of guessing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Union
 
-from .errors import SchemaError, SlopesError
+from .errors import SchemaError, SlopesError, integer_field
 
 Rat = Union[Fraction, int, str]
-
-_ZERO = Fraction(0)
 
 
 class PrecisionError(SlopesError, ArithmeticError):
@@ -72,11 +79,90 @@ def _make(vmin: int, coeffs: tuple, prec: Optional[int]) -> "Series":
     return _store(object.__new__(Series), vmin, coeffs, prec)
 
 
-def _integral(coeffs) -> tuple[list[int], int]:
-    """(numerators, d) with coeffs[i] == numerators[i] / d, d the least
-    common denominator."""
-    d = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
+# -- integer windows -------------------------------------------------------------
+# phi's twisted products and lift run on windows (vmin, nums, den, prec): the
+# series sum_t nums[t]/den x^(vmin + t), den > 0, known below x^prec
+# (math.inf: exact), in the normal form of trim.  diff's entries are the
+# windows (vmin, nums, prec) over one common denominator.  Each rule below
+# is the Series rule it names, so a window converts back to the Series that
+# Series arithmetic would build.
+
+
+def _window(s: Series, d: int = 0):
+    """s as a window over d, a multiple of every denominator of s; by
+    default d is their lcm."""
+    d = d or math.lcm(*[c.denominator for c in s.coeffs])
+    return (
+        s.vmin,
+        [c.numerator * (d // c.denominator) for c in s.coeffs],
+        d,
+        math.inf if s.prec is None else s.prec,
+    )
+
+
+def _integer_matrix(mat):
+    """(N, D) with mat = N / D: D is the lcm of every coefficient
+    denominator, and N holds the (vmin, numerators, prec) entries of the
+    windows of mat over D."""
+    d = math.lcm(*(c.denominator for row in mat for s in row for c in s.coeffs))
+    wins = [[_window(s, d) for s in row] for row in mat]
+    return [[(v, nums, p) for v, nums, _, p in row] for row in wins], d
+
+
+def _shift(entry, k: int):
+    """The entry times x^k; a zero entry keeps vmin 0."""
+    v, nums, p = entry
+    return (v + k if nums else 0, nums, p + k)
+
+
+def _cut(v: int, nums: list, prec) -> list:
+    """The numerators below x^prec, as Series cuts a stored window."""
+    return nums if prec == math.inf else nums[: max(0, prec - v)]
+
+
+def _series(win, prec=math.inf) -> Series:
+    """The window known below x^prec as a Series."""
+    v, nums, d, p = win
+    p = min(p, prec)
+    coeffs = tuple(Fraction(c, d) for c in _cut(v, nums, p))
+    return _make(v, coeffs, None if p == math.inf else p)
+
+
+def _trimmed(v: int, nums: list, d: int, prec):
+    """The window in the normal form of trim; a zero window has den 1."""
+    v, nums = trim(v, nums)
+    return (v, nums, d if nums else 1, prec)
+
+
+def _product_sum(parts, prec):
+    """The window of the sum of num/den x^start (x * y) over the parts
+    (start, x, y, num, den), x * y the product of two numerator lists,
+    known below x^prec: one common denominator and one convolution loop,
+    the shorter factor outer, so a product with a monomial side costs
+    O(window).  The sum is cut at prec, trimmed and divided by the gcd of
+    its numerators and denominator.  Each part's shorter factor ends below
+    x^prec, as the Series product rule and the callers' cuts ensure."""
+    if not parts:
+        return (0, [], 1, prec)
+    big_d = math.lcm(*[p[4] for p in parts])
+    lo = min(p[0] for p in parts)
+    n = min(prec, max(p[0] + len(p[1]) + len(p[2]) - 1 for p in parts)) - lo
+    acc = [0] * n
+    for start, x, y, num, den in parts:
+        f = num * (big_d // den)
+        if len(x) > len(y):
+            x, y = y, x
+        for s, c in enumerate(x, start - lo):
+            if c:
+                c *= f
+                for t, e in enumerate(y[: n - s], s):
+                    acc[t] += c * e
+    v, acc, d, prec = _trimmed(lo, acc, big_d, prec)
+    g = math.gcd(d, *acc)
+    if g > 1:
+        acc = [c // g for c in acc]
+        d //= g
+    return (v, acc, d, prec)
 
 
 def _min_prec(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -166,53 +252,19 @@ class Series:
 
     def _combine(self, other: "Series", sign: int) -> "Series":
         """self + sign * other, sign = 1 or -1."""
-        prec = _min_prec(self.prec, other.prec)
-        if not self.coeffs:
-            coeffs = other.coeffs if sign == 1 else tuple(-c for c in other.coeffs)
-            return _make(other.vmin, coeffs, prec)
-        if not other.coeffs:
-            return _make(self.vmin, self.coeffs, prec)
-        lo = min(self.vmin, other.vmin)
-        end = self.vmin + len(self.coeffs)
-        hi = max(end, other.vmin + len(other.coeffs))
-        # copy the first window, padded to [lo, hi), and add into it only
-        # the nonzero coefficients of the second
-        out = [_ZERO] * (self.vmin - lo) + list(self.coeffs) + [_ZERO] * (hi - end)
-        for i, c in enumerate(other.coeffs, other.vmin - lo):
-            if c:
-                if sign == 1:
-                    out[i] = out[i] + c if out[i] else c
-                else:
-                    out[i] = out[i] - c if out[i] else -c
-        return _make(lo, tuple(out), prec)
+        a, b = _window(self), _window(other)
+        prec = min(a[3], b[3])
+        ops = ((a, 1), (b, sign))
+        parts = [(w[0], [1], w[1], s, w[2]) for w, s in ops if w[1] and w[0] < prec]
+        return _series(_product_sum(parts, prec))
 
     def __mul__(self, other: "Series") -> "Series":
         # O(x^p) * (q + ...) is O(x^(p + v(q))); both cross terms count, and
-        # a zero factor counts v = 0, the vmin of its normal form.
-        va, vb = self, other
-        prec = None
-        if va.prec is not None:
-            prec = va.prec + vb.vmin
-        if vb.prec is not None:
-            prec = _min_prec(prec, vb.prec + va.vmin)
-        if not va.coeffs or not vb.coeffs:
-            return Series.zero(prec)
-        vmin = va.vmin + vb.vmin
-        if prec is not None:
-            # terms at or beyond prec are dropped anyway; never form them
-            va = va.truncate(prec - vb.vmin)
-            vb = vb.truncate(prec - va.vmin)
-        # convolve integer numerators over one common denominator, so each
-        # output coefficient is normalised once
-        na, da = _integral(va.coeffs)
-        nb, db = _integral(vb.coeffs)
-        out = [0] * (len(na) + len(nb) - 1)
-        for i, a in enumerate(na):
-            if a:
-                for j, b in enumerate(nb):
-                    out[i + j] += a * b
-        d = da * db
-        return _make(vmin, tuple([Fraction(c, d) for c in out]), prec)
+        # each factor counts v = min(vmin, prec): min(0, prec) when zero.
+        a, b = _window(self), _window(other)
+        parts = [(a[0] + b[0], a[1], b[1], 1, a[2] * b[2])] if a[1] and b[1] else []
+        prec = min(a[3] + min(b[0], b[3]), b[3] + min(a[0], a[3]))
+        return _series(_product_sum(parts, prec))
 
     def scale(self, c: Rat) -> "Series":
         c = _frac(c)
@@ -252,7 +304,7 @@ class Series:
         # is d m_k / n_0^(k+1), where m_0 = 1 and
         # m_k = -sum_{j>=1} n_j n_0^(j-1) m_{k-j}: integers only, and one
         # normalisation per output coefficient.
-        nums, d = _integral(self.coeffs[:nterms])
+        _, nums, d, _ = _window(self.truncate(v + nterms))
         n0 = nums[0]
         terms = []  # (j, n_j n_0^(j-1)) for the nonzero n_j, j >= 1
         pw = 1
@@ -293,13 +345,14 @@ class Series:
     def from_json(obj) -> "Series":
         if isinstance(obj, str):
             return Series(0, (Fraction(obj),))
-        vmin, prec = obj.get("vmin", 0), obj.get("prec")
-        # type() rather than isinstance(): a JSON true is a bool, not an int
-        if type(vmin) is not int:
-            raise SchemaError(f"series vmin must be an integer, got {vmin!r}")
-        if prec is not None and type(prec) is not int:
-            raise SchemaError(f"series prec must be an integer, got {prec!r}")
-        return Series(vmin, tuple(Fraction(c) for c in obj.get("c", [])), prec)
+        vmin = integer_field(obj.get("vmin", 0), "series vmin")
+        prec = obj.get("prec")
+        if prec is not None:
+            integer_field(prec, "series prec")
+        c = obj.get("c", [])
+        if type(c) is not list or any(type(x) not in (str, int) for x in c):
+            raise SchemaError(f"series c must be a list of strings or integers, got {c!r}")
+        return Series(vmin, tuple(map(Fraction, c)), prec)
 
     def __repr__(self):
         parts = []

@@ -141,17 +141,17 @@ _MONIC = {"vmin": 0, "c": ["1"]}
 
 
 @pytest.mark.parametrize(
-    "argv, doc, field",
+    "argv, doc, message",
     [
         (
             ["np", "--backend", "diff"],
             {"matrix": [[{"vmin": -2, "c": ["1"], "prec": 2.5}]]},
-            "prec",
+            "series prec must be an integer",
         ),
         (
             ["factor"],
             {"twist": {"q": "2"}, "coeffs": [{"vmin": 1.5, "c": ["1"]}, _MONIC]},
-            "vmin",
+            "series vmin must be an integer",
         ),
         (
             ["factor"],
@@ -159,7 +159,7 @@ _MONIC = {"vmin": 0, "c": ["1"]}
                 "twist": {"q": "2"},
                 "coeffs": [{"vmin": -1, "c": ["1"], "prec": True}, _MONIC],
             },
-            "prec",
+            "series prec must be an integer",
         ),
         (
             ["np", "--backend", "twisted"],
@@ -167,20 +167,90 @@ _MONIC = {"vmin": 0, "c": ["1"]}
                 "twist": {"q": "2"},
                 "coeffs": [{"vmin": -1, "c": ["1"], "prec": 5.5}, _MONIC],
             },
-            "prec",
+            "series prec must be an integer",
+        ),
+        (
+            ["factor"],
+            {"twist": {"q": "2"}, "coeffs": [{"vmin": 0, "c": "12"}, _MONIC]},
+            "series c must be a list of strings or integers",
+        ),
+        (
+            ["np", "--backend", "diff"],
+            {"matrix": [[{"vmin": -2, "c": [1.5]}]]},
+            "series c must be a list of strings or integers",
+        ),
+        (
+            ["np", "--backend", "twisted"],
+            {"twist": {"q": "2"}, "coeffs": [{"vmin": -1, "c": [True]}, _MONIC]},
+            "series c must be a list of strings or integers",
         ),
     ],
-    ids=["diff-float-prec", "factor-float-vmin", "factor-bool-prec", "twisted-float-prec"],
+    ids=[
+        "diff-float-prec",
+        "factor-float-vmin",
+        "factor-bool-prec",
+        "twisted-float-prec",
+        "factor-string-c",
+        "diff-float-c",
+        "twisted-bool-c",
+    ],
 )
-def test_series_fields_must_be_integers(tmp_path, capsys, argv, doc, field):
-    """A series vmin or prec that is a float or a bool is a bad input
-    (exit 2), never read as an integer nor left to fail as a bug."""
+def test_series_fields_must_be_integers(tmp_path, capsys, argv, doc, message):
+    """A series vmin or prec that is a float or a bool, or a c that is not
+    a list of strings and integers, is a bad input (exit 2), never read as
+    a number nor left to fail as a bug."""
     f = tmp_path / "in.json"
     f.write_text(json.dumps(doc))
     code = main(argv + ["--in", str(f)])
     err = capsys.readouterr().err
     assert code == 2
-    assert f"series {field} must be an integer" in err
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (
+            ["np", "--backend", "twisted"],
+            {"valuations": [0, -1.5, 0]},
+            "valuation must be an integer, got -1.5",
+        ),
+        (
+            ["np", "--backend", "diff"],
+            {"valuations": [0, 1.5, -2]},
+            "valuation must be an integer, got 1.5",
+        ),
+        (
+            ["np", "--backend", "twisted"],
+            {"valuations": [0, True, 0]},
+            "valuation must be an integer, got True",
+        ),
+        (
+            ["np", "--backend", "twisted"],
+            {
+                "twist": {"q": "2"},
+                "coeffs": [{"vmin": -1, "c": ["1"]}, _MONIC],
+                "precision": 2.5,
+            },
+            "precision must be an integer, got 2.5",
+        ),
+    ],
+    ids=[
+        "twisted-float-valuation",
+        "diff-float-valuation",
+        "twisted-bool-valuation",
+        "twisted-float-precision",
+    ],
+)
+def test_integer_fields_are_never_truncated(tmp_path, capsys, argv, doc, message):
+    """A valuation or a twisted polynomial's precision that is a float or
+    a bool is a bad input (exit 2), never truncated to an integer."""
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(doc))
+    code = main(argv + ["--in", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
 
 
 def test_factor_echoes_a_zero_coefficient_at_vmin_0(tmp_path, capsys):

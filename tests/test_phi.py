@@ -27,7 +27,7 @@ from slopes.phi import (
     twisted_mul,
 )
 from slopes.polygon import DIRECT_SUM, DUAL, TENSOR_MULT, polygon_combine
-from slopes.series import PrecisionError, Series
+from slopes.series import PrecisionError, Series, _series
 
 Q2 = TwistSpec(Fraction(2))
 ONE = Series.one()
@@ -436,13 +436,13 @@ def test_merge_matches_add(data):
     q = data.draw(st.sampled_from([Fraction(2), Fraction(1, 2), Fraction(-2, 3)]))
     prec = data.draw(st.integers(-2, 12))
     merged = data.draw(_lift_window())
-    added = phi._series(merged)
+    added = _series(merged)
     for _ in range(data.draw(st.integers(1, 4))):
         y = data.draw(_lift_monomial(q, data.draw(st.sampled_from([prec, math.inf]))))
-        merged, added = phi._merge(merged, y), added + phi._series(y)
+        merged, added = phi._merge(merged, y), added + _series(y)
         for cut in (prec, math.inf):
             want = added if cut == math.inf else added.truncate(cut)
-            assert phi._series(merged, cut) == want
+            assert _series(merged, cut) == want
         assert merged[0] == added.vmin and len(merged[1]) == len(added.coeffs)
 
 

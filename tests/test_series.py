@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slopes import diff, phi
-from slopes.series import PrecisionError, Series, trim
+from slopes.series import PrecisionError, Series, _integer_matrix, _window, trim
 
 
 def ser(vmin, *coeffs):
@@ -70,6 +70,9 @@ def test_mul_precision_propagates():
     a = Series(0, (Fraction(1),), prec=5)
     b = ser(-2, 1)
     assert (a * b).prec == 3
+    # a zero known only below x^-2 may start there: O(x^-2) O(x^-2) = O(x^-4)
+    assert (Series.zero(-2) * Series.zero(-2)).prec == -4
+    assert (Series.zero(3) * Series.zero(-2)).prec == -2
 
 
 def test_truncate_precision():
@@ -89,24 +92,6 @@ truncated_strategy = st.builds(
     series_strategy,
     st.one_of(st.none(), st.integers(min_value=-1, max_value=4)),
 )
-
-
-@given(truncated_strategy, truncated_strategy)
-def test_mul_matches_schoolbook(a, b):
-    """Coefficients known in the product equal the termwise Fraction sums."""
-    p = a * b
-    for k in range(p.vmin, p.vmin + len(p.coeffs)):
-        want = sum(
-            (
-                ca * cb
-                for i, ca in enumerate(a.coeffs)
-                for j, cb in enumerate(b.coeffs)
-                if a.vmin + i + b.vmin + j == k
-            ),
-            Fraction(0),
-        )
-        assert p.coeff(k) == want
-    assert all(type(c) is Fraction for c in p.coeffs)
 
 
 @given(series_strategy, st.fractions(min_value=-5, max_value=5).filter(bool))
@@ -224,6 +209,28 @@ def reference_add(a, b):
     return normal_form(lo, out, prec)
 
 
+def reference_mul(a, b):
+    """(vmin, coeffs, prec) of a * b: every term product summed into a
+    dense Fraction window, cut at the precision and trimmed.  The product
+    is known below min(prec_a + v(b), prec_b + v(a)) over the finite
+    precisions, where a factor zero as stored to precision p counts
+    v = min(0, p): its unknown terms may start at x^p."""
+    va = next((a.vmin + i for i, c in enumerate(a.coeffs) if c), min(0, a.prec or 0))
+    vb = next((b.vmin + j for j, c in enumerate(b.coeffs) if c), min(0, b.prec or 0))
+    precs = [p + v for p, v in ((a.prec, vb), (b.prec, va)) if p is not None]
+    prec = min(precs) if precs else None
+    lo = a.vmin + b.vmin
+    hi = lo + len(a.coeffs) + len(b.coeffs) - 1
+    if prec is not None:
+        hi = min(hi, prec)
+    out = [Fraction(0)] * max(0, hi - lo)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            if i + j < len(out):
+                out[i + j] += ca * cb
+    return normal_form(lo, out, prec)
+
+
 def test_add_matches_termwise():
     rng = random.Random(12)
     for _ in range(3000):
@@ -251,6 +258,18 @@ def test_sub_is_add_of_negation(a, b):
     got, want = a - b, a + (-b)
     assert (got.vmin, got.coeffs, got.prec) == (want.vmin, want.coeffs, want.prec)
     assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stored_windows(), _stored_windows())
+def test_mul_matches_schoolbook(a, b):
+    """a * b has the exact (vmin, coeffs, prec) of the dense termwise
+    Fraction product: every known term, and the precision rule, over
+    zero factors exact and truncated and precisions inside and beyond
+    the window."""
+    p = a * b
+    assert (p.vmin, p.coeffs, p.prec) == reference_mul(a, b), (a, b)
+    assert all(type(c) is Fraction for c in p.coeffs)
 
 
 def _is_normal(v, coeffs):
@@ -300,7 +319,7 @@ def test_every_series_and_window_is_normal(abcd, data):
         assert _is_normal(s.vmin, s.coeffs), s
 
     # phi: windows of Series, a monomial, merges and twisted product-sums
-    wins = [phi._window(s) for s in abcd]
+    wins = [_window(s) for s in abcd]
     num = data.draw(st.integers(-6, 6).filter(bool))
     den = data.draw(st.sampled_from([3, -2]))
     mono = phi._monomial(num, den, k, data.draw(st.integers(k - 1, k + 2)))
@@ -312,7 +331,7 @@ def test_every_series_and_window_is_normal(abcd, data):
         assert _is_normal(w[0], w[1]), w
 
     # diff: the integer matrix, a Katz power step and a column reduction
-    n, den = diff._integer_matrix([[a, b], [c, d]])
+    n, den = _integer_matrix([[a, b], [c, d]])
     entries = [e for row in n for e in row]
     # Katz cuts B_n to a window above its valuation before each step
     b = [[diff._cut(e, k + 4) for e in row] for row in n]
