@@ -149,20 +149,13 @@ def _trimmed(v: int, nums: list, prec):
     return (*trim(v, nums), prec)
 
 
-def _truncate(entry, prec: int):
-    """The entry known only below x^prec, as Series.truncate cuts it: an
-    exact zero becomes a zero known to x^prec."""
+def _cut(entry, prec: int):
+    """The entry known only below x^prec, as Series.truncate cuts it,
+    except that an exact zero stays exact."""
     v, nums, p = entry
-    if p <= prec:
+    if p <= prec or not nums and p == math.inf:
         return entry
     return _trimmed(v, nums[: max(0, prec - v)], prec)
-
-
-def _cut(entry, prec: int):
-    """The entry known only below x^prec; an exact zero stays exact."""
-    if not entry[1] and entry[2] == math.inf:
-        return entry
-    return _truncate(entry, prec)
 
 
 def _primitive(col):
@@ -257,17 +250,6 @@ def _power_step(rows, b, d: int):
     return out
 
 
-def _open_below(b, level: int, what: str, where: str) -> None:
-    """Raise PrecisionError, naming ``what``, when an entry of b is zero
-    only below x^p with p < level."""
-    open_precs = [e[2] for row in b for e in row if not e[1] and e[2] < level]
-    if open_precs:
-        raise PrecisionError(
-            f"{what} indeterminate: an entry is zero only below "
-            f"x^{min(open_precs)}, {where}"
-        )
-
-
 def _window_valuation(b):
     """v(B) of a window of entries, or None when every entry is zero to a
     precision x^1 or beyond.
@@ -276,15 +258,23 @@ def _window_valuation(b):
     the least known valuation (under x^1 when no entry has a known
     term), leaves v(B) open: that entry may have valuation p.
     """
-    known = [e[0] for row in b for e in row if e[1]]
-    v = min(known, default=1)
-    where = (
-        f"under the least known valuation {v}"
-        if known
-        else "and no entry has a known term"
-    )
-    _open_below(b, v, "power valuation", where)
-    return v if known else None
+    v, p = None, math.inf  # least known valuation, least precision of a zero
+    for row in b:
+        for ve, nums, pe in row:
+            if not nums:
+                p = min(p, pe)
+            elif v is None or ve < v:
+                v = ve
+    if p < (1 if v is None else v):
+        where = (
+            "and no entry has a known term"
+            if v is None
+            else f"under the least known valuation {v}"
+        )
+        raise PrecisionError(
+            f"power valuation indeterminate: an entry is zero only below x^{p}, {where}"
+        )
+    return v
 
 
 PRECISION_ATTEMPTS = 5
@@ -401,11 +391,20 @@ def _terms(v: int, nums: list):
     return [(t, c) for t, c in enumerate(nums, v) if c]
 
 
-def _reduce_columns(cols, r: int, floor_prec: int):
+def _representative(entry):
+    """The entry cut at x^1: exact, with its terms below x^1, when it is
+    known to x^1 or beyond; itself when it is known only below x^p, p < 1."""
+    v, nums, p = entry
+    if p < 1:
+        return entry
+    return _trimmed(v, nums[: max(0, 1 - v)], math.inf)
+
+
+def _reduce_columns(cols, r: int):
     """DVR column reduction over Q[[x]]; returns (sum of pivot diagonal
     valuations, pivot columns).  Columns are lists of integer entries
-    (vmin, numerators, prec) in normal form, prec math.inf for an exact entry,
-    and are first cut to floor_prec.
+    (vmin, numerators, prec) in normal form, prec math.inf for an exact
+    entry.
 
     Each step takes as pivot the entry p of least valuation v over the
     rows left and the columns left, and replaces every other column by
@@ -415,12 +414,31 @@ def _reduce_columns(cols, r: int, floor_prec: int):
     only shifts and products, no inverse: the DVR form of fraction-free
     elimination (Bareiss; Cohen, GTM 138, 2.4).
 
-    An entry that is zero as stored is safe only when its unknown tail
-    starts at x^1 or later: such content lies in x Q[[x]]^r, inside the
-    standard lattice, which the generators' span always contains.  The pivot
-    search raises PrecisionError at a zero entry known only below x^p,
-    p < 1, so that the caller can retry with more precision; a column
-    whose entries are all safely zero is dropped.
+    Every column taken in or formed is cut to its _representative at x^1.
+    Pivots are taken among entries with a known term, so each has
+    valuation <= 0; the search raises PrecisionError at a zero entry known
+    only below x^p, p < 1, and when no entry is left to take.  A column
+    that is exactly zero is dropped.
+
+    The cut keeps the span and the pivots when the span M of the columns
+    contains V_0 = Q[[x]]^r, as Gérard–Levelt's generators do: they span
+    V_{k+1}, which contains V_k and V_0.  After pivots in some rows the
+    columns left span N, the vectors of M zero in those rows (a vector of
+    M zero in the pivot row has no share of the pivot), so N contains the
+    unit vector of each row left.  What the cut drops from a column of N
+    lies in x V_0, inside x N, so by Nakayama's lemma the cut columns still
+    span N, and a column cut to zero is not needed.  Each pivot valuation
+    is then the least valuation over N, as in the exact elimination, and
+    is <= 0, so the search never runs out.  The r pivots span M and are
+    triangular, a basis of M, and the total is v(det) of that basis.
+
+    Entries known only below x^p, p < 1, come from the input's own
+    truncation and follow Series arithmetic: a product a b is known below
+    min(prec_a + v(b), prec_b + v(a)), v = min(vmin, prec) (0 for an exact
+    zero), and a sum below the least precision of its terms.  On any exact
+    completion of the input the same steps form the same exact entries,
+    and entries that agree with the others below their precision, so what
+    the reduction returns holds for every completion.
 
     A column stands for itself times any nonzero rational constant.  Such
     a constant is a unit of Q[[x]], so scaling by it moves no valuation,
@@ -428,35 +446,12 @@ def _reduce_columns(cols, r: int, floor_prec: int):
     and each column formed is divided by the gcd of its numerators.  The
     results are those of the rational elimination, with bounded integers.
 
-    The unit u and the pivot column serve every column that the pivot
-    clears, so their nonzero terms are listed once per pivot, and f's once
-    per column; each entry of col u - f pivot is then summed over those
-    terms alone.  No value, precision or error depends on this.
-
-    Precision follows Series arithmetic exactly.  A product a b is known
-    below min(prec_a + v(b), prec_b + v(a)), where v = min(vmin, prec):
-    min(0, prec) for a factor that is zero as stored, and 0 for an exact
-    zero; a sum below the least
-    precision of its terms; a column formed is then known to floor_prec
-    at most, as col[i] is.
-    Since v is the least valuation over the remaining block, every entry
-    of the columns left has valuation >= v or is zero, f has valuation
-    >= 0 and is known to floor_prec - v, and the unit u is known to
-    floor_prec - v.  Both products col[i] u and f pivot[i] are then known
-    to floor_prec, provided v <= 0, which covers the zero factors.  So
-    every pivot must have valuation <= 0.  Gérard–Levelt meets that
-    because its generators span a lattice V_k that contains the standard
-    lattice V_0 = Q[[x]]^r.  They are the basis of V_k that the last
-    reduction returned, cut to the floor, and its images.  A cut column
-    differs from its exact one by a vector of x^floor Q[[x]]^r, inside
-    x V_0 and so inside x V_k; by Nakayama's lemma the cut basis still
-    spans V_k.  The columns left then span the vectors of V_k that vanish
-    in the rows already taken, among them the unit vector of each row
-    left, so some entry of the block has valuation <= 0.
+    The nonzero terms of u and of the pivot column are listed once per
+    pivot, and f's once per column.
     """
     active = []
     for c in cols:
-        col = [_truncate(e, floor_prec) for e in c]
+        col = [_representative(e) for e in c]
         if any(e[1] or e[2] < 1 for e in col):
             active.append(col)
     rows_left = list(range(r))
@@ -488,7 +483,7 @@ def _reduce_columns(cols, r: int, floor_prec: int):
         formed = []
         for col in active:
             ve, ce, pe = col[row]
-            if not ce:  # safely zero: the search above raised otherwise
+            if not ce:  # exactly zero: the search above raised otherwise
                 formed.append(col)
                 continue
             vf, pf = ve - v, pe - v
@@ -497,15 +492,17 @@ def _reduce_columns(cols, r: int, floor_prec: int):
             new = []
             for (vc, cc, pc), (vp, pp, pend, pt) in zip(col, pinfo):
                 prec = min(pc, pu + (vc if vc < pc else pc), pf + vp, pp + vf)
-                # the exponents [lo, hi) that col[i] u - f pivot[i] can reach
+                # the exponents [lo, hi) that col[i] u - f pivot[i] can reach,
+                # cut at x^1
                 lo, hi = (vc, vc + len(cc) + ulen - 1) if cc else (math.inf, 0)
                 if pt:
                     if vf + vp < lo:
                         lo = vf + vp
                     if ftop + pend > hi:
                         hi = ftop + pend
-                if prec < hi:
-                    hi = prec
+                hi = min(hi, prec, 1)
+                if prec >= 1:
+                    prec = math.inf
                 if lo >= hi:
                     new.append((0, [], prec))
                     continue
@@ -542,31 +539,36 @@ def gerard_levelt_irregularity(
     the increment of dim(V_k/V_0) once constant over the final quarter of
     the iterations; stabilized=False marks an advisory result.
 
-    Each step reduces 2r columns: the basis of V_k and its images.  V_k
-    contains V_0 = Q[[x]]^r, so the identity is not among them (see
-    _reduce_columns).  A zero increment means V_{k+1} = V_k, and then
-    every later lattice is V_k again: the run stops there and repeats the
-    last dimension up to n_max, so a regular module (v(A) >= 0) takes one
-    step.
+    Each step reduces 2r columns: the basis of V_k and its images; V_k
+    contains V_0 = Q[[x]]^r, so the identity is not among them.  The basis
+    is the one _reduce_columns returns, cut at x^1, which still spans V_k
+    and is exact wherever A is.  A zero increment means V_{k+1} = V_k, and
+    then every later lattice is V_k again: the run stops there and repeats
+    the last dimension up to n_max, so a regular module (v(A) >= 0) takes
+    one step.  With A = N_A / D as in the Katz powers, the image of a
+    column is N_A col + D delta(col), a constant multiple of nabla(col)
+    that spans the same lattice.
 
-    The lattices run on integer numerators: with A = N_A / D as in the
-    Katz powers, the image of a column is D (delta + A) col =
-    N_A col + D delta(col), a constant multiple of nabla(col), which
-    spans the same lattice (see _reduce_columns).
-
-    An entry of A zero only below x^p with p < 1 is the input's own
-    precision running out: its unknown terms lie outside x Q[[x]], so the
-    lattices depend on them and no floor lifts it; it raises before any
-    retry.
+    No working precision is chosen, so one run gives the result or the
+    error, which names the input's own precision: there is no retry.  An
+    entry of A zero only below x^p with p < 1 raises before the run: its
+    unknown terms lie outside x Q[[x]], so the lattices depend on them.
     """
     if n_max < 4:
         raise DiffError("n_max must be >= 4")
     a, d = _integer_matrix(module.matrix)
-    _open_below(a, 1, "lattice growth", "under x^1")
-    h = max(0, -min((e[0] for row in a for e in row if e[1]), default=0))
-    return _doubling_retry(
-        lambda floor: _gl_run(a, d, n_max, floor), "floor", h * (n_max + 2) + 8
-    )
+    open_precs = [p for row in a for _, nums, p in row if not nums and p < 1]
+    if open_precs:
+        raise PrecisionError(
+            "lattice growth indeterminate: an entry is zero only below "
+            f"x^{min(open_precs)}, under x^1"
+        )
+    try:
+        return _gl_run(a, d, n_max)
+    except PrecisionError as exc:
+        raise PrecisionError(
+            f"lattice growth indeterminate: the input's own precision ran out ({exc})"
+        ) from exc
 
 
 def _image(a, col, d: int):
@@ -599,19 +601,15 @@ def _image(a, col, d: int):
     return _primitive(out)
 
 
-def _gl_run(na, d: int, n_max: int, floor: int):
+def _gl_run(na, d: int, n_max: int):
     """(increment, stabilized, diagnostics) of the lattices of A = na / d,
-    na from _integer_matrix, reduced at the given floor."""
+    na from _integer_matrix."""
     r = len(na)
-    basis = [
-        [(0, [1], math.inf) if i == j else (0, [], math.inf) for i in range(r)]
-        for j in range(r)
-    ]
+    basis = [[(0, [1] if i == j else [], math.inf) for i in range(r)] for j in range(r)]
     dims = []
     for step in range(n_max):
         gens = basis + [_image(na, col, d) for col in basis]
-        vmin = min(e[0] for col in gens for e in col)
-        total, basis = _reduce_columns(gens, r, floor + max(0, -vmin))
+        total, basis = _reduce_columns(gens, r)
         dims.append(-total)
         if dims[-1] == (dims[-2] if step else 0):
             # a zero increment: V_{k+1} = V_k, and so is every later lattice

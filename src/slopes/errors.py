@@ -7,6 +7,7 @@ also keeps its builtin base (``ValueError``, ``ArithmeticError``,
 """
 
 import functools
+from fractions import Fraction
 
 
 class SlopesError(Exception):
@@ -39,6 +40,15 @@ def integer_field(value, what: str) -> int:
     if type(value) is not int:
         raise SchemaError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def rational_field(value, what: str) -> Fraction:
+    """value as a Fraction when it is a JSON string or integer; SchemaError
+    naming ``what`` otherwise, so a float is never read through its binary
+    value and a bool is not taken for a number."""
+    if type(value) not in (str, int):
+        raise SchemaError(f"{what} must be a string or an integer, got {value!r}")
+    return Fraction(value)
 
 
 def decoder(load):

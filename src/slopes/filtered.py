@@ -51,7 +51,7 @@ from .core import (
     destabilizer_from_candidates,
 )
 from .degrees import DegreeValue, SlopeError
-from .errors import SlopesError, decoder
+from .errors import SlopesError, decoder, integer_field, rational_field
 
 
 class FilteredError(SlopesError, ValueError):
@@ -120,15 +120,15 @@ class FilteredSpace:
     @staticmethod
     @decoder
     def from_json(obj) -> "FilteredSpace":
-        dim = int(obj["dim"])
+        dim = integer_field(obj["dim"], "dim")
         fils = []
         for f in obj["filtrations"]:
             steps = []
             for s in f["steps"]:
                 basis = linalg.subspace(
-                    [tuple(Fraction(c) for c in row) for row in s["basis"]]
+                    [tuple(rational_field(c, "basis entry") for c in row) for row in s["basis"]]
                 )
-                steps.append((Fraction(str(s["jump"])), basis))
+                steps.append((rational_field(s["jump"], "jump"), basis))
             if not steps or len(steps[-1][1]) != dim:
                 raise FilteredError(
                     "each filtration must end with the whole space"

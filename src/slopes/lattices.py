@@ -46,7 +46,7 @@ from .core import (
     destabilizer_from_candidates,
 )
 from .degrees import DegreeValue, SlopeError, SlopeKey, ceil_root
-from .errors import SlopesError, decoder
+from .errors import SlopesError, decoder, rational_field
 
 class LatticeError(SlopesError, ValueError):
     pass
@@ -109,7 +109,7 @@ class EuclideanLattice:
     @decoder
     def from_json(obj) -> "EuclideanLattice":
         return EuclideanLattice(
-            tuple(tuple(Fraction(c) for c in row) for row in obj["gram"])
+            tuple(tuple(rational_field(c, "gram entry") for c in row) for row in obj["gram"])
         )
 
     @staticmethod

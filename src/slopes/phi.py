@@ -506,11 +506,13 @@ def dm_degree(phi: PhiMatrix) -> DegreeValue:
     D the lcm of every coefficient denominator: det N = D^r det Phi and
     D^r is a nonzero constant, so v(det N) = v(det Phi), and every column
     the reduction forms may be scaled by a constant for the same reason.
-    That reduction keeps its floor only while every pivot has valuation
-    <= 0, so column j is first multiplied by x^(1 - k_j), k_j the least
-    precision in the column: every known entry then has valuation <= 0
-    and is known to x^1, the reduction runs at floor 1, and v(det Phi) is
-    its sum plus sum_j (k_j - 1).
+    The reduction cuts every column at x^1 to an exact representative
+    and takes its pivots among entries with a term below x^1, so every
+    pivot has valuation <= 0 and the terms below x^1 of an entry it forms
+    depend on no term at x^1 or beyond.  Column j is therefore first
+    multiplied by x^(1 - k_j), k_j the least precision in the column:
+    every entry is then known to x^1, and v(det Phi) is the sum of the
+    pivot valuations plus sum_j (k_j - 1).
 
     An exact column has no precision of its own; it gets
     k_j = s + B + 1, where s is the least valuation or precision of any
@@ -538,7 +540,7 @@ def dm_degree(phi: PhiMatrix) -> DegreeValue:
         ks.append(min(precs, default=s + bound + 1))
     cols = [[_shift(row[j], 1 - ks[j]) for row in m] for j in range(r)]
     try:
-        total, _ = _reduce_columns(cols, r, 1)
+        total, _ = _reduce_columns(cols, r)
     except PrecisionError:
         if any(e[2] != math.inf for row in m for e in row):
             raise

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .core import Budget, COMPLETE, SlopeBackend
 from .degrees import DegreeValue
-from .errors import SlopesError, decoder
+from .errors import SlopesError, decoder, integer_field, rational_field
 
 ZERO_ID = "0"
 
@@ -115,7 +114,9 @@ def load_table(doc) -> TableCategory:
         if oid in objects:
             raise TableError(f"duplicate object id {oid!r}")
         objects[oid] = TableObject(
-            oid, int(o["rank"]), DegreeValue.rational(Fraction(str(o["deg"])))
+            oid,
+            integer_field(o["rank"], "rank"),
+            DegreeValue.rational(rational_field(o["deg"], "deg")),
         )
     triples = []
     for t in doc.get("exact", []):

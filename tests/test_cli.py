@@ -234,17 +234,55 @@ def test_series_fields_must_be_integers(tmp_path, capsys, argv, doc, message):
             },
             "precision must be an integer, got 2.5",
         ),
+        (
+            ["hn", "--backend", "lattice"],
+            {"gram": [[0.1, 0], [0, 2]]},
+            "gram entry must be a string or an integer, got 0.1",
+        ),
+        (
+            ["hn", "--backend", "filtered"],
+            {"dim": 2.5, "filtrations": []},
+            "dim must be an integer, got 2.5",
+        ),
+        (
+            ["hn", "--backend", "filtered"],
+            {"dim": 1, "filtrations": [{"steps": [{"jump": "0", "basis": [[1.5]]}]}]},
+            "basis entry must be a string or an integer, got 1.5",
+        ),
+        (
+            ["hn", "--backend", "filtered"],
+            {"dim": 1, "filtrations": [{"steps": [{"jump": 0.5, "basis": [["1"]]}]}]},
+            "jump must be a string or an integer, got 0.5",
+        ),
+        (
+            ["hn", "--backend", "table"],
+            {"objects": [{"id": "a", "rank": 1.5, "deg": "0"}]},
+            "rank must be an integer, got 1.5",
+        ),
+        (
+            ["hn", "--backend", "table"],
+            {"objects": [{"id": "a", "rank": 1, "deg": 0.1}]},
+            "deg must be a string or an integer, got 0.1",
+        ),
     ],
     ids=[
         "twisted-float-valuation",
         "diff-float-valuation",
         "twisted-bool-valuation",
         "twisted-float-precision",
+        "lattice-float-gram",
+        "filtered-float-dim",
+        "filtered-float-basis",
+        "filtered-float-jump",
+        "table-float-rank",
+        "table-float-deg",
     ],
 )
 def test_integer_fields_are_never_truncated(tmp_path, capsys, argv, doc, message):
-    """A valuation or a twisted polynomial's precision that is a float or
-    a bool is a bad input (exit 2), never truncated to an integer."""
+    """A valuation, a twisted polynomial's precision, a dimension or a
+    rank that is a float or a bool is a bad input (exit 2), never
+    truncated to an integer; a Gram or basis entry, a jump or a degree
+    that is a float is one too, never read through its binary value."""
     f = tmp_path / "in.json"
     f.write_text(json.dumps(doc))
     code = main(argv + ["--in", str(f)])

@@ -151,23 +151,34 @@ def test_gerard_levelt_examples():
     assert (ir, stab) == (3, True)
 
 
-def test_gl_precision_retry_names_what_ran_out(monkeypatch):
-    import slopes.diff as diff_mod
+def test_gl_raises_once_with_no_retry(monkeypatch):
+    """With every basis an exact representative, only the input's own
+    precision can run out: a nonzero entry of A known only below x^0
+    raises after one run, naming the input, and a rank-one module whose
+    entry is known to x^0 still returns."""
+    runs = []
+    real_run = diff_mod._gl_run
 
-    floors = []
-    errors = []
+    def counting_run(*args):
+        runs.append(args)
+        return real_run(*args)
 
-    def starved(na, d, n_max, floor):
-        floors.append(floor)
-        errors.append(PrecisionError("column reduction ran out"))
-        raise errors[-1]
-
-    monkeypatch.setattr(diff_mod, "_gl_run", starved)
-    m = DifferentialModule(((Series.monomial(1, -2),),))
-    with pytest.raises(PrecisionError, match="floor=576") as info:
+    monkeypatch.setattr(diff_mod, "_gl_run", counting_run)
+    x_inv = Series.monomial(1, -1)
+    m = DifferentialModule(((x_inv, _S(-1, [1], 0)), (Series.zero(), x_inv)))
+    with pytest.raises(PrecisionError) as info:
         gerard_levelt_irregularity(m, 12)
-    assert floors == [36, 72, 144, 288, 576]
-    assert info.value.__cause__ is errors[-1]
+    assert str(info.value) == (
+        "lattice growth indeterminate: the input's own precision ran out "
+        "(series is zero to precision O(x^0); valuation unknown)"
+    )
+    assert isinstance(info.value.__cause__, PrecisionError)
+    assert len(runs) == 1
+    runs.clear()
+    ir, stabilized, _ = gerard_levelt_irregularity(
+        DifferentialModule(((_S(-2, [1], 0),),)), 12
+    )
+    assert (ir, stabilized, len(runs)) == (2, True, 1)
 
 
 def test_gl_rejects_tiny_budget():
@@ -216,10 +227,10 @@ def test_gerard_levelt_takes_no_inverse(monkeypatch):
         calls["inverse"] += 1
         return real_inverse(self, prec)
 
-    def counting_reduce(cols, r, floor_prec):
+    def counting_reduce(cols, r):
         calls["reduce"] += 1
         assert len(cols) == 2 * r
-        return real_reduce(cols, r, floor_prec)
+        return real_reduce(cols, r)
 
     mixed = DifferentialOperator(
         (
@@ -248,9 +259,9 @@ def test_gerard_levelt_stops_at_its_fixed_point(monkeypatch):
     sizes = []
     real_reduce = diff_mod._reduce_columns
 
-    def counting_reduce(cols, r, floor_prec):
+    def counting_reduce(cols, r):
         sizes.append((len(cols), r))
-        return real_reduce(cols, r, floor_prec)
+        return real_reduce(cols, r)
 
     monkeypatch.setattr(diff_mod, "_reduce_columns", counting_reduce)
     regular = [
@@ -359,9 +370,8 @@ def test_katz_blames_the_input_not_keep(monkeypatch):
 
 
 def test_gerard_levelt_blames_the_input_not_floor(monkeypatch):
-    """An entry of A zero only below x^p, p < 1, leaves the lattices open
-    whatever the floor: it raises once, before any retry, naming the
-    entry's precision."""
+    """An entry of A zero only below x^p, p < 1, leaves the lattices open:
+    it raises before any run, naming the entry's precision."""
     runs = []
     real_run = diff_mod._gl_run
 
@@ -589,7 +599,10 @@ def test_katz_narrow_window_falls_back(monkeypatch):
 
 # -- the Series-based lattice growth, kept as the reference ------------------------
 # The elimination of _reduce_columns on Series entries with rational
-# coefficients, every product and sum following Series precision.
+# coefficients, every product and sum following Series precision.  Each
+# column taken in or formed is cut at x^1 to its representative, as
+# _reduce_columns does; given a floor, it is instead truncated there, the
+# rule that came before, which the one-sided test below keeps as an oracle.
 
 
 def _ref_safe_valuation(s):
@@ -610,10 +623,19 @@ def _ref_shift(s, k):
     return Series(s.vmin + k, s.coeffs, None if s.prec is None else s.prec + k)
 
 
-def _ref_reduce_columns(cols, r, floor_prec):
+def _ref_representative(s):
+    """s cut at x^1: its terms below x^1, exact, when s is known to x^1
+    or beyond; s itself otherwise."""
+    if s.prec is not None and s.prec < 1:
+        return s
+    t = s.truncate(1)
+    return Series(t.vmin, t.coeffs)
+
+
+def _ref_reduce_columns(cols, r, cut):
     active = []
     for c in cols:
-        col = [e.truncate(floor_prec) for e in c]
+        col = [cut(e) for e in c]
         if not all(_ref_safely_zero(e) for e in col):
             active.append(col)
     rows_left = list(range(r))
@@ -637,7 +659,7 @@ def _ref_reduce_columns(cols, r, floor_prec):
                 continue
             f = _ref_shift(e, -v)
             for i in range(r):
-                col[i] = (col[i] * u - f * pivot[i]).truncate(floor_prec)
+                col[i] = cut(col[i] * u - f * pivot[i])
         rows_left.remove(row)
         pivots.append(pivot)
         total += v
@@ -649,12 +671,13 @@ def _ref_identity_cols(r):
     return [[Series.one() if i == j else Series.zero() for i in range(r)] for j in range(r)]
 
 
-def _ref_gl_run(a, r, n_max, floor, identity=False):
-    """The lattice growth on Series; identity=True is the first form,
-    which also reduces the identity columns at every step and runs all
-    n_max steps."""
+def _ref_gl_run(a, r, n_max, floor=None, identity=False):
+    """The lattice growth on Series, cutting at x^1, or at the floor when
+    one is given; identity=True is the first form, which also reduces the
+    identity columns at every step and runs all n_max steps."""
     dims = []
     basis = _ref_identity_cols(r)
+    cut = _ref_representative
     for step in range(n_max):
         grads = []
         for col in basis:
@@ -666,8 +689,11 @@ def _ref_gl_run(a, r, n_max, floor, identity=False):
                 img.append(acc)
             grads.append(img)
         gens = (_ref_identity_cols(r) if identity else []) + basis + grads
-        vmin = min((e.valuation_or(0) or 0) for col in gens for e in col)
-        total, basis = _ref_reduce_columns(gens, r, floor + max(0, -vmin))
+        if floor is not None:
+            vmin = min((e.valuation_or(0) or 0) for col in gens for e in col)
+            prec = floor + max(0, -vmin)
+            cut = lambda s: s.truncate(prec)  # noqa: E731
+        total, basis = _ref_reduce_columns(gens, r, cut)
         dims.append(-total)
         if not identity and dims[-1] == (dims[-2] if step else 0):
             dims += dims[-1:] * (n_max - len(dims))
@@ -679,10 +705,9 @@ def _ref_gl_run(a, r, n_max, floor, identity=False):
     return tail[-1], stabilized, {"dims": dims, "increments": increments}
 
 
-def _ref_gerard_levelt(module, n_max, identity=False):
-    a, r = module.matrix, module.rank
-    # the input check that precedes the retry: an entry zero only below
-    # x^p, p < 1, is rejected before any lattice is grown
+def _ref_check_input(a):
+    """The input check that precedes any run: an entry zero only below
+    x^p, p < 1, is rejected before any lattice is grown."""
     open_precs = [
         e.prec
         for row in a
@@ -694,6 +719,25 @@ def _ref_gerard_levelt(module, n_max, identity=False):
             "lattice growth indeterminate: an entry is zero only below "
             f"x^{min(open_precs)}, under x^1"
         )
+
+
+def _ref_gerard_levelt(module, n_max):
+    """One run at x^1, its PrecisionError naming the input's precision."""
+    a, r = module.matrix, module.rank
+    _ref_check_input(a)
+    try:
+        return _ref_gl_run(a, r, n_max)
+    except PrecisionError as exc:
+        raise PrecisionError(
+            f"lattice growth indeterminate: the input's own precision ran out ({exc})"
+        ) from exc
+
+
+def _floor_gerard_levelt(module, n_max, identity=False):
+    """The floor rule: runs at the floor h (n_max + 2) + 8, h the largest
+    pole order of A, doubled after each PrecisionError."""
+    a, r = module.matrix, module.rank
+    _ref_check_input(a)
     h = max(0, -(_matrix_min_valuation(a) or 0))
     return diff_mod._doubling_retry(
         lambda floor: _ref_gl_run(a, r, n_max, floor, identity),
@@ -728,12 +772,18 @@ _ELIMINATION_PRECISION = [
 ]
 
 
+# a nonzero entry known only below x^0, which leaves the second
+# reduction a zero entry known only below x^0 whatever the cut
+_OPEN_NONZERO = _module((Series.monomial(1, -1), _S(-1, [1], 0)), (_Z, Series.monomial(1, -1)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_modules())
 @example(_ELIMINATION_PRECISION[0])
 @example(_ELIMINATION_PRECISION[1])
 @example(_ELIMINATION_PRECISION[2])
 @example(_module((Series.monomial(1, -1), _Z), (_Z, Series.zero(-3))))
+@example(_OPEN_NONZERO)
 @example(companion(op(-2, None, -1)))
 def test_gerard_levelt_matches_series_reference(module):
     """The integer lattice growth returns the Series elimination's
@@ -742,6 +792,69 @@ def test_gerard_levelt_matches_series_reference(module):
     assert _outcome(gerard_levelt_irregularity, module, 12) == _outcome(
         _ref_gerard_levelt, module, 12
     )
+
+
+def test_gerard_levelt_certifies_what_the_floor_could_not():
+    """The first elimination-precision module: the floor rule runs out of
+    precision at every floor, while the exact representatives certify
+    irregularity 0, V_2 = V_1 of index 3."""
+    m = _ELIMINATION_PRECISION[0]
+    with pytest.raises(PrecisionError, match="after 5 attempts"):
+        _floor_gerard_levelt(m, 12)
+    ir, stabilized, diag = gerard_levelt_irregularity(m, 12)
+    assert (ir, stabilized) == (0, True)
+    assert diag["dims"] == [2] + [3] * 11
+    for extra in ([], [1], [Fraction(-2, 3), 0, 5]):
+        completed = _module(*[[_completion(e, extra) for e in row] for row in m.matrix])
+        assert gerard_levelt_irregularity(completed, 12) == (ir, stabilized, diag)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_modules())
+@example(_ELIMINATION_PRECISION[1])
+@example(_CANCELLING)
+@example(companion(op(-2, None, -1)))
+def test_gerard_levelt_returns_where_the_floor_rule_returns(module):
+    """Wherever the floor rule returns, lattice growth on exact
+    representatives returns the same irregularity, verdict, dims and
+    increments."""
+    try:
+        expected = _floor_gerard_levelt(module, 12)
+    except PrecisionError:
+        return
+    assert gerard_levelt_irregularity(module, 12) == expected
+
+
+def _completion(s, extra):
+    """An exact series equal to s below its precision, with the terms
+    extra from x^prec on."""
+    if s.prec is None:
+        return s
+    terms = dict(enumerate(s.coeffs, s.vmin))
+    terms.update(enumerate(extra, s.prec))
+    lo = min(terms, default=0)
+    return _S(lo, [terms.get(k, 0) for k in range(lo, max(terms, default=-1) + 1)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_modules(), st.data())
+def test_gerard_levelt_holds_on_exact_completions(module, data):
+    """Completion oracle: wherever lattice growth returns on a module with
+    truncated entries, it returns the same on exact completions of it."""
+    try:
+        expected = gerard_levelt_irregularity(module, 12)
+    except PrecisionError:
+        return
+    if all(e.prec is None for row in module.matrix for e in row):
+        return
+    for _ in range(2):
+        completed = DifferentialModule(
+            tuple(
+                tuple(_completion(e, data.draw(st.lists(_coeff, max_size=3))) for e in row)
+                for row in module.matrix
+            )
+        )
+        assert gerard_levelt_irregularity(completed, 12) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -753,11 +866,11 @@ def test_gerard_levelt_matches_series_reference(module):
 @example(_module((_Z, Series.monomial(1, -2)), (_Z, _Z)))
 def test_gerard_levelt_values_match_identity_generators(module):
     """Wherever the first form of the lattice growth returns, reducing the
-    identity columns at every step and running all 12 steps, the growth
-    from the basis and its images, stopped at its fixed point, returns
-    the same irregularity, verdict, dims and increments."""
+    identity columns at every step and running all 12 steps at the floor
+    rule, the growth from the basis and its images, stopped at its fixed
+    point, returns the same irregularity, verdict, dims and increments."""
     try:
-        expected = _ref_gerard_levelt(module, 12, identity=True)
+        expected = _floor_gerard_levelt(module, 12, identity=True)
     except PrecisionError:
         return
     assert gerard_levelt_irregularity(module, 12) == expected
