@@ -692,7 +692,7 @@ def _ref_gl_run(a, r, n_max, floor=None, identity=False):
         if floor is not None:
             vmin = min((e.valuation_or(0) or 0) for col in gens for e in col)
             prec = floor + max(0, -vmin)
-            cut = lambda s: s.truncate(prec)  # noqa: E731
+            cut = lambda s: s.truncate(prec)
         total, basis = _ref_reduce_columns(gens, r, cut)
         dims.append(-total)
         if not identity and dims[-1] == (dims[-2] if step else 0):
