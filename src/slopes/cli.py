@@ -2,7 +2,8 @@
 
 Subcommands: hn, np, factor, check, swan, combine.  SUBCOMMANDS gives each
 one its handler and the flags that handler reads, plus the flags main reads
-for all of them.  All randomness is seeded (flag --seed, env SLOPES_SEED,
+for all of them; LAWS gives each law of check its runner, its backends,
+the flags it reads on each and its verdict.  All randomness is seeded (flag --seed, env SLOPES_SEED,
 default 0) and recorded in the output, so identical invocations produce
 byte-identical artifacts.
 
@@ -22,6 +23,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import laws
 from .core import Budget, BudgetExhausted, hn_filtration
@@ -34,7 +36,7 @@ from .diff import (
     katz_rank_spectral,
     np_diff,
 )
-from .errors import DECODE_ERRORS, SchemaError, SlopesError, integer_field
+from .errors import DECODE_ERRORS, SchemaError, SlopesError, integer_field, rational_field
 from .filtered import FilteredBackend, FilteredSpace
 from .lattices import EuclideanLattice, LatticeBackend
 from .phi import (
@@ -166,7 +168,7 @@ def _load_series_matrix(doc):
 
 
 def _load_twist(doc) -> TwistSpec:
-    return TwistSpec(Fraction(str(doc["twist"]["q"])))
+    return TwistSpec(rational_field(doc["twist"]["q"], "q"))
 
 
 def _load_diff_operator(doc) -> DifferentialOperator:
@@ -313,23 +315,31 @@ def cmd_combine(args, seed: int):
 
 
 def cmd_check(args, seed: int):
-    run, reads = LAWS[args.law]
-    args.backend = args.backend or next(iter(reads))
-    if args.backend not in reads:
-        build_parser().error(f"--law {args.law} runs on {', '.join(reads)} only")
-    unread = [
-        flag
-        for flag, options in CHECK_TUNABLES
-        if getattr(args, options["dest"]) is not None and flag not in reads[args.backend]
+    law = LAWS[args.law]
+    args.backend = args.backend or next(iter(law.reads))
+    if args.backend not in law.reads:
+        build_parser().error(f"--law {args.law} runs on {', '.join(law.reads)} only")
+    given = [
+        flag for flag, options in CHECK_TUNABLES if getattr(args, options["dest"]) is not None
     ]
+    unread = [flag for flag in given if flag not in check_reads(args.law, args.backend, given)]
     if unread:
         build_parser().error(
             f"--law {args.law} --backend {args.backend} reads no {', '.join(unread)}"
         )
     args.samples = args.samples or CHECK_SAMPLES
-    report, complete = run(args, seed)
+    report, complete = law.run(args, seed)
     header = {"command": "check", "law": args.law, "backend": args.backend, "seed": seed}
     return {**header, "report": report}, complete
+
+
+def check_reads(law: str, backend: str, given) -> set:
+    """The check flags among given that law reads on backend.  An --in file
+    replaces the sampled objects, so no law reads --samples beside its --in."""
+    reads = LAWS[law].reads[backend]
+    if "--in" in reads and "--in" in given:
+        reads = reads - {"--samples"}
+    return reads & set(given)
 
 
 def _table_objects(args):
@@ -375,53 +385,89 @@ def _law_dominance(args, seed):
     return {**report, "samples": len(objects), "seed": seed}, complete
 
 
-CHECK_BACKENDS = ("filtered", "lattice", "table")
+def _law_morphism_slope(args, seed):
+    if args.backend == "table":
+        return laws.morphism_slope_law(TableBackend(_load(args, load_table))), True
+    return laws.morphism_slope_law_filtered(args.samples, seed), True
+
+
+def _sampled(harness, count=lambda samples: samples):
+    """run(args, seed) of a harness(count, seed) that samples its own objects."""
+    return lambda args, seed: (harness(count(args.samples), seed), True)
+
+
+def _empty(*keys):
+    """The verdict that every one of keys of the report is empty or zero."""
+    return lambda report, backend: not any(report[key] for key in keys)
+
+
+class Law(NamedTuple):
+    run: Callable  # run(args, seed) -> (report, complete)
+    reads: dict  # backend it runs on, the default first -> the check flags it reads there
+    verdict: Callable  # verdict(report, backend) -> whether the report shows the law
+
+
 CHECK_SAMPLES = 50
 
-# law name -> (run(args, seed) -> (report, complete), {backend it runs on,
-# the default first: the check flags the law reads there})
+# law name -> Law; `check --law` runs one entry, scripts/run_checks.py every
+# (law, backend) pair
 LAWS = {
-    "axioms": (
+    "axioms": Law(
         _law_axioms,
         {"filtered": {"--samples"}, "lattice": {"--samples"}, "table": {"--in"}},
+        _empty("violations"),
     ),
-    "exactness": (
+    # a witness of non-exactness is expected on lattices and on tables (the
+    # Eq. 5.2 fixture), none on the tautological n = 1 filtrations
+    "exactness": Law(
         _law_exactness,
-        {
-            "filtered": {"--samples"},
-            "lattice": {"--in", "--bound"},
-            "table": {"--in"},
-        },
+        {"filtered": {"--samples"}, "lattice": {"--in", "--bound"}, "table": {"--in"}},
+        lambda report, backend: (report["witness"] is None) == (backend == "filtered"),
     ),
-    "dominance": (
+    "dominance": Law(
         _law_dominance,
         {
             "filtered": {"--samples"},
             "lattice": {"--samples", "--in", "--bound"},
             "table": {"--in"},
         },
+        _empty("dominance_failures", "uniqueness_failures"),
     ),
-    "tensor-mult": (
-        lambda a, seed: (laws.check_tensor_mult_filtered(a.samples, seed), True),
+    "minmax": Law(_sampled(laws.check_minmax), {"filtered": {"--samples"}}, _empty("failures")),
+    "morphism-slope": Law(
+        _law_morphism_slope,
+        {"filtered": {"--samples"}, "table": {"--in"}},
+        _empty("violations"),
+    ),
+    "tensor-mult": Law(
+        _sampled(laws.check_tensor_mult_filtered), {"filtered": {"--samples"}}, _empty("failures")
+    ),
+    "tensor-bounded": Law(
+        _sampled(laws.check_tensor_bounded_rank_one), {"diff": {"--samples"}}, _empty("failures")
+    ),
+    "tensor-semistable": Law(
+        _sampled(laws.check_bifil_tensor_semistable),
         {"filtered": {"--samples"}},
+        _empty("failures"),
     ),
-    "tensor-bounded": (
-        lambda a, seed: (laws.check_tensor_bounded_rank_one(a.samples, seed), True),
-        {"diff": {"--samples"}},
-    ),
-    "coprime-stable": (
-        lambda a, seed: (laws.check_coprime_stability(max(1, a.samples // 2), seed), True),
+    "coprime-stable": Law(
+        _sampled(laws.check_coprime_stability, lambda n: max(1, n // 2)),
         {"filtered": {"--samples"}},
+        _empty("failures"),
     ),
-    "bost-experiment": (
-        lambda a, seed: (laws.bost_experiment(min(a.samples, 8), seed), True),
+    # evidence: the exact search must decide every pair
+    "bost-experiment": Law(
+        _sampled(laws.bost_experiment, lambda n: min(n, 8)),
         {"lattice": {"--samples"}},
+        lambda report, backend: not report["counterexamples"]
+        and report["complete_pairs"] == report["pairs"],
     ),
-    "duality": (
-        lambda a, seed: (laws.check_duality_filtered(a.samples, seed), True),
-        {"filtered": {"--samples"}},
+    "duality": Law(
+        _sampled(laws.check_duality_filtered), {"filtered": {"--samples"}}, _empty("failures")
     ),
 }
+
+CHECK_BACKENDS = tuple(dict.fromkeys(b for law in LAWS.values() for b in law.reads))
 
 
 # -- the subcommand table ------------------------------------------------------

@@ -1,6 +1,12 @@
 """Property harnesses: degree axioms, exactness probes, dominance and
-uniqueness by brute force, tensor and duality laws, coprimality, and the
+uniqueness by brute force, min-max slope bounds, the morphism slope law,
+tensor and duality laws, tensor semistability, coprimality, and the
 lattice tensor experiment.
+
+``cli.LAWS`` is the one list of them: each ``check --law`` name, the
+backends it runs on, the flags it reads and its verdict on the report.
+``gr_kernel_demo`` is not a law; it reports the rank accounting of a
+tabulated morphism and decides nothing.
 
 Everything is seeded and deterministic; reports are plain dicts ready for
 JSON emission.  Heuristic certificates are propagated, never upgraded.

@@ -11,7 +11,6 @@ divided-out slope makes vertex sums exact in both degree groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .degrees import (
     LOG_POSITIVE,
@@ -21,7 +20,7 @@ from .degrees import (
     SlopeKey,
     VariantMismatchError,
 )
-from .errors import decoder
+from .errors import decoder, integer_field, rational_field
 
 
 @dataclass(frozen=True)
@@ -101,14 +100,14 @@ class NewtonPolygon:
         segs = []
         for seg in obj["segments"]:
             slope = seg["slope"]
-            mult = int(seg["mult"])
+            mult = integer_field(seg["mult"], "mult")
             if isinstance(slope, dict):
-                root = int(slope.get("root", 1))
-                d = Fraction(slope["neg_half_log"])
+                root = integer_field(slope.get("root", 1), "root")
+                d = rational_field(slope["neg_half_log"], "neg_half_log")
                 key = SlopeKey(DegreeValue.log_positive(d**mult), mult * root)
             else:
                 key = SlopeKey(
-                    DegreeValue.rational(Fraction(slope) * mult), mult
+                    DegreeValue.rational(rational_field(slope, "slope") * mult), mult
                 )
             segs.append(key)
         return NewtonPolygon(tuple(segs))

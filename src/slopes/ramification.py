@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .degrees import DegreeValue, SlopeKey
-from .errors import SlopesError, decoder
+from .errors import SlopesError, decoder, integer_field
 from .polygon import NewtonPolygon
 
 
@@ -123,9 +123,13 @@ def direct_sum_rep(a: RepresentationData, b: RepresentationData) -> Representati
 
 @decoder
 def load_ramification(doc) -> tuple[RamificationData, list[RepresentationData]]:
-    data = RamificationData(tuple(int(s) for s in doc["sizes"]), doc.get("label", ""))
+    sizes = tuple(integer_field(s, "size") for s in doc["sizes"])
+    data = RamificationData(sizes, doc.get("label", ""))
     reps = [
-        RepresentationData(int(r["dim"]), tuple(int(x) for x in r["fixed"]))
+        RepresentationData(
+            integer_field(r["dim"], "dim"),
+            tuple(integer_field(x, "fixed dimension") for x in r["fixed"]),
+        )
         for r in doc.get("reps", [])
     ]
     return data, reps

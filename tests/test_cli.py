@@ -264,6 +264,32 @@ def test_series_fields_must_be_integers(tmp_path, capsys, argv, doc, message):
             {"objects": [{"id": "a", "rank": 1, "deg": 0.1}]},
             "deg must be a string or an integer, got 0.1",
         ),
+        (
+            ["combine", "--mode", "dual"],
+            {"p": {"segments": [{"slope": "1", "mult": 1.7}]}},
+            "mult must be an integer, got 1.7",
+        ),
+        (
+            ["combine", "--mode", "dual"],
+            {"p": {"segments": [{"slope": 0.1, "mult": 1}]}},
+            "slope must be a string or an integer, got 0.1",
+        ),
+        (
+            ["combine", "--mode", "dual"],
+            {"p": {"segments": [{"slope": {"neg_half_log": "2", "root": 2.0}, "mult": 1}]}},
+            "root must be an integer, got 2.0",
+        ),
+        (["swan"], {"sizes": [3.5, 1]}, "size must be an integer, got 3.5"),
+        (
+            ["swan"],
+            {"sizes": [3, 3, 1], "reps": [{"dim": 1.9, "fixed": [0, 0, 1]}]},
+            "dim must be an integer, got 1.9",
+        ),
+        (
+            ["np", "--backend", "twisted"],
+            {"twist": {"q": 0.5}, "coeffs": [{"vmin": -1, "c": ["1"]}, _MONIC]},
+            "q must be a string or an integer, got 0.5",
+        ),
     ],
     ids=[
         "twisted-float-valuation",
@@ -276,13 +302,20 @@ def test_series_fields_must_be_integers(tmp_path, capsys, argv, doc, message):
         "filtered-float-jump",
         "table-float-rank",
         "table-float-deg",
+        "polygon-float-mult",
+        "polygon-float-slope",
+        "polygon-float-root",
+        "ramification-float-size",
+        "ramification-float-dim",
+        "twist-float-q",
     ],
 )
 def test_integer_fields_are_never_truncated(tmp_path, capsys, argv, doc, message):
-    """A valuation, a twisted polynomial's precision, a dimension or a
-    rank that is a float or a bool is a bad input (exit 2), never
-    truncated to an integer; a Gram or basis entry, a jump or a degree
-    that is a float is one too, never read through its binary value."""
+    """A valuation, a twisted polynomial's precision, a dimension, a rank,
+    a ramification size or a polygon's mult or root that is a float or a
+    bool is a bad input (exit 2), never truncated to an integer; a Gram or
+    basis entry, a jump, a degree, a slope or a twist q that is a float is
+    one too, never read through its binary value."""
     f = tmp_path / "in.json"
     f.write_text(json.dumps(doc))
     code = main(argv + ["--in", str(f)])
@@ -493,8 +526,6 @@ def test_flag_seed_overrides_env(monkeypatch, capsys):
     assert json.loads(out)["seed"] == 7
 
 
-RANK3_LATTICE = {"gram": [["2", "1", "0"], ["1", "2", "1"], ["0", "1", "9"]]}
-
 # three HN steps, so the middle one is a pullback from the quotient
 DIAG_1_4_16 = {"gram": [["1", "0", "0"], ["0", "4", "0"], ["0", "0", "16"]]}
 
@@ -637,7 +668,6 @@ PINNED_ARTIFACTS = {
 
 def test_hn_artifacts_pinned(tmp_path, capsys):
     inline = {
-        "rank3": RANK3_LATTICE,
         "three_filtrations": THREE_FILTRATIONS,
         "diag_1_4_16": DIAG_1_4_16,
         "two_slope_product": TWO_SLOPE_PRODUCT,
@@ -805,6 +835,10 @@ def test_subcommand_flag_sets():
         ["check", "--law", "bost-experiment", "--bound", "3"],
         ["check", "--law", "dominance", "--backend", "table", "--samples", "50"],
         ["check", "--law", "exactness", "--backend", "lattice", "--depth", "8"],
+        [
+            *("check", "--law", "dominance", "--backend", "lattice"),
+            *("--in", str(FIXTURES / "rank3.json"), "--samples", "30"),
+        ],
     ],
     ids=[
         "swan-depth",
@@ -818,6 +852,7 @@ def test_subcommand_flag_sets():
         "bost-bound",
         "dominance-table-samples",
         "exactness-lattice-depth",
+        "dominance-lattice-in-samples",
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -851,13 +886,32 @@ def test_nonpositive_prec_and_samples_exit_2(argv, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+RUN_CHECKS = Path(__file__).resolve().parents[1] / "scripts" / "run_checks.py"
+
+
 def test_run_checks_rejects_nonpositive_samples():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_checks.py"
     proc = subprocess.run(
-        [sys.executable, str(script), "--samples", "0"], capture_output=True, text=True
+        [sys.executable, str(RUN_CHECKS), "--samples", "0"], capture_output=True, text=True
     )
     assert proc.returncode == 2
     assert "must be at least 1" in proc.stderr
+
+
+def test_run_checks_passes_every_law_on_every_backend():
+    """One ok row for each (law, backend) pair of cli.LAWS, and nothing else."""
+    proc = subprocess.run([sys.executable, str(RUN_CHECKS)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [line.split()[:2] for line in proc.stdout.splitlines()]
+    pairs = [f"{name}/{backend}" for name, law in cli.LAWS.items() for backend in law.reads]
+    assert rows == [[pair, "ok"] for pair in pairs]
+
+
+def test_check_runs_on_every_backend_of_its_law(capsys):
+    """--backend takes every backend of cli.LAWS: tensor-bounded runs on diff."""
+    assert cli.CHECK_BACKENDS == ("filtered", "lattice", "table", "diff")
+    code, out = run_cli(["check", "--law", "tensor-bounded", "--backend", "diff"], capsys)
+    assert code == 0
+    assert json.loads(out)["backend"] == "diff"
 
 
 def test_parser_built_once(capsys):

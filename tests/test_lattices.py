@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,6 +27,7 @@ from slopes.lattices import (
 from slopes.laws import sample_lattice, sample_saturated_sub
 
 Z2 = EuclideanLattice.standard(2)
+FIXTURES = Path(__file__).resolve().parents[1] / "src" / "slopes" / "fixtures"
 
 
 NOT_POSITIVE_DEFINITE = (
@@ -259,7 +262,7 @@ def test_span_closure_saturates_each_span_once(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(lattices, "saturate", recording)
-    lat = EuclideanLattice([[2, 1, 0], [1, 2, 1], [0, 1, 9]])
+    lat = EuclideanLattice.from_json(json.loads((FIXTURES / "rank3.json").read_text()))
     subs = lattices._span_closure(lat, lattices.default_bound(lat), Budget())
     keys = [s.span_key() for s in results]
     assert len(keys) == len(set(keys)) == len(subs)

@@ -154,7 +154,7 @@ def test_uniqueness_and_dominance_filtered_random():
 def test_uniqueness_and_dominance_on_a_lattice():
     """The flag laws reach lattices through the backend contract; norm
     bound 9 keeps the enumeration at 65 flags (1640 without it)."""
-    lat = EuclideanLattice(((2, 1, 0), (1, 2, 1), (0, 1, 9)))
+    lat = EuclideanLattice.from_json(json.loads((FIXTURES / "rank3.json").read_text()))
     budget = Budget(bound=Fraction(9))
     dom = check_dominance(LatticeBackend(), lat, budget)
     assert dom == {"flags": 65, "dominance_failures": 0}
