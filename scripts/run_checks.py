@@ -30,6 +30,17 @@ INPUTS = {
 }
 
 
+def rows(samples: int, seed: int):
+    """(law, backend, slopes check argv) for every (law, backend) pair."""
+    for name, law in cli.LAWS.items():
+        for backend in law.reads:
+            given = {"--samples": str(samples), **INPUTS.get(backend, {})}
+            argv = ["check", "--law", name, "--backend", backend, "--seed", str(seed)]
+            for flag in sorted(cli.check_reads(name, backend, given)):
+                argv += [flag, given[flag]]
+            yield name, backend, argv
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--samples", type=cli.positive_int, default=40)
@@ -37,17 +48,12 @@ def main() -> int:
     args = ap.parse_args()
 
     status = 0
-    for name, law in cli.LAWS.items():
-        for backend in law.reads:
-            given = {"--samples": str(args.samples), **INPUTS.get(backend, {})}
-            argv = ["check", "--law", name, "--backend", backend, "--seed", str(args.seed)]
-            for flag in sorted(cli.check_reads(name, backend, given)):
-                argv += [flag, given[flag]]
-            result, _ = cli.dispatch(cli.build_parser().parse_args(argv))
-            ok = law.verdict(result["report"], backend)
-            status |= not ok
-            row = f"{name}/{backend}"
-            print(f"{row:28s} {'ok' if ok else 'FAIL'}  {json.dumps(result['report'])[:120]}")
+    for name, backend, argv in rows(args.samples, args.seed):
+        result, _ = cli.dispatch(cli.build_parser().parse_args(argv))
+        ok = cli.LAWS[name].verdict(result["report"], backend)
+        status |= not ok
+        row = f"{name}/{backend}"
+        print(f"{row:28s} {'ok' if ok else 'FAIL'}  {json.dumps(result['report'])[:120]}")
     return status
 
 

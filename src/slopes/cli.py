@@ -8,8 +8,9 @@ default 0) and recorded in the output, so identical invocations produce
 byte-identical artifacts.
 
 Exit codes: 0 success; 2 bad input (a SlopesError) or bad usage; 3
-heuristic-only result under --require-complete, or budget exhaustion.  Any
-other exception is a bug and propagates with its traceback.
+heuristic-only result under --require-complete, or budget exhaustion; 4
+a check whose report its law's verdict rejects (the report is still
+written).  Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ def main(argv=None) -> int:
     if args.svg and result.get("polygon"):
         with open(args.svg, "w") as fh:
             fh.write(polygon_svg(NewtonPolygon.from_json(result["polygon"])))
+    if args.command == "check" and not LAWS[args.law].verdict(result["report"], args.backend):
+        sys.stderr.write(f"error: law {args.law} fails on {args.backend}\n")
+        return 4
     return 0
 
 

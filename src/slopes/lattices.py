@@ -26,6 +26,18 @@ of S's own vectors (the first, then each next one outside the span so
 far), saturating at each step.  _first_seen_basis replays that chain
 inside S, so an artifact keeps the basis the closure gave it.
 _span_closure remains for strict_subobjects, which the laws enumerate.
+
+The arithmetic runs on Python ints.  Each Gram is held as integer
+numerators over one denominator (EuclideanLattice.scaled), converted once.
+Inner products, induced Grams and exterior powers are integer sums and
+minors.  One fraction-free elimination of the numerators (ldl) yields the
+leading minors: they check positive definiteness, give det() and drive
+short_vectors, which compares integer norms over one common denominator.
+Saturation and completion read u^-1 off the Smith form, and the quotient
+metric is the trailing block of a fraction-free elimination (Sylvester's
+identity).  Fractions remain in the gram field and the JSON, in the
+DegreeValue of each degree and in the span keys, whose rational RREF fixes
+the order of the candidates.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,16 +86,29 @@ class EuclideanLattice:
         _check_gram(self)
 
     @functools.cached_property
+    def scaled(self):
+        """(g, den) with gram = g / den: den is the lcm of the entries'
+        denominators and g holds the integer numerators over it."""
+        den = math.lcm(*(c.denominator for row in self.gram for c in row))
+        g = tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in self.gram)
+        return g, den
+
+    @functools.cached_property
     def ldl(self):
-        """(d, L) with gram = L^T diag(d) L, L unit upper triangular."""
-        return _ldl(self.gram)
+        """The numerators g after fraction-free elimination (see _ldl):
+        row i holds the leading minor D_(i+1) of g on the diagonal and L's
+        row i times D_(i+1), for gram = L^T diag(d) L with L unit upper
+        triangular and d_i = D_(i+1) / (D_i den)."""
+        return _ldl(self.scaled[0])
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
     def det(self) -> Fraction:
-        return linalg.det(self.gram)
+        if not self.gram:
+            return Fraction(1)
+        return Fraction(self.ldl[-1][-1], self.scaled[1] ** self.rank)
 
     def degree(self) -> DegreeValue:
         return DegreeValue.log_positive(self.det())
@@ -96,11 +122,12 @@ class EuclideanLattice:
         return self.inner(v, v)
 
     def inner(self, v, w) -> Fraction:
-        return sum(
-            v[i] * self.gram[i][j] * w[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        return Fraction(self.gram_numerators([v, w])[0][1], self.scaled[1])
+
+    def gram_numerators(self, cols) -> list[list[int]]:
+        """The Gram matrix of the integer vectors cols, times den."""
+        images = [[sum(map(operator.mul, row, c)) for row in self.scaled[0]] for c in cols]
+        return [[sum(map(operator.mul, a, image)) for image in images] for a in cols]
 
     def to_json(self):
         return {"gram": [[str(c) for c in row] for row in self.gram]}
@@ -130,16 +157,15 @@ class Sublattice:
         return len(self.basis)
 
     def induced_gram(self) -> linalg.Mat:
-        cols = self.basis
+        den = self.ambient.scaled[1]
         return tuple(
-            tuple(
-                self.ambient.inner(cols[i], cols[j]) for j in range(len(cols))
-            )
-            for i in range(len(cols))
+            tuple(Fraction(c, den) for c in row)
+            for row in self.ambient.gram_numerators(self.basis)
         )
 
     def degree(self) -> DegreeValue:
-        return DegreeValue.log_positive(linalg.det(self.induced_gram()))
+        det = linalg.det(self.ambient.gram_numerators(self.basis))
+        return DegreeValue.log_positive(det / self.ambient.scaled[1] ** self.rank)
 
     def span_key(self):
         """Canonical form of the rational span (saturated sublattices are
@@ -160,13 +186,12 @@ def saturate(ambient: EuclideanLattice, columns) -> Sublattice:
     if not cols:
         raise LatticeError("cannot saturate an empty span")
     mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
-    rk = linalg.rank(linalg.frac_matrix(mat))
+    _, d, _, u_inv = linalg.smith_normal_form(mat)
+    rk = sum(1 for i in range(min(len(d), len(cols))) if d[i][i])
     if rk != len(cols):
         raise LatticeError("saturation input must have full column rank")
-    u, d, _ = linalg.smith_normal_form(mat)
-    uinv = linalg.inverse(u)
-    basis = tuple(tuple(int(uinv[i][j]) for i in range(len(uinv))) for j in range(rk))
-    return Sublattice(ambient, basis)
+    # u mat v = d, so the first rk columns of u^-1 span the saturation
+    return Sublattice(ambient, tuple(tuple(col) for col in zip(*u_inv))[:rk])
 
 
 def completion(ambient: EuclideanLattice, sub: Sublattice):
@@ -174,46 +199,32 @@ def completion(ambient: EuclideanLattice, sub: Sublattice):
     r = ambient.rank
     k = sub.rank
     mat = [[sub.basis[j][i] for j in range(k)] for i in range(r)]
-    u, d, v = linalg.smith_normal_form(mat)
+    _, d, _, u_inv = linalg.smith_normal_form(mat)
     for i in range(k):
         if abs(d[i][i]) != 1:
             raise LatticeError("completion requires a saturated sublattice")
-    uinv = linalg.inverse(u)
     # columns k..r-1 of u^-1 complete the span of the first k columns,
     # which equals the span of sub.basis.
-    return tuple(tuple(int(uinv[i][j]) for i in range(r)) for j in range(k, r))
+    return tuple(tuple(col) for col in zip(*u_inv))[k:]
 
 
 def quotient_with_metric(
     ambient: EuclideanLattice, sub: Sublattice
 ) -> EuclideanLattice:
     """Quotient lattice with the orthogonal-projection (Schur complement)
-    metric; degree additivity det(L) = det(S) det(L/S) is exact."""
+    metric; degree additivity det(L) = det(S) det(L/S) is exact.  The
+    Schur complement of the S-block in the Gram numerators of [S | T] is
+    the trailing block after fraction-free elimination of the S columns,
+    divided by det of the S-block (Sylvester's identity)."""
     t_cols = completion(ambient, sub)
     if not t_cols:
         return EuclideanLattice(())
-    s_cols = sub.basis
-    gss = linalg.frac_matrix(
-        [[ambient.inner(a, b) for b in s_cols] for a in s_cols]
-    )
-    gtt = [[ambient.inner(a, b) for b in t_cols] for a in t_cols]
-    gts = [[ambient.inner(a, b) for b in s_cols] for a in t_cols]
-    gss_inv = linalg.inverse(gss)
-    m = len(t_cols)
-    k = len(s_cols)
-    schur = [
-        [
-            gtt[i][j]
-            - sum(
-                gts[i][a] * gss_inv[a][b] * gts[j][b]
-                for a in range(k)
-                for b in range(k)
-            )
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    return EuclideanLattice(tuple(tuple(row) for row in schur))
+    k = sub.rank
+    m = ambient.gram_numerators(sub.basis + t_cols)
+    for _ in linalg.bareiss(m, k):
+        pass
+    den = m[k - 1][k - 1] * ambient.scaled[1]
+    return EuclideanLattice(tuple(tuple(Fraction(c, den) for c in row[k:]) for row in m[k:]))
 
 
 def tensor_lattice(a: EuclideanLattice, b: EuclideanLattice) -> EuclideanLattice:
@@ -234,63 +245,69 @@ def tensor_lattice(a: EuclideanLattice, b: EuclideanLattice) -> EuclideanLattice
 # -- short vector enumeration -----------------------------------------------------
 
 
-def _ldl(gram: linalg.Mat):
-    """gram = L^T D L with L unit upper triangular (rational, exact).
-    Raises LatticeError at the first pivot <= 0: the pivots are the ratios
-    of consecutive leading minors, so all are positive exactly when gram is
-    positive definite (Sylvester's criterion)."""
-    r = len(gram)
-    d = [Fraction(0)] * r
-    lmat = [[Fraction(0)] * r for _ in range(r)]
-    g = [list(row) for row in gram]
-    for i in range(r):
-        d[i] = g[i][i] - sum(d[k] * lmat[k][i] ** 2 for k in range(i))
-        if d[i] <= 0:
+def _ldl(g):
+    """g after bareiss, with no row exchange: upper triangular, entry
+    (i, j) the minor of g on rows 0..i and columns 0..i-1, j, so (i, i) is
+    the leading minor D_(i+1).  Raises LatticeError at the first leading
+    minor <= 0: all are positive exactly when g is positive definite
+    (Sylvester's criterion)."""
+    m = [list(row) for row in g]
+    for k in linalg.bareiss(m, len(m)):
+        if m[k][k] <= 0:
             raise LatticeError("gram matrix is not positive definite")
-        lmat[i][i] = Fraction(1)
-        for j in range(i + 1, r):
-            lmat[i][j] = (
-                g[i][j] - sum(d[k] * lmat[k][i] * lmat[k][j] for k in range(i))
-            ) / d[i]
-    return tuple(d), tuple(map(tuple, lmat))
+    return tuple(map(tuple, m))
 
 
 def short_vectors(lat: EuclideanLattice, bound: Fraction, budget: Budget = Budget()):
     """All nonzero integer vectors with norm <= bound, one per +/- pair,
     in a deterministic (norm, coordinates) order.  Raises BudgetExhausted
     once the enumeration tries more than budget.max_candidates coordinate
-    values (nodes of its search tree)."""
+    values (nodes of its search tree).
+
+    Level i adds d_i (x_i + c_i / D_(i+1))^2 to the norm, with
+    d_i = D_(i+1) / (D_i den) and c_i = sum over j > i of ldl[i][j] x_j.
+    Norms are kept as integers over scale, a multiple of bound's
+    denominator and of every den D_i D_(i+1), so each level adds
+    weight_i (x_i D_(i+1) + c_i)^2."""
     r = lat.rank
-    d, lmat = lat.ldl
+    u = lat.ldl
+    den = lat.scaled[1]
+    bound = Fraction(bound)
+    minors = [1] + [u[i][i] for i in range(r)]
+    scale = math.lcm(bound.denominator, *(den * minors[i] * minors[i + 1] for i in range(r)))
+    weight = [scale // (den * minors[i] * minors[i + 1]) for i in range(r)]
+    total = bound.numerator * (scale // bound.denominator)
     out = []
     vec = [0] * r
     nodes = 0
 
-    def recurse(i: int, remaining: Fraction, top: bool):
+    def recurse(i: int, remaining: int, top: bool):
         # top: every coordinate above i is zero, so x >= 0 keeps one of +/-v
         nonlocal nodes
         if i < 0:
             if any(vec):
-                out.append((bound - remaining, tuple(vec)))
+                out.append((total - remaining, tuple(vec)))
             return
-        center = sum(lmat[i][j] * vec[j] for j in range(i + 1, r))
-        # (x + center)^2 * d[i] <= remaining, so |x + center| < width + 1
-        width = math.isqrt(math.floor(remaining / d[i]))
-        lo = 0 if top else math.floor(-center) - width
-        hi = math.ceil(-center) + width
+        row, w, piv = u[i], weight[i], minors[i + 1]
+        c = sum(row[j] * vec[j] for j in range(i + 1, r))
+        # w (x piv + c)^2 <= remaining, so |x + c / piv| < width + 1
+        width = math.isqrt(remaining // (w * piv * piv))
+        lo = 0 if top else -c // piv - width
+        hi = -(c // piv) + width
         nodes += hi - lo + 1
         if nodes > budget.max_candidates:
             raise BudgetExhausted("lattice enumeration budget exhausted")
         for x in range(lo, hi + 1):
-            q = d[i] * (x + center) ** 2
+            q = w * (x * piv + c) ** 2
             if q <= remaining:
                 vec[i] = x
                 recurse(i - 1, remaining - q, top and x == 0)
         vec[i] = 0
 
-    recurse(r - 1, bound, True)
+    recurse(r - 1, total, True)
     # prefer all-non-negative representatives at equal norm
-    return sorted(((nrm, max(v, tuple(-x for x in v))) for nrm, v in out), key=_vector_order)
+    found = sorted(((nrm, max(v, tuple(-x for x in v))) for nrm, v in out), key=_vector_order)
+    return [(Fraction(nrm, scale), v) for nrm, v in found]
 
 
 def _vector_order(item):
@@ -304,16 +321,15 @@ def lagrange_gauss(lat: EuclideanLattice):
         raise LatticeError("Lagrange-Gauss reduction is rank-2 only")
     b1, b2 = (1, 0), (0, 1)
     while True:
-        if lat.norm(b2) < lat.norm(b1):
-            b1, b2 = b2, b1
-        mu = lat.inner(b1, b2) / lat.norm(b1)
-        m = math.floor(mu + Fraction(1, 2))
+        # the Gram of (b1, b2) times den, compared as integers
+        (n1, p), (_, n2) = lat.gram_numerators([b1, b2])
+        if n2 < n1:
+            b1, b2, n1 = b2, b1, n2
+        # m = floor(<b1, b2> / |b1|^2 + 1/2)
+        m = (2 * p + n1) // (2 * n1)
         if m == 0:
-            break
+            return b1, Fraction(n1, lat.scaled[1])
         b2 = (b2[0] - m * b1[0], b2[1] - m * b1[1])
-    if lat.norm(b2) < lat.norm(b1):
-        b1, b2 = b2, b1
-    return b1, lat.norm(b1)
 
 
 def default_bound(lat: EuclideanLattice) -> Fraction:
@@ -364,17 +380,17 @@ def _span_closure(lat: EuclideanLattice, bound: Fraction, budget: Budget):
 def exterior_power(lat: EuclideanLattice, k: int) -> EuclideanLattice:
     """Lambda^k L on the basis e_I, I in combinations(range(r), k) order:
     <e_I, e_J> is the k x k minor of the Gram on rows I and columns J."""
+    if k == 1:
+        return lat
     subsets = list(itertools.combinations(range(lat.rank), k))
-    g = lat.gram
-    return EuclideanLattice(
-        tuple(
-            tuple(
-                linalg.det(tuple(tuple(g[i][j] for j in cols) for i in rows))
-                for cols in subsets
-            )
-            for rows in subsets
-        )
-    )
+    g, den = lat.scaled
+    scale = den**k
+    gram = [[None] * len(subsets) for _ in subsets]
+    for a, rows in enumerate(subsets):
+        for b in range(a, len(subsets)):
+            minor = linalg.det([[g[i][j] for j in subsets[b]] for i in rows]) / scale
+            gram[a][b] = gram[b][a] = minor
+    return EuclideanLattice(gram)
 
 
 def _plucker_span(r: int, k: int, p) -> linalg.Mat | None:

@@ -1,13 +1,21 @@
 """Exact linear algebra over Q and Z: echelon forms, kernels, subspace
-lattice operations, and integer Smith normal form.
+lattice operations, determinants and integer Smith normal form.
 
 Subspaces of Q^n are represented by their reduced row echelon basis, a
 tuple of tuples of Fractions; that form is canonical, so equality and
-hashing of subspaces are literal.
+hashing of subspaces are literal.  rref, solve, kernel_basis and the
+subspace operations run on Fractions.
+
+Determinants and the Smith form run on Python ints: det scales each row
+to integers and runs bareiss, the fraction-free elimination that the
+lattice backend also uses for its LDL factors and Schur complements, and
+smith_normal_form keeps the inverse of its row transform beside it, so no
+caller inverts a matrix.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Row = tuple[Fraction, ...]
@@ -75,27 +83,48 @@ def rank(rows) -> int:
     return len(rref(rows))
 
 
-def det(a: Mat) -> Fraction:
+def bareiss(m, steps: int):
+    """Bareiss's fraction-free elimination (Bareiss 1968; Cohen, GTM 138,
+    2.2) of the first `steps` columns of m, a list of integer rows changed
+    in place.  Yields k before step k, so the caller may read the pivot
+    m[k][k], exchange row k with a later row, or stop; the pivot must be
+    nonzero when it resumes.  After step k every entry (i, j) with i, j > k
+    is the minor of m on rows 0..k, i and columns 0..k, j, so every
+    division is exact.  So m[k][k] is the leading (k+1)-minor, and the
+    trailing block divided by it is the Schur complement of the leading
+    (k+1)-block (Sylvester's identity)."""
+    prev = 1
+    for k in range(steps):
+        yield k
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        tail = pivot_row[k + 1 :]
+        for row in m[k + 1 :]:
+            f = row[k]
+            row[k:] = [0] + [(pivot * a - f * b) // prev for a, b in zip(row[k + 1 :], tail)]
+        prev = pivot
+
+
+def det(a) -> Fraction:
+    """Exact determinant of a square rational or integer matrix: each row
+    is scaled to integers, and bareiss runs with row exchanges."""
     n = len(a)
     if n == 0:
         return Fraction(1)
-    m = [list(r) for r in a]
+    m, scale = [], 1
+    for row in a:
+        den = math.lcm(*(c.denominator for c in row))
+        m.append([c.numerator * (den // c.denominator) for c in row])
+        scale *= den
     sign = 1
-    prod = Fraction(1)
-    for col in range(n):
-        pr = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != col:
-            m[col], m[pr] = m[pr], m[col]
+    for k in bareiss(m, n):
+        if m[k][k] == 0:
+            pr = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if pr is None:
+                return Fraction(0)
+            m[k], m[pr] = m[pr], m[k]
             sign = -sign
-        pivot = m[col][col]
-        prod *= pivot
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / pivot
-                m[r] = [a2 - f * b2 for a2, b2 in zip(m[r], m[col])]
-    return sign * prod
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 def solve(a: Mat, b: Row):
@@ -109,17 +138,6 @@ def solve(a: Mat, b: Row):
             return None
         x[piv] = row[nc]
     return tuple(x)
-
-
-def inverse(a) -> Mat:
-    """Exact inverse of a square rational or integer matrix, read off the
-    reduced echelon form of [A | I]; raises ValueError when A is singular."""
-    n = len(a)
-    eye = identity(n)
-    red = rref([tuple(Fraction(c) for c in a[i]) + eye[i] for i in range(n)])
-    if tuple(row[:n] for row in red) != eye:
-        raise ValueError("singular matrix has no inverse")
-    return tuple(row[n:] for row in red)
 
 
 def kernel_basis(a: Mat) -> Mat:
@@ -191,18 +209,24 @@ def annihilator(a: Mat, n: int) -> Mat:
 def smith_normal_form(a):
     """Smith normal form over Z.
 
-    Returns (u, d, v) with u a v = d, u and v unimodular, d diagonal with
-    d[i] | d[i+1].  Matrices are lists of lists of ints.
+    Returns (u, d, v, u_inv) with u a v = d, u and v unimodular, d
+    diagonal with d[i] | d[i+1], and u_inv the inverse of u, kept as the
+    product of the inverses of the row operations.  Matrices are lists of
+    lists of ints.
     """
     m = [[int(x) for x in row] for row in a]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    # the columns of u^-1: a row operation E on u multiplies u^-1 by E^-1
+    # on the right, a column operation on u^-1
+    u_inv_cols = [row[:] for row in u]
 
-    def row_op(i, j, q):  # row i -= q * row j
+    def row_op(i, j, q):  # row i -= q * row j; so col j of u^-1 += q * col i
         m[i] = [a2 - q * b2 for a2, b2 in zip(m[i], m[j])]
         u[i] = [a2 - q * b2 for a2, b2 in zip(u[i], u[j])]
+        u_inv_cols[j] = [a2 + q * b2 for a2, b2 in zip(u_inv_cols[j], u_inv_cols[i])]
 
     def col_op(i, j, q):  # col i -= q * col j
         for r in range(nr):
@@ -213,6 +237,12 @@ def smith_normal_form(a):
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
         u[i], u[j] = u[j], u[i]
+        u_inv_cols[i], u_inv_cols[j] = u_inv_cols[j], u_inv_cols[i]
+
+    def negate_row(i):
+        m[i] = [-x for x in m[i]]
+        u[i] = [-x for x in u[i]]
+        u_inv_cols[i] = [-x for x in u_inv_cols[i]]
 
     def swap_cols(i, j):
         for r in range(nr):
@@ -250,8 +280,7 @@ def smith_normal_form(a):
                         swap_cols(t, j)
                         dirty = True
         if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
+            negate_row(t)
         t += 1
     # enforce divisibility d[i] | d[i+1]
     k = min(nr, nc)
@@ -283,9 +312,7 @@ def smith_normal_form(a):
                     if m[i + 1][i] == 0 and m[i][i + 1] == 0:
                         break
                 if m[i][i] < 0:
-                    m[i] = [-x for x in m[i]]
-                    u[i] = [-x for x in u[i]]
+                    negate_row(i)
                 if m[i + 1][i + 1] < 0:
-                    m[i + 1] = [-x for x in m[i + 1]]
-                    u[i + 1] = [-x for x in u[i + 1]]
-    return u, m, v
+                    negate_row(i + 1)
+    return u, m, v, [list(row) for row in zip(*u_inv_cols)]

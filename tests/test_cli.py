@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib.util
 import json
 import re
 import shlex
@@ -904,6 +905,35 @@ def test_run_checks_passes_every_law_on_every_backend():
     rows = [line.split()[:2] for line in proc.stdout.splitlines()]
     pairs = [f"{name}/{backend}" for name, law in cli.LAWS.items() for backend in law.reads]
     assert rows == [[pair, "ok"] for pair in pairs]
+
+
+def _run_checks_module():
+    spec = importlib.util.spec_from_file_location("run_checks", RUN_CHECKS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_checks_rows_exit_0_through_main(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    for name, backend, argv in _run_checks_module().rows(40, 0):
+        assert main(argv + ["--out", str(out)]) == 0, f"{name}/{backend}"
+    assert capsys.readouterr().err == ""
+
+
+def test_check_exits_4_when_the_verdict_rejects(tmp_path, monkeypatch, capsys):
+    """The report is written as ever; the exit code and stderr say the law
+    fails."""
+    argv = ["check", "--law", "axioms", "--backend", "filtered", "--samples", "3"]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    written = out.read_text()
+    rejecting = cli.LAWS["axioms"]._replace(verdict=lambda report, backend: False)
+    monkeypatch.setitem(cli.LAWS, "axioms", rejecting)
+    out.unlink()
+    assert main(argv + ["--out", str(out)]) == 4
+    assert out.read_text() == written
+    assert capsys.readouterr().err == "error: law axioms fails on filtered\n"
 
 
 def test_check_runs_on_every_backend_of_its_law(capsys):

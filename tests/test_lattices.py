@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import fraction_reference as ref
 from slopes import linalg
 from slopes.core import Budget, BudgetExhausted, SlopeBackend, hn_filtration
 from slopes.degrees import DegreeValue, SlopeKey
@@ -207,7 +208,7 @@ def _exact_destabilizer(lat: EuclideanLattice):
         for nrm, v in _primitive_up_to(lat, det, r):
             found.append((SlopeKey(DegreeValue.log_positive(nrm), 1), linalg.rref([v])))
     if r == 3:
-        dual = EuclideanLattice(linalg.inverse(lat.gram))
+        dual = EuclideanLattice(ref.inverse(lat.gram))
         for q, w in _primitive_up_to(dual, dual.det(), 3):
             plane = linalg.kernel_basis((tuple(Fraction(c) for c in w),))
             found.append((SlopeKey(DegreeValue.log_positive(det * q), 2), plane))
