@@ -4,16 +4,16 @@ alternating pairs, and summarize each end-to-end metric.
 
     python scripts/bench_pairs.py --parent REV --workload NAME \\
         --pairs SEED:COUNT [--pairs SEED:COUNT ...] --work DIR --out FILE \\
-        [--seconds 34] [--traced SEED]
+        [--traced SEED]
 
 Both sides are exported with ``git archive`` into DIR/parent and DIR/change
 (the change side is the working tree, untracked files included, as a
 temporary index sees it), so each runs from a clean tree.  Pair p runs
 the parent first when p is odd, the change first when p is even.  Every
-run is the command of BENCHMARK.json, started through an intermediate
-``/bin/sh`` that does not exec it: ``ru_maxrss`` survives ``exec``, so a
-run started straight from this process would read this process's memory
-as its ``peak_rss_mb``.  ``--traced SEED`` adds one ``--trace 1`` run per
+run is the command of BENCHMARK.json for its ``run_seconds``, started
+through an intermediate ``/bin/sh`` that does not exec it: ``ru_maxrss``
+survives ``exec``, so a run started straight from this process would
+read this process's memory as its ``peak_rss_mb``.  ``--traced SEED`` adds one ``--trace 1`` run per
 side.
 
 The JSON written to FILE holds every run (metrics, cycles, correct) and,
@@ -156,11 +156,11 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     ap.add_argument("--pairs", type=parse_pairs, action="append", required=True,
                     help="SEED:COUNT, repeatable")
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
     ap.add_argument("--traced", type=int, help="seed of one --trace 1 run per side")
     ap.add_argument("--work", type=Path, required=True, help="empty directory for the two trees")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    seconds = spec["run_seconds"]
 
     revs = {"parent": git("rev-parse", args.parent).strip(), "change": working_tree()}
     trees = {side: args.work / side for side in revs}
@@ -170,7 +170,7 @@ def main(argv=None) -> int:
         "parent_rev": revs["parent"],
         "change_tree": revs["change"],
         "command": f"{shlex.join(spec['command'])} --workload {args.workload} --seed <seed> "
-                   f"--seconds {args.seconds} --trace 0, each side in its own git archive tree, "
+                   f"--seconds {seconds} --trace 0, each side in its own git archive tree, "
                    "through /bin/sh; odd pairs run the parent first",
         "runs": [],
     }
@@ -178,7 +178,7 @@ def main(argv=None) -> int:
         for pair in range(1, count + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                run = run_once(spec["command"], trees[side], args.workload, seed, args.seconds, 0)
+                run = run_once(spec["command"], trees[side], args.workload, seed, seconds, 0)
                 run.update(set=f"{args.workload}/seed{seed}", side=side, pair=pair,
                            first=order[0], workload=args.workload, seed=seed)
                 doc["runs"].append(run)
@@ -187,7 +187,7 @@ def main(argv=None) -> int:
     doc["summary"] = summarize(doc["runs"], spec["end_to_end"])
     if args.traced is not None:
         doc["traced"] = {
-            side: run_once(spec["command"], tree, args.workload, args.traced, args.seconds, 1)
+            side: run_once(spec["command"], tree, args.workload, args.traced, seconds, 1)
             for side, tree in trees.items()
         }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -215,7 +215,8 @@ def quotient_with_metric(
     metric; degree additivity det(L) = det(S) det(L/S) is exact.  The
     Schur complement of the S-block in the Gram numerators of [S | T] is
     the trailing block after fraction-free elimination of the S columns,
-    divided by det of the S-block (Sylvester's identity)."""
+    divided by det of the S-block (Sylvester's identity), which is 1 when
+    S has rank 0."""
     t_cols = completion(ambient, sub)
     if not t_cols:
         return EuclideanLattice(())
@@ -223,7 +224,7 @@ def quotient_with_metric(
     m = ambient.gram_numerators(sub.basis + t_cols)
     for _ in linalg.bareiss(m, k):
         pass
-    den = m[k - 1][k - 1] * ambient.scaled[1]
+    den = (m[k - 1][k - 1] if k else 1) * ambient.scaled[1]
     return EuclideanLattice(tuple(tuple(Fraction(c, den) for c in row[k:]) for row in m[k:]))
 
 

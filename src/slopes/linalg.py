@@ -212,7 +212,9 @@ def smith_normal_form(a):
     Returns (u, d, v, u_inv) with u a v = d, u and v unimodular, d
     diagonal with d[i] | d[i+1], and u_inv the inverse of u, kept as the
     product of the inverses of the row operations.  Matrices are lists of
-    lists of ints.
+    lists of ints.  The library reads only d and u_inv; u is kept so that
+    the tests can check u u_inv = I and compare saturate and completion
+    with their reference, which inverts u.
     """
     m = [[int(x) for x in row] for row in a]
     nr = len(m)

@@ -128,6 +128,9 @@ def outcome(f, *args):
 @given(lattices_with_vectors(5), st.integers(1, 5))
 def test_saturate_completion_and_quotient_match_reference(case, k):
     lat, vectors = case
+    # the zero sublattice: an empty S-block, so the quotient is the lattice
+    zero = Sublattice(lat, ())
+    assert quotient_with_metric(lat, zero).gram == ref.quotient_gram(lat, zero) == lat.gram
     cols = vectors[: min(k, lat.rank)]
     sub = outcome(saturate, lat, cols)
     assert sub == outcome(ref.saturate, lat, cols)
