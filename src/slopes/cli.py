@@ -107,7 +107,12 @@ def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("SLOPES_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise SlopesError(f"SLOPES_SEED must be an integer, got {env!r}") from None
 
 
 def _budget(args) -> Budget:
@@ -168,7 +173,10 @@ def cmd_hn(args, seed: int):
 
 
 def _load_series_matrix(doc):
-    return tuple(tuple(Series.from_json(c) for c in row) for row in doc["matrix"])
+    rows = doc["matrix"]
+    if any(len(row) != len(rows) for row in rows):
+        raise SchemaError(f"matrix must be square, got row lengths {[len(row) for row in rows]}")
+    return tuple(tuple(Series.from_json(c) for c in row) for row in rows)
 
 
 def _load_twist(doc) -> TwistSpec:
@@ -485,6 +493,17 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_rational(text: str) -> Fraction:
+    """argparse type: a rational > 0 (a lattice norm bound)."""
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 # (flag, add_argument options) for each flag a handler reads
 IN = ("--in", dict(dest="infile", required=True, help="JSON input file"))
 PREC = ("--prec", dict(type=positive_int, default=40, help="series precision"))
@@ -508,7 +527,7 @@ COMMON_FLAGS = (
 CHECK_TUNABLES = (
     ("--samples", dict(dest="samples", type=positive_int, help=f"default: {CHECK_SAMPLES}")),
     ("--in", dict(dest="infile", help="JSON input file (table, lattice)")),
-    ("--bound", dict(dest="bound", type=Fraction, help="lattice norm bound")),
+    ("--bound", dict(dest="bound", type=positive_rational, help="lattice norm bound")),
 )
 
 # subcommand -> (handler(args, seed) -> (result, complete), its own flags)

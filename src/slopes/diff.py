@@ -7,6 +7,10 @@ polygon (only non-negative slopes), the spectral growth rate of powers of
 the connection, and the lattice-growth irregularity.  The tests cross
 check them against each other; a fixture where they disagree is a bug,
 not something to patch around.
+
+The last two iterate one map, N -> N_A N + D delta(N) with A = N_A / D:
+Katz on the powers of the connection, Gérard–Levelt on the basis of each
+lattice.  Both take it through _power_step, with one precision rule.
 """
 
 from __future__ import annotations
@@ -183,32 +187,33 @@ def _sparse_rows(a):
     ]
 
 
-def _power_step(rows, b, d: int):
-    """N -> a N + d delta(N) entrywise on (vmin, numerators, prec) entries,
-    a the numerators of the connection given by its _sparse_rows and
-    delta(c_k x^k) = k c_k x^k.
+def _power_step(rows, cols, d: int):
+    """The columns of a N + d delta(N), N given by its columns of
+    (vmin, numerators, prec) entries, a the numerators of the connection
+    given by its _sparse_rows and delta(c_k x^k) = k c_k x^k.  Katz's
+    powers and Gérard–Levelt's images both take this one step.
 
     a is fixed for a whole run, so its exact zeros are dropped once, in
     _sparse_rows, and each entry of a N loops over the entries of a that
     are left.  A monomial entry of a multiplies one scalar into the
     product, and the unit numerator 1 none at all.
 
-    Precision follows Series arithmetic: a product is known below
-    min(prec_a + v_b, prec_b + v_a), with v = min(vmin, prec), so
-    min(0, prec) for a zero factor; a sum below the least precision of its
-    terms; delta keeps precision.  One departure: a product with an exact
-    zero factor is exactly zero and costs no precision.
+    Precision follows Series arithmetic with one departure: a product
+    with an exact zero factor is exactly zero and costs no precision.
+    Otherwise a product is known below min(prec_a + v_b, prec_b + v_a),
+    with v = min(vmin, prec), so min(0, prec) for a zero known only below
+    x^prec; a sum below the least precision of its terms; delta keeps
+    precision.  An entry whose precision stays infinite, as on
+    Gérard–Levelt's exact basis, is exact and ends where its terms end.
     """
-    r = len(b)
     out = []
-    for brow, arow in zip(b, rows):
-        row = []
-        for j in range(r):
-            vb, cb, prec = brow[j]
+    for col in cols:
+        image = []
+        for arow, (vb, cb, prec) in zip(rows, col):
             lo = vb if cb else math.inf
             prods = []
             for k, va, ca, pa, x in arow:
-                vk, ck, pk = b[k][j]
+                vk, ck, pk = col[k]
                 if not ck:
                     if pk == math.inf:
                         continue
@@ -224,11 +229,16 @@ def _power_step(rows, b, d: int):
                         lo = v
                     prods.append((v, ca, x, ck))
             if lo >= prec:
-                row.append((0, [], prec))
+                image.append((0, [], prec))
                 continue
-            n = prec - lo
+            hi = prec
+            if hi == math.inf:
+                hi = max((v + len(ca) + len(ck) - 1 for v, ca, _, ck in prods), default=lo)
+                if cb and vb + len(cb) > hi:
+                    hi = vb + len(cb)
+            n = hi - lo
             acc = [0] * n
-            for t, c in enumerate(cb[: max(0, prec - vb)], vb):
+            for t, c in enumerate(cb[: max(0, hi - vb)], vb):
                 acc[t - lo] += d * t * c
             for v, ca, x, ck in prods:
                 off = v - lo
@@ -245,8 +255,8 @@ def _power_step(rows, b, d: int):
                 else:
                     for t, y in enumerate(ck[: n - off], off):
                         acc[t] += x * y
-            row.append(_trimmed(lo, acc, prec))
-        out.append(row)
+            image.append(_trimmed(lo, acc, prec))
+        out.append(image)
     return out
 
 
@@ -347,7 +357,7 @@ def _katz_run(a, d: int, n_max: int, window: int, keep: int):
     _integer_matrix, keeping keep terms above the running minimum."""
     rows = _sparse_rows(a)
     vals: list[Optional[int]] = []
-    b = a  # numerators of B_n = N_n / d^n
+    b = [list(col) for col in zip(*a)]  # columns of B_n = N_n / d^n
     for _n in range(1, n_max + 1):
         v = _window_valuation(b)
         if v is None:
@@ -363,7 +373,7 @@ def _katz_run(a, d: int, n_max: int, window: int, keep: int):
             }
         vals.append(v)
         # keep a bounded window above the running minimum
-        b = [[_cut(e, v + keep) for e in row] for row in b]
+        b = [[_cut(e, v + keep) for e in col] for col in b]
         if _n < n_max:
             b = _power_step(rows, b, d)
     ratios = [Fraction(-vals[n - 1], n) for n in range(1, n_max + 1)]
@@ -571,44 +581,19 @@ def gerard_levelt_irregularity(
         ) from exc
 
 
-def _image(a, col, d: int):
-    """N_A col + d delta(col) on integer entries, by the Series precision
-    rules with no exemption for an exact zero factor."""
-    out = []
-    for arow, (v, nums, prec) in zip(a, col):
-        lo, hi = (v, v + len(nums)) if nums else (math.inf, 0)
-        prods = []
-        for (va, ca, pa), (vk, ck, pk) in zip(arow, col):
-            prec = min(prec, pa + (vk if vk < pk else pk), pk + (va if va < pa else pa))
-            if ca and ck:
-                prods.append((va + vk, ca, ck))
-                lo = min(lo, va + vk)
-                hi = max(hi, va + vk + len(ca) + len(ck) - 1)
-        hi = min(hi, prec)
-        if lo >= hi:
-            out.append((0, [], prec))
-            continue
-        n = hi - lo
-        acc = [0] * n
-        for t, c in enumerate(nums[: max(0, hi - v)], v):
-            acc[t - lo] = d * t * c
-        for w, ca, ck in prods:
-            for s, x in enumerate(ca[: max(0, hi - w)], w - lo):
-                if x:
-                    for t, y in enumerate(ck[: n - s], s):
-                        acc[t] += x * y
-        out.append(_trimmed(lo, acc, prec))
-    return _primitive(out)
-
-
 def _gl_run(na, d: int, n_max: int):
     """(increment, stabilized, diagnostics) of the lattices of A = na / d,
-    na from _integer_matrix."""
+    na from _integer_matrix.
+
+    The basis columns are mapped by _power_step, the step of the Katz
+    powers, with its rule that an exact zero factor costs no precision;
+    each image column is divided by the gcd of its numerators."""
     r = len(na)
+    rows = _sparse_rows(na)
     basis = [[(0, [1] if i == j else [], math.inf) for i in range(r)] for j in range(r)]
     dims = []
     for step in range(n_max):
-        gens = basis + [_image(na, col, d) for col in basis]
+        gens = basis + [_primitive(col) for col in _power_step(rows, basis, d)]
         total, basis = _reduce_columns(gens, r)
         dims.append(-total)
         if dims[-1] == (dims[-2] if step else 0):

@@ -125,9 +125,11 @@ class FilteredSpace:
         for f in obj["filtrations"]:
             steps = []
             for s in f["steps"]:
-                basis = linalg.subspace(
-                    [tuple(rational_field(c, "basis entry") for c in row) for row in s["basis"]]
-                )
+                rows = [tuple(rational_field(c, "basis entry") for c in row) for row in s["basis"]]
+                for row in rows:
+                    if len(row) != dim:
+                        raise FilteredError(f"a basis row has {len(row)} entries, dim is {dim}")
+                basis = linalg.subspace(rows)
                 steps.append((rational_field(s["jump"], "jump"), basis))
             if not steps or len(steps[-1][1]) != dim:
                 raise FilteredError(

@@ -52,6 +52,17 @@ def test_np_diff(capsys):
     assert doc["polygon"]["segments"] == [{"slope": "3/2", "mult": 2}]
 
 
+def test_np_diff_exact_zero_factor(tmp_path, capsys):
+    """x^-1 + O(x^0) beside exact zeros: both irregularities are certified."""
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps({"matrix": [["0", "0"], ["0", {"vmin": -1, "c": ["1"], "prec": 0}]]}))
+    code, out = run_cli(["np", "--backend", "diff", "--in", str(f)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["gerard_levelt_irregularity"], doc["stabilized"]) == (1, True)
+    assert (doc["katz_rank_estimate"], doc["katz_converged"]) == ("1", True)
+
+
 def test_np_twisted_adams_sauloy(capsys):
     code, out = run_cli(
         ["np", "--backend", "twisted", "--in", str(FIXTURES / "adams_sauloy.json")],
@@ -507,6 +518,13 @@ def test_env_seed(monkeypatch, capsys):
     assert json.loads(out)["seed"] == 42
 
 
+def test_env_seed_not_an_integer_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("SLOPES_SEED", "abc")
+    code = main(["check", "--law", "axioms", "--backend", "filtered", "--samples", "5"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: SLOPES_SEED must be an integer, got 'abc'\n"
+
+
 def test_flag_seed_overrides_env(monkeypatch, capsys):
     monkeypatch.setenv("SLOPES_SEED", "42")
     code, out = run_cli(
@@ -704,6 +722,22 @@ def test_hn_artifacts_pinned(tmp_path, capsys):
             {"p": {"segments": [{"slope": "1", "mult": 1}]}},
         ),
         (["factor", "--prec", "40"], {**TWO_SLOPE_PRODUCT, "precision": 3}),
+        (["np", "--backend", "diff"], {"matrix": [["1"], []]}),
+        (["np", "--backend", "twisted"], {"matrix": [["1"], []], "twist": {"q": "2"}}),
+        (
+            ["hn", "--backend", "filtered"],
+            {
+                "dim": 2,
+                "filtrations": [
+                    {
+                        "steps": [
+                            {"jump": "1", "basis": [["1", "0", "0"]]},
+                            {"jump": "0", "basis": [["1", "0"], ["0", "1"]]},
+                        ]
+                    }
+                ],
+            },
+        ),
     ],
     ids=[
         "missing-file",
@@ -712,6 +746,9 @@ def test_hn_artifacts_pinned(tmp_path, capsys):
         "table-not-an-object",
         "sum-without-q",
         "factor-prec-above-input",
+        "diff-matrix-ragged",
+        "twisted-matrix-ragged",
+        "filtered-row-too-wide",
     ],
 )
 def test_bad_input_exit_2(tmp_path, capsys, argv, doc):
@@ -840,6 +877,9 @@ def test_subcommand_flag_sets():
             *("check", "--law", "dominance", "--backend", "lattice"),
             *("--in", str(FIXTURES / "rank3.json"), "--samples", "30"),
         ],
+        ["check", "--law", "exactness", "--backend", "lattice", "--bound", "-1"],
+        ["check", "--law", "exactness", "--backend", "lattice", "--bound", "1/0"],
+        ["check", "--law", "exactness", "--backend", "lattice", "--bound", "0"],
     ],
     ids=[
         "swan-depth",
@@ -854,6 +894,9 @@ def test_subcommand_flag_sets():
         "dominance-table-samples",
         "exactness-lattice-depth",
         "dominance-lattice-in-samples",
+        "bound-negative",
+        "bound-zero-denominator",
+        "bound-zero",
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

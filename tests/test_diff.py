@@ -413,18 +413,19 @@ def _ref_truncate_matrix(mat, prec):
     )
 
 
-def _ref_power_step(a, b):
+def _ref_power_step(a, cols):
+    """The columns of a N + delta(N), N given by its columns."""
     r = len(a)
     out = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            acc = b[i][j].dlog_derivative()
+    for col in cols:
+        img = []
+        for i in range(r):
+            acc = col[i].dlog_derivative()
             for k in range(r):
-                if not (_exact_zero(a[i][k]) or _exact_zero(b[k][j])):
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
+                if not (_exact_zero(a[i][k]) or _exact_zero(col[k])):
+                    acc = acc + a[i][k] * col[k]
+            img.append(acc)
+        out.append(tuple(img))
     return tuple(out)
 
 
@@ -450,7 +451,7 @@ def _ref_window_check(b, v):
 def _ref_katz_run(module, n_max, window, keep):
     a = module.matrix
     vals = []
-    b = a
+    b = tuple(zip(*a))  # the columns of B_n
     for _n in range(1, n_max + 1):
         v = _matrix_min_valuation(b)
         _ref_window_check(b, v)
@@ -603,6 +604,9 @@ def test_katz_narrow_window_falls_back(monkeypatch):
 # column taken in or formed is cut at x^1 to its representative, as
 # _reduce_columns does; given a floor, it is instead truncated there, the
 # rule that came before, which the one-sided test below keeps as an oracle.
+# The basis is mapped by the Katz reference's step, whose exact zero factor
+# costs no precision; _ref_series_image, Series arithmetic with no such
+# exemption, is the floor rule's image and a second one-sided oracle.
 
 
 def _ref_safe_valuation(s):
@@ -671,24 +675,27 @@ def _ref_identity_cols(r):
     return [[Series.one() if i == j else Series.zero() for i in range(r)] for j in range(r)]
 
 
-def _ref_gl_run(a, r, n_max, floor=None, identity=False):
-    """The lattice growth on Series, cutting at x^1, or at the floor when
-    one is given; identity=True is the first form, which also reduces the
-    identity columns at every step and runs all n_max steps."""
+def _ref_series_image(a, cols):
+    """The columns of a N + delta(N) by Series arithmetic alone: a
+    product with an exact zero factor is known only as far as the other
+    factor is."""
+    r = len(a)
+    return [
+        [sum((a[i][k] * col[k] for k in range(r)), col[i].dlog_derivative()) for i in range(r)]
+        for col in cols
+    ]
+
+
+def _ref_gl_run(a, r, n_max, floor=None, identity=False, image=_ref_power_step):
+    """The lattice growth on Series, mapping the basis by image and
+    cutting at x^1, or at the floor when one is given; identity=True is
+    the first form, which also reduces the identity columns at every step
+    and runs all n_max steps."""
     dims = []
     basis = _ref_identity_cols(r)
     cut = _ref_representative
     for step in range(n_max):
-        grads = []
-        for col in basis:
-            img = []
-            for i in range(r):
-                acc = col[i].dlog_derivative()
-                for k in range(r):
-                    acc = acc + a[i][k] * col[k]
-                img.append(acc)
-            grads.append(img)
-        gens = (_ref_identity_cols(r) if identity else []) + basis + grads
+        gens = (_ref_identity_cols(r) if identity else []) + basis + list(image(a, basis))
         if floor is not None:
             vmin = min((e.valuation_or(0) or 0) for col in gens for e in col)
             prec = floor + max(0, -vmin)
@@ -721,12 +728,12 @@ def _ref_check_input(a):
         )
 
 
-def _ref_gerard_levelt(module, n_max):
+def _ref_gerard_levelt(module, n_max, image=_ref_power_step):
     """One run at x^1, its PrecisionError naming the input's precision."""
     a, r = module.matrix, module.rank
     _ref_check_input(a)
     try:
-        return _ref_gl_run(a, r, n_max)
+        return _ref_gl_run(a, r, n_max, image=image)
     except PrecisionError as exc:
         raise PrecisionError(
             f"lattice growth indeterminate: the input's own precision ran out ({exc})"
@@ -740,7 +747,7 @@ def _floor_gerard_levelt(module, n_max, identity=False):
     _ref_check_input(a)
     h = max(0, -(_matrix_min_valuation(a) or 0))
     return diff_mod._doubling_retry(
-        lambda floor: _ref_gl_run(a, r, n_max, floor, identity),
+        lambda floor: _ref_gl_run(a, r, n_max, floor, identity, _ref_series_image),
         "floor",
         h * (n_max + 2) + 8,
     )
@@ -775,6 +782,9 @@ _ELIMINATION_PRECISION = [
 # a nonzero entry known only below x^0, which leaves the second
 # reduction a zero entry known only below x^0 whatever the cut
 _OPEN_NONZERO = _module((Series.monomial(1, -1), _S(-1, [1], 0)), (_Z, Series.monomial(1, -1)))
+# x^-1 + O(x^0) beside exact zeros: Series arithmetic gives its products
+# with them, and so the images, zero entries known only below x^0
+_EXACT_ZERO_FACTOR = _module((_Z, _Z), (_Z, _S(-1, [1], 0)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -784,6 +794,7 @@ _OPEN_NONZERO = _module((Series.monomial(1, -1), _S(-1, [1], 0)), (_Z, Series.mo
 @example(_ELIMINATION_PRECISION[2])
 @example(_module((Series.monomial(1, -1), _Z), (_Z, Series.zero(-3))))
 @example(_OPEN_NONZERO)
+@example(_EXACT_ZERO_FACTOR)
 @example(companion(op(-2, None, -1)))
 def test_gerard_levelt_matches_series_reference(module):
     """The integer lattice growth returns the Series elimination's
@@ -825,6 +836,41 @@ def test_gerard_levelt_returns_where_the_floor_rule_returns(module):
     assert gerard_levelt_irregularity(module, 12) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(_modules())
+@example(_ELIMINATION_PRECISION[0])
+@example(_ELIMINATION_PRECISION[1])
+@example(_OPEN_NONZERO)
+@example(_CANCELLING)
+@example(companion(op(-2, None, -1)))
+def test_gerard_levelt_returns_where_the_series_rule_returns(module):
+    """Wherever the lattice growth by Series arithmetic alone returns,
+    the growth whose exact zero factors cost no precision returns the same
+    irregularity, verdict, dims and increments."""
+    try:
+        expected = _ref_gerard_levelt(module, 12, _ref_series_image)
+    except PrecisionError:
+        return
+    assert gerard_levelt_irregularity(module, 12) == expected
+
+
+def test_gerard_levelt_exact_zeros_keep_precision():
+    """A product with an exact zero factor is exactly zero, so the images
+    of x^-1 + O(x^0) beside exact zeros stay exact where Series arithmetic
+    leaves them zero only below x^0: irregularity 1 on every completion,
+    as Katz's estimate gives."""
+    m = _EXACT_ZERO_FACTOR
+    with pytest.raises(PrecisionError, match="precision O\\(x\\^0\\)"):
+        _ref_gerard_levelt(m, 12, _ref_series_image)
+    ir, stabilized, diag = gerard_levelt_irregularity(m, 12)
+    assert (ir, stabilized) == (1, True)
+    assert diag["dims"] == list(range(1, 13))
+    assert katz_rank_spectral(m)[0] == 1
+    for extra in ([], [1], [Fraction(-2, 3), 0, 5]):
+        completed = _module(*[[_completion(e, extra) for e in row] for row in m.matrix])
+        assert gerard_levelt_irregularity(completed, 12) == (ir, stabilized, diag)
+
+
 def _completion(s, extra):
     """An exact series equal to s below its precision, with the terms
     extra from x^prec on."""
@@ -837,22 +883,22 @@ def _completion(s, extra):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_modules(), st.data())
-def test_gerard_levelt_holds_on_exact_completions(module, data):
+@given(_modules(), st.lists(st.lists(_coeff, max_size=3), min_size=18, max_size=18))
+@example(_EXACT_ZERO_FACTOR, [[k] for k in range(18)])
+def test_gerard_levelt_holds_on_exact_completions(module, tails):
     """Completion oracle: wherever lattice growth returns on a module with
-    truncated entries, it returns the same on exact completions of it."""
+    truncated entries, it returns the same on exact completions of it,
+    two of them, each entry's terms from x^prec on taken from tails."""
     try:
         expected = gerard_levelt_irregularity(module, 12)
     except PrecisionError:
         return
     if all(e.prec is None for row in module.matrix for e in row):
         return
+    tails = iter(tails)
     for _ in range(2):
         completed = DifferentialModule(
-            tuple(
-                tuple(_completion(e, data.draw(st.lists(_coeff, max_size=3))) for e in row)
-                for row in module.matrix
-            )
+            tuple(tuple(_completion(e, next(tails)) for e in row) for row in module.matrix)
         )
         assert gerard_levelt_irregularity(completed, 12) == expected
 

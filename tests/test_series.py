@@ -333,11 +333,13 @@ def test_every_series_and_window_is_normal(abcd, data):
     # diff: the integer matrix, a Katz power step and a column reduction
     n, den = _integer_matrix([[a, b], [c, d]])
     entries = [e for row in n for e in row]
-    # Katz cuts B_n to a window above its valuation before each step
-    b = [[diff._cut(e, k + 4) for e in row] for row in n]
+    # Katz cuts the columns of B_n to a window above its valuation before
+    # each step
+    cols = [list(col) for col in zip(*n)]
+    b = [[diff._cut(e, k + 4) for e in col] for col in cols]
     step = diff._power_step(diff._sparse_rows(n), b, den)
-    entries += [e for row in step for e in row]
-    cols = [[row[j] for row in m] for m in (n, step) for j in range(2)]
+    entries += [e for col in step for e in col]
+    cols += step
     try:
         _, pivots = diff._reduce_columns(cols, 2)
     except PrecisionError:
