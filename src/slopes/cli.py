@@ -44,8 +44,8 @@ from .phi import (
     PhiMatrix,
     TwistSpec,
     TwistedPolynomial,
-    cyclic_form,
     np_of_poly,
+    np_phi_matrix,
     np_twisted,
     slope_factor,
     twisted_mul,
@@ -141,7 +141,9 @@ def _load(args, decode):
 
 def _table_object(args, doc):
     backend = TableBackend(load_table(doc))
-    oid = args.object or next(o for o in backend.cat.objects if o != ZERO_ID)
+    oid = args.object or next((o for o in backend.cat.objects if o != ZERO_ID), None)
+    if oid is None:
+        raise TableError("the table has no nonzero object")
     if oid not in backend.cat.objects:
         raise TableError(f"no object {oid!r} in the table")
     return backend, oid
@@ -229,8 +231,11 @@ def cmd_np(args, seed: int):
     if args.backend == "twisted":
         src = _load(args, _load_twisted_input)
         if isinstance(src, PhiMatrix):
-            src = cyclic_form(src, args.prec)
-        poly = np_of_poly(src) if isinstance(src, TwistedPolynomial) else np_twisted(src)
+            poly = np_phi_matrix(src)
+        elif isinstance(src, TwistedPolynomial):
+            poly = np_of_poly(src)
+        else:
+            poly = np_twisted(src)
         return {**header, "polygon": poly.to_json()}, True
     src = _load(args, _load_diff_input)
     if isinstance(src, DifferentialModule):
@@ -533,7 +538,7 @@ CHECK_TUNABLES = (
 # subcommand -> (handler(args, seed) -> (result, complete), its own flags)
 SUBCOMMANDS = {
     "hn": (cmd_hn, (_backend(*HN_OBJECTS, "diff"), IN, OBJECT)),
-    "np": (cmd_np, (_backend("twisted", "diff", *HN_OBJECTS), IN, PREC, OBJECT)),
+    "np": (cmd_np, (_backend("twisted", "diff", *HN_OBJECTS), IN, OBJECT)),
     "factor": (cmd_factor, (IN, PREC)),
     "check": (
         cmd_check,

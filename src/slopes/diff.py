@@ -46,7 +46,7 @@ class DifferentialOperator:
         return len(self.coeffs)
 
     def valuations(self) -> list[Optional[int]]:
-        return [c.valuation_or(None) if not _known_zero(c) else None for c in self.coeffs]
+        return [c.valuation_or(None) for c in self.coeffs]
 
     @staticmethod
     def from_valuations(vals: Sequence[Optional[int]]) -> "DifferentialOperator":
@@ -91,13 +91,16 @@ def companion(op: DifferentialOperator) -> DifferentialModule:
 
 def irregularity_cyclic(op: DifferentialOperator) -> int:
     """Fuchs number max(0, max_i(-ord a_i)); zero exactly for regular
-    operators."""
-    worst = 0
-    for c in op.coeffs:
-        if _known_zero(c):
-            continue
-        v = c.valuation()  # raises PrecisionError when indeterminate
-        worst = max(worst, -v)
+    operators.  A coefficient zero only below x^p could still raise it
+    when -p exceeds the number the known coefficients give: then
+    PrecisionError names it."""
+    vals = op.valuations()
+    worst = max([0] + [-v for v in vals if v is not None])
+    for i, (v, c) in enumerate(zip(vals, op.coeffs)):
+        if v is None and c.prec is not None and -c.prec > worst:
+            raise PrecisionError(
+                f"indeterminate irregularity: a_{i} is zero only below x^{c.prec}"
+            )
     return worst
 
 
@@ -106,14 +109,16 @@ def np_diff(op_or_vals) -> NewtonPolygon:
     negative slope flattened into the slope-zero segment.
 
     The hull height equals the irregularity and the highest break is the
-    Poincare-Katz rank.
+    Poincare-Katz rank.  A coefficient a_i of an operator that is zero
+    only below x^p is left out, as in TwistedPolynomial.polygon: its point
+    lies on or below (n - i, -p), so PrecisionError names a_i when that
+    point lies strictly above the clamped hull of the known points.
     """
     if isinstance(op_or_vals, DifferentialOperator):
-        vals = op_or_vals.valuations()
-        n = op_or_vals.order
+        vals, coeffs = op_or_vals.valuations(), op_or_vals.coeffs
     else:
-        vals = list(op_or_vals)
-        n = len(vals)
+        vals, coeffs = list(op_or_vals), ()
+    n = len(vals)
     points = [(0, DegreeValue.rational(0))]
     for i, v in enumerate(vals):
         if v is None:
@@ -131,7 +136,23 @@ def np_diff(op_or_vals) -> NewtonPolygon:
             break
     if kept < n:
         segs.append(SlopeKey(DegreeValue.rational(0), n - kept))
-    return NewtonPolygon(tuple(segs))
+    poly = NewtonPolygon(tuple(segs))
+    _check_open_points(poly, vals, coeffs, n)
+    return poly
+
+
+def _check_open_points(poly: NewtonPolygon, vals, coeffs, n: int) -> None:
+    """PrecisionError naming the first coefficient a_k zero only below
+    x^p (valuation None, a prec) whose point (n - k, -p) lies strictly
+    above poly, the hull of the known points; nothing otherwise."""
+    for k, (v, c) in enumerate(zip(vals, coeffs)):
+        if v is None and c.prec is not None:
+            scale, height = poly.height_at(n - k)
+            if -c.prec * scale > height.value:
+                raise PrecisionError(
+                    f"indeterminate polygon: a_{k} is zero only below x^{c.prec}, "
+                    f"and ({n - k}, {-c.prec}) lies above the hull of the known points"
+                )
 
 
 def polygon_height(poly: NewtonPolygon) -> Fraction:

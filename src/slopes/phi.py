@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .degrees import DegreeValue, SlopeError, SlopeKey
-from .diff import _reduce_columns
+from .diff import _check_open_points, _reduce_columns
 from .errors import SlopesError
 from .polygon import NewtonPolygon, polygon_from_points
 from .series import (
@@ -133,16 +133,7 @@ class TwistedPolynomial:
         """
         vals = [c.valuation_or(None) for c in self.coeffs]
         poly = np_twisted(vals)
-        n = self.degree
-        for k, (v, c) in enumerate(zip(vals, self.coeffs)):
-            if v is None and c.prec is not None:
-                scale, height = poly.height_at(n - k)
-                if -c.prec * scale > height.value:
-                    raise PrecisionError(
-                        f"indeterminate polygon: a_{k} is zero only below "
-                        f"x^{c.prec}, and ({n - k}, {-c.prec}) lies above "
-                        "the hull of the known points"
-                    )
+        _check_open_points(poly, vals, self.coeffs, self.degree)
         return poly
 
     def to_json(self):
@@ -498,37 +489,45 @@ def _top(entry) -> Optional[int]:
 
 
 def dm_degree(phi: PhiMatrix) -> DegreeValue:
-    """Dieudonne-Manin style degree -v(det Phi), an exact rational.
+    """Dieudonne-Manin style degree -v(det Phi), an exact rational, from
+    _det_valuation: SlopeError when Phi is exact and singular,
+    PrecisionError when its known terms leave v(det) open."""
+    return DegreeValue.rational(-_det_valuation(phi.entries))
+
+
+def _det_valuation(rows) -> int:
+    """v(det) of a square matrix of Series, given by its rows.
 
     v(det) is the sum of the pivot valuations of the unit-scaled column
     reduction `diff._reduce_columns`: O(r^3) products, where a Laplace
-    expansion takes r!.  It runs on the integer numerators of Phi = N / D,
-    D the lcm of every coefficient denominator: det N = D^r det Phi and
-    D^r is a nonzero constant, so v(det N) = v(det Phi), and every column
+    expansion takes r!.  It runs on the integer numerators of the matrix
+    N / D, D the lcm of every coefficient denominator: det N = D^r det and
+    D^r is a nonzero constant, so v(det N) is v(det), and every column
     the reduction forms may be scaled by a constant for the same reason.
     The reduction cuts every column at x^1 to an exact representative
     and takes its pivots among entries with a term below x^1, so every
     pivot has valuation <= 0 and the terms below x^1 of an entry it forms
     depend on no term at x^1 or beyond.  Column j is therefore first
     multiplied by x^(1 - k_j), k_j the least precision in the column:
-    every entry is then known to x^1, and v(det Phi) is the sum of the
+    every entry is then known to x^1, and v(det) is the sum of the
     pivot valuations plus sum_j (k_j - 1).
 
     An exact column has no precision of its own; it gets
     k_j = s + B + 1, where s is the least valuation or precision of any
-    entry and B sums over the rows of x^-s Phi their largest degree, so
+    entry and B sums over the rows of x^-s N their largest degree, so
     the cut at x^1 drops none of its terms.  The bound also decides
-    singularity.  If Phi is exact and det Phi != 0, then det(x^-s Phi) is
+    singularity.  If N is exact and det N != 0, then det(x^-s N) is
     a polynomial of degree <= B (each Leibniz term takes one entry from
-    every row), so the scaled matrix x^-(s+B) Phi has v(det) <= -(r-1)B.
+    every row), so the scaled matrix x^-(s+B) N has v(det) <= -(r-1)B.
     Its entries, and every entry the reduction forms from them, have
     valuation >= -B; a reduction that runs out of pivots after t < r of
     them leaves a block that is zero mod x, so v(det) >= -tB + r - t >
-    -(r-1)B, and det Phi = 0.  On a matrix with a truncated entry the
-    same stop only means the precision ran out.
+    -(r-1)B, and det N = 0: SlopeError.  On a matrix with a truncated
+    entry the same stop only means the precision ran out:
+    PrecisionError.
     """
-    m, _ = _integer_matrix(phi.entries)
-    r = phi.rank
+    m, _ = _integer_matrix(rows)
+    r = len(m)
     lows = [v if nums else p for row in m for v, nums, p in row]
     s = min((v for v in lows if v != math.inf), default=0)
     bound = sum(
@@ -544,8 +543,8 @@ def dm_degree(phi: PhiMatrix) -> DegreeValue:
     except PrecisionError:
         if any(e[2] != math.inf for row in m for e in row):
             raise
-        raise SlopeError("matrix determinant is zero; degree undefined") from None
-    return DegreeValue.rational(-(total + sum(k - 1 for k in ks)))
+        raise SlopeError("matrix determinant is zero") from None
+    return total + sum(k - 1 for k in ks)
 
 
 def dm_slope(phi: PhiMatrix) -> SlopeKey:
@@ -594,106 +593,81 @@ def np_diagonal(phi: PhiMatrix) -> NewtonPolygon:
     return out
 
 
-def cyclic_form(
-    phi: PhiMatrix, precision: int = DEFAULT_PRECISION
-) -> TwistedPolynomial:
-    """Monic twisted polynomial of a cyclic vector for Phi.
+def np_phi_matrix(phi: PhiMatrix) -> NewtonPolygon:
+    """Newton polygon of the phi-module of Phi, read off determinant
+    valuations.
 
-    Tries standard basis vectors and small sums deterministically; raises
-    when none is cyclic (rare for the shipped fixtures).
+    For a candidate e let M have the columns e, Phi e, ..., Phi^(r-1) e.
+    e is cyclic exactly when det M != 0, and then Phi^r e =
+    sum_k c_k Phi^k e: the module is K<phi>/K<phi>P, P = phi^r -
+    sum_k c_k phi^k.  Cramer's rule gives c_k = det M_k / det M, M_k
+    being M with column k replaced by Phi^r e, so v(c_k) = v(det M_k) -
+    v(det M), and an exactly zero det M_k is c_k = 0.  The polygon is
+    np_twisted of those valuations; it ends at (r, -v(det Phi)), since
+    M_0 is Phi applied to M, columns permuted.  Each valuation comes from
+    _det_valuation, as -v(det Phi) does, so no series is inverted and no
+    precision is chosen; the iterates are exact Series arithmetic, so
+    what a truncated Phi certifies holds for every completion of it.
+
+    An exact singular Phi is not a phi-module: SlopeError before the
+    search.  A candidate whose determinants raise is skipped; when none
+    is decided, the first PrecisionError met is raised, else SlopeError.
     """
     r = phi.rank
-    candidates = []
-    for i in range(r):
-        e = [Series.zero() for _ in range(r)]
-        e[i] = Series.one()
-        candidates.append(tuple(e))
-    for i in range(r):
-        for j in range(i + 1, r):
-            e = [Series.zero() for _ in range(r)]
-            e[i] = Series.one()
-            e[j] = Series.one()
-            candidates.append(tuple(e))
-            e2 = list(e)
-            e2[j] = Series.monomial(1, 1)
-            candidates.append(tuple(e2))
-    for e in candidates:
+    if all(e.prec is None for row in phi.entries for e in row):
+        _det_valuation(phi.entries)
+    lost = None
+    for e in _candidates(r):
+        iterates = [e]
+        for _ in range(r):
+            iterates.append(_apply_phi(phi, iterates[-1]))
+        cols, target = iterates[:r], iterates[r]
         try:
-            return _cyclic_from_vector(phi, e, precision)
-        except (SlopeError, PrecisionError, ZeroDivisionError):
+            base = _det_valuation(list(zip(*cols)))  # SlopeError: e is not cyclic
+            vals = [_cramer_valuation(cols[:k] + [target] + cols[k + 1 :]) for k in range(r)]
+        except SlopeError:
             continue
+        except PrecisionError as exc:
+            lost = lost or exc
+            continue
+        return np_twisted([v if v is None else v - base for v in vals] + [0])
+    if lost is not None:
+        raise lost
     raise SlopeError("no cyclic vector found among the candidates")
+
+
+def _candidates(r: int):
+    """The vectors tried for a cyclic one, in order: e_i, then e_i + e_j
+    and e_i + x e_j for i < j."""
+    one, x = Series.one(), Series.monomial(1, 1)
+    supports = [((i, one),) for i in range(r)] + [
+        ((i, one), (j, c)) for i in range(r) for j in range(i + 1, r) for c in (one, x)
+    ]
+    for terms in supports:
+        e = [Series.zero()] * r
+        for i, c in terms:
+            e[i] = c
+        yield tuple(e)
+
+
+def _cramer_valuation(cols) -> Optional[int]:
+    """v(det) of the matrix with these columns; None when it is exactly
+    zero.  The Krylov vectors go in as columns, as for det M: the entries
+    of one iterate are known to like precisions, and _det_valuation cuts
+    each column at its least one."""
+    try:
+        return _det_valuation(list(zip(*cols)))
+    except SlopeError:
+        return None
 
 
 def _apply_phi(phi: PhiMatrix, vec) -> tuple[Series, ...]:
     r = phi.rank
     twisted = [phi.twist.apply(v) for v in vec]
     return tuple(
-        _sum_series(phi.entries[i][j] * twisted[j] for j in range(r))
+        sum((phi.entries[i][j] * twisted[j] for j in range(r)), Series.zero())
         for i in range(r)
     )
-
-
-def _sum_series(items) -> Series:
-    total = Series.zero()
-    for s in items:
-        total = total + s
-    return total
-
-
-def _cyclic_from_vector(phi: PhiMatrix, e, precision: int) -> TwistedPolynomial:
-    r = phi.rank
-    iterates = [tuple(e)]
-    for _ in range(r):
-        iterates.append(_apply_phi(phi, iterates[-1]))
-    # solve sum_{k<r} c_k iterates[k] = iterates[r] over K((x)) at precision
-    cols = iterates[:r]
-    target = iterates[r]
-    coeffs = _series_solve(cols, target, precision)
-    zero_minus = [
-        -c for c in coeffs
-    ]  # P = phi^r - sum c_k phi^k
-    return TwistedPolynomial(tuple(zero_minus + [Series.one()]), phi.twist)
-
-
-def _series_solve(cols, target, precision: int):
-    """Solve sum_k c_k cols[k] = target by series Gaussian elimination."""
-    r = len(cols)
-    aug = [
-        [cols[k][i].truncate(precision) for k in range(r)]
-        + [target[i].truncate(precision)]
-        for i in range(len(target))
-    ]
-    n = len(aug)
-    perm = []
-    for col in range(r):
-        piv = None
-        piv_v = None
-        for row in range(n):
-            if row in perm:
-                continue
-            v = aug[row][col].valuation_or(None)
-            if v is not None and (piv_v is None or v < piv_v):
-                piv, piv_v = row, v
-        if piv is None:
-            raise SlopeError("candidate vector is not cyclic")
-        perm.append(piv)
-        inv = aug[piv][col].inverse(precision)
-        for row in range(n):
-            if row == piv:
-                continue
-            factor = aug[row][col] * inv
-            if factor.is_zero():
-                continue
-            aug[row] = [
-                a - factor * b for a, b in zip(aug[row], aug[piv])
-            ]
-    sol = []
-    for col in range(r):
-        piv = perm[col]
-        inv = aug[piv][col].inverse(precision)
-        sol.append(aug[piv][r] * inv)
-    return sol
 
 
 def fil_phi_degree(notch: int, c_valuation: int) -> DegreeValue:

@@ -52,10 +52,10 @@ from slopes.phi import (
     PhiMatrix,
     TwistSpec,
     TwistedPolynomial,
-    cyclic_form,
     diagonal_phi,
     dm_degree,
     np_of_poly,
+    np_phi_matrix,
     slope_factor,
     tensor_phi,
     twisted_mul,
@@ -203,7 +203,7 @@ def test_criterion_5_adams_sauloy():
         ),
         tw,
     )
-    got = np_of_poly(cyclic_form(m)).to_json()["segments"]
+    got = np_phi_matrix(m).to_json()["segments"]
     ok = got == [{"slope": "1", "mult": 1}, {"slope": "0", "mult": 1}]
     report("5 (Adams-Sauloy fixture)", ok, str(got))
 

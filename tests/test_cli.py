@@ -630,10 +630,24 @@ DIFF_KEEP_DOUBLING = {
     ]
 }
 
+# the first of 200 sparse rank-3 draws (random.Random(1), q = 2, each entry
+# c x^e with probability 0.7, c in {1, 2, -1, 3}, e in -2..2): slopes 0, -1
+# and -2; its digest was read off a Series solve of the cyclic vector's
+# iterates, so the pin holds the determinant valuations to that answer
+PHI_RANK3_DRAW = {
+    "matrix": [
+        [{"vmin": 0, "c": ["1"]}, {"vmin": 1, "c": ["3"]}, {"vmin": -2, "c": ["2"]}],
+        [{"vmin": 1, "c": ["3"]}, {"vmin": 1, "c": ["1"]}, {"vmin": 2, "c": ["2"]}],
+        [_ZERO, _ZERO, {"vmin": 2, "c": ["1"]}],
+    ],
+    "twist": {"q": "2"},
+}
+
 LATTICE_HN = ("hn", "--backend", "lattice")
 FILTERED_HN = ("hn", "--backend", "filtered")
 FACTOR_40 = ("factor", "--prec", "40")
 NP_DIFF = ("np", "--backend", "diff")
+NP_TWISTED = ("np", "--backend", "twisted")
 
 CHECK = ("check", "--law")
 
@@ -682,6 +696,10 @@ PINNED_ARTIFACTS = {
         "5f296aab2623ce08ed3ba617a6b34a4e3b7ffb43d1f381f6865f85f9d3f12fdd",
     (NP_DIFF, "diff_keep_doubling"):
         "5b0104c2008e30a90d835b01ebd08678f1b9041cdf29d594ed4042f4bca3a92a",
+    (NP_TWISTED, "adams_sauloy"):
+        "5db40eff3bddc2a76f7aa765021772177e6ecb6428b0b4017514f12c5bf2bc8d",
+    (NP_TWISTED, "phi_rank3_draw"):
+        "a5eb839fe8e15daa5f69767bba998cba86cc0f57fbde8132bfeb93ca88e53944",
 }
 
 
@@ -694,6 +712,7 @@ def test_hn_artifacts_pinned(tmp_path, capsys):
         "rational_twist_product": RATIONAL_TWIST_PRODUCT,
         "diff_rank3_rational": DIFF_RANK3_RATIONAL,
         "diff_keep_doubling": DIFF_KEEP_DOUBLING,
+        "phi_rank3_draw": PHI_RANK3_DRAW,
     }
     for (command, name), digest in PINNED_ARTIFACTS.items():
         argv = list(command)
@@ -710,20 +729,24 @@ def test_hn_artifacts_pinned(tmp_path, capsys):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 
+Q2 = {"q": "2"}
+
+
 @pytest.mark.parametrize(
-    "argv, doc",
+    "argv, doc, message",
     [
-        (["hn", "--backend", "lattice"], None),
-        (["hn", "--backend", "lattice"], {"gram": 5}),
-        (["hn", "--backend", "table"], {"objects": []}),
-        (["hn", "--backend", "table"], ["not", "an", "object"]),
+        (["hn", "--backend", "lattice"], None, None),
+        (["hn", "--backend", "lattice"], {"gram": 5}, None),
+        (["hn", "--backend", "table"], {"objects": []}, None),
+        (["hn", "--backend", "table"], ["not", "an", "object"], None),
         (
             ["combine", "--mode", "direct_sum"],
             {"p": {"segments": [{"slope": "1", "mult": 1}]}},
+            None,
         ),
-        (["factor", "--prec", "40"], {**TWO_SLOPE_PRODUCT, "precision": 3}),
-        (["np", "--backend", "diff"], {"matrix": [["1"], []]}),
-        (["np", "--backend", "twisted"], {"matrix": [["1"], []], "twist": {"q": "2"}}),
+        (["factor", "--prec", "40"], {**TWO_SLOPE_PRODUCT, "precision": 3}, None),
+        (["np", "--backend", "diff"], {"matrix": [["1"], []]}, None),
+        (["np", "--backend", "twisted"], {"matrix": [["1"], []], "twist": Q2}, None),
         (
             ["hn", "--backend", "filtered"],
             {
@@ -737,6 +760,22 @@ def test_hn_artifacts_pinned(tmp_path, capsys):
                     }
                 ],
             },
+            None,
+        ),
+        (
+            ["np", "--backend", "twisted"],
+            {"matrix": [["1", "1"], ["1", "1"]], "twist": Q2},
+            "matrix determinant is zero",
+        ),
+        (
+            ["np", "--backend", "twisted"],
+            {"matrix": [[_ZERO]], "twist": Q2},
+            "matrix determinant is zero",
+        ),
+        (
+            ["hn", "--backend", "table"],
+            json.loads((FIXTURES / "z2.json").read_text()),
+            "the table has no nonzero object",
         ),
     ],
     ids=[
@@ -749,15 +788,81 @@ def test_hn_artifacts_pinned(tmp_path, capsys):
         "diff-matrix-ragged",
         "twisted-matrix-ragged",
         "filtered-row-too-wide",
+        "phi-matrix-singular",
+        "phi-matrix-zero",
+        "table-without-nonzero-object",
     ],
 )
-def test_bad_input_exit_2(tmp_path, capsys, argv, doc):
+def test_bad_input_exit_2(tmp_path, capsys, argv, doc, message):
     f = tmp_path / "in.json"
     if doc is not None:
         f.write_text(json.dumps(doc))
     code = main(argv + ["--in", str(f)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if message is not None:
+        assert err == f"error: {message}\n"
+
+
+def _mono(c, k):
+    return {"vmin": k, "c": [c]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, want",
+    [
+        # no working precision is chosen: the first cyclic candidate of
+        # both diagonal matrices is e_0 + x e_1
+        (NP_TWISTED, {"matrix": [["1", "0"], ["0", "1"]], "twist": Q2}, ["0 x2"]),
+        (
+            NP_TWISTED,
+            {"matrix": [[_mono("1", -1), _ZERO], [_ZERO, _mono("1", -1)]], "twist": Q2},
+            ["1 x2"],
+        ),
+        # v(det A) is 0 unless the open x^2 coefficient of A_11 vanishes
+        (
+            NP_TWISTED,
+            {
+                "matrix": [
+                    [{"vmin": -2, "c": ["3", "-1"]}, {"vmin": 0, "c": ["-2", "3"]}],
+                    [_mono("1", 1), {"vmin": 0, "c": [], "prec": 2}],
+                ],
+                "twist": Q2,
+            },
+            "column reduction ran out of certified pivots",
+        ),
+        # a_0 = x^-5 would give one slope 5/2 of multiplicity 2
+        (
+            ("hn", "--backend", "diff"),
+            {"coeffs": [{"vmin": 0, "c": [], "prec": -5}, _mono("1", -1)], "n": 2},
+            "indeterminate polygon: a_0 is zero only below x^-5, and (2, 5) lies "
+            "above the hull of the known points",
+        ),
+        # (2, -3) lies below the hull, and -3 below the Fuchs number 1
+        (
+            NP_DIFF,
+            {"coeffs": [{"vmin": 0, "c": [], "prec": 3}, _mono("1", -1)], "n": 2},
+            ["1 x1", "0 x1"],
+        ),
+    ],
+    ids=["phi-identity", "phi-diag-x-inv", "phi-det-open", "diff-hn-open-a0", "diff-np-open-a0"],
+)
+def test_polygons_decided_by_the_known_terms(tmp_path, capsys, argv, doc, want):
+    """A list want is the polygon's slopes ("slope xmult"), a string the
+    error of an exit-2 run."""
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(doc))
+    code = main([*argv, "--in", str(f)])
+    captured = capsys.readouterr()
+    if isinstance(want, str):
+        assert (code, captured.err) == (2, f"error: {want}\n")
+        return
+    assert code == 0
+    out = json.loads(captured.out)
+    assert [f"{s['slope']} x{s['mult']}" for s in out["polygon"]["segments"]] == want
+    if argv == NP_DIFF:
+        assert out["irregularity"] == 1
 
 
 def test_bug_is_not_bad_input(monkeypatch):
@@ -848,7 +953,7 @@ def test_subcommand_flag_sets():
     common = {"--out", "--svg", "--seed", "--require-complete"}
     own = {
         "hn": {"--backend", "--in", "--object"},
-        "np": {"--backend", "--in", "--prec", "--object"},
+        "np": {"--backend", "--in", "--object"},
         "factor": {"--in", "--prec"},
         "check": {"--law", "--backend", "--samples", "--in", "--bound"},
         "swan": {"--in"},
@@ -856,7 +961,7 @@ def test_subcommand_flag_sets():
     }
     flags = _parser_flags()
     assert flags == {name: own[name] | common for name in own}
-    assert sum(map(len, flags.values())) == 41
+    assert sum(map(len, flags.values())) == 40
 
 
 @pytest.mark.parametrize(
@@ -865,6 +970,7 @@ def test_subcommand_flag_sets():
         ["swan", "--in", str(FIXTURES / "artin_schreier.json"), "--depth", "3"],
         ["factor", "--in", str(FIXTURES / "twisted_two_slopes.json"), "--law", "x"],
         ["hn", "--backend", "bogus", "--in", str(FIXTURES / "z2.json")],
+        ["np", "--in", str(FIXTURES / "adams_sauloy.json"), "--prec", "40"],
         ["check", "--backend", "filtered"],
         ["check", "--law", "duality", "--backend", "lattice"],
         ["hn", "--backend", "lattice", "--in", str(FIXTURES / "z2.json"), "--bound", "3"],
@@ -885,6 +991,7 @@ def test_subcommand_flag_sets():
         "swan-depth",
         "factor-law",
         "hn-bogus-backend",
+        "np-prec",
         "check-without-law",
         "duality-on-lattice",
         "hn-bound",
@@ -911,14 +1018,12 @@ def test_usage_errors_exit_2(argv, capsys):
     [
         ["factor", "--in", str(FIXTURES / "twisted_two_slopes.json"), "--prec", "-3"],
         ["factor", "--in", str(FIXTURES / "twisted_two_slopes.json"), "--prec", "0"],
-        ["np", "--in", str(FIXTURES / "twisted_two_slopes.json"), "--prec", "0"],
         ["check", "--law", "dominance", "--samples", "-1"],
         ["check", "--law", "axioms", "--samples", "0"],
     ],
     ids=[
         "factor-prec-neg",
         "factor-prec-0",
-        "np-prec-0",
         "check-samples-neg",
         "check-samples-0",
     ],

@@ -85,6 +85,47 @@ def test_np_height_equals_irregularity():
         ]
         o = DifferentialOperator.from_valuations(vals)
         assert polygon_height(np_diff(o)) == irregularity_cyclic(o)
+    # one-sided on truncated operators: a coefficient zero only below x^p
+    # that leaves the polygon certified cannot raise the Fuchs number
+    decided = 0
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        coeffs = []
+        for _ in range(n):
+            k = rng.randint(-5, 3)
+            options = [Series.zero(), Series.zero(k), Series.monomial(1, k), Series.zero(k + 2)]
+            coeffs.append(rng.choice(options))
+        o = DifferentialOperator(tuple(coeffs))
+        try:
+            height = polygon_height(np_diff(o))
+        except PrecisionError:
+            continue
+        decided += 1
+        assert irregularity_cyclic(o) == height
+    assert decided > 100
+
+
+def test_open_coefficient_rule():
+    """a_0 known only to O(x^p) beside a_1 = x^-1: at p = -5 the point
+    (2, 5) lies above the clamped hull, so polygon and Fuchs number are
+    open; at p = 3 both are certified and the irregularity is 1."""
+    x_inv = Series.monomial(1, -1)
+    open_op = DifferentialOperator((Series.zero(-5), x_inv))
+    with pytest.raises(PrecisionError, match="a_0 is zero only below x\\^-5,"):
+        np_diff(open_op)
+    with pytest.raises(PrecisionError, match="a_0 is zero only below x\\^-5$"):
+        irregularity_cyclic(open_op)
+    closed = DifferentialOperator((Series.zero(3), x_inv))
+    assert np_diff(closed).to_json()["segments"] == [
+        {"slope": "1", "mult": 1},
+        {"slope": "0", "mult": 1},
+    ]
+    assert irregularity_cyclic(closed) == 1
+    # inside the hull's height but above the hull: only the polygon is open
+    mid = DifferentialOperator((Series.monomial(1, -4), Series.zero(-3), Series.one()))
+    with pytest.raises(PrecisionError, match="a_1 is zero only below x\\^-3,"):
+        np_diff(mid)
+    assert irregularity_cyclic(mid) == 4
 
 
 def test_breaks_non_negative_and_integral_height():

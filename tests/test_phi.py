@@ -1,8 +1,10 @@
 import collections
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,13 +16,13 @@ from slopes.phi import (
     TwistError,
     TwistSpec,
     TwistedPolynomial,
-    cyclic_form,
     diagonal_phi,
     dm_degree,
     dm_slope,
     fil_phi_degree,
     np_diagonal,
     np_of_poly,
+    np_phi_matrix,
     np_twisted,
     slope_factor,
     tensor_phi,
@@ -623,7 +625,7 @@ def _completion(m: PhiMatrix, rnd) -> PhiMatrix:
         tail = Series.from_coeffs(e.prec, [rnd.randint(-3, 3) for _ in range(3)])
         return Series(e.vmin, e.coeffs) + tail
 
-    return PhiMatrix(tuple(tuple(complete(e) for e in row) for row in m.entries), Q2)
+    return PhiMatrix(tuple(tuple(complete(e) for e in row) for row in m.entries), m.twist)
 
 
 _coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -692,11 +694,235 @@ def test_adams_sauloy_cyclic_form():
         ),
         Q2,
     )
-    cyc = cyclic_form(m)
-    assert np_of_poly(cyc).to_json()["segments"] == [
+    assert np_phi_matrix(m).to_json()["segments"] == [
         {"slope": "1", "mult": 1},
         {"slope": "0", "mult": 1},
     ]
+
+
+# -- the Series solve, kept as a reference for exact inputs ------------------------
+
+NO_CANDIDATE = "no cyclic vector found among the candidates"
+
+
+def _ref_cyclic_form(phi_m: PhiMatrix, precision: int = 40) -> TwistedPolynomial:
+    """Monic twisted polynomial of the first candidate for which the Series
+    solve at ``precision`` succeeds.
+
+    A reference for exact matrices only: the solve skips a row whose
+    factor is_zero(), and so drops the precision that a factor known only
+    to some O(x^p) costs; on a truncated matrix it can certify what the
+    known terms leave open."""
+    for e in phi._candidates(phi_m.rank):
+        try:
+            return _ref_cyclic_from_vector(phi_m, e, precision)
+        except (SlopeError, PrecisionError, ZeroDivisionError):
+            continue
+    raise SlopeError(NO_CANDIDATE)
+
+
+def _ref_cyclic_from_vector(phi_m, e, precision):
+    r = phi_m.rank
+    iterates = [tuple(e)]
+    for _ in range(r):
+        iterates.append(phi._apply_phi(phi_m, iterates[-1]))
+    coeffs = _ref_series_solve(iterates[:r], iterates[r], precision)
+    # P = phi^r - sum c_k phi^k
+    return TwistedPolynomial(tuple([-c for c in coeffs] + [ONE]), phi_m.twist)
+
+
+def _ref_series_solve(cols, target, precision):
+    """Solve sum_k c_k cols[k] = target by series Gaussian elimination."""
+    r = len(cols)
+    aug = [
+        [cols[k][i].truncate(precision) for k in range(r)] + [target[i].truncate(precision)]
+        for i in range(len(target))
+    ]
+    perm = []
+    for col in range(r):
+        piv, piv_v = None, None
+        for row in range(len(aug)):
+            if row in perm:
+                continue
+            v = aug[row][col].valuation_or(None)
+            if v is not None and (piv_v is None or v < piv_v):
+                piv, piv_v = row, v
+        if piv is None:
+            raise SlopeError("candidate vector is not cyclic")
+        perm.append(piv)
+        inv = aug[piv][col].inverse(precision)
+        for row in range(len(aug)):
+            if row == piv:
+                continue
+            factor = aug[row][col] * inv
+            if factor.is_zero():
+                continue
+            aug[row] = [a - factor * b for a, b in zip(aug[row], aug[piv])]
+    return [aug[perm[col]][r] * aug[perm[col]][col].inverse(precision) for col in range(r)]
+
+
+_PHI_TWISTS = [TwistSpec(Fraction(2)), TwistSpec(Fraction(1, 2)), TwistSpec(Fraction(-2, 3))]
+
+
+@st.composite
+def _exact_phi(draw, ranks=(2, 4)):
+    """An exact phi-matrix of rank in ranks: sparse monomial entries, or
+    entries of 1-3 terms."""
+    r = draw(st.integers(*ranks))
+    twist = draw(st.sampled_from(_PHI_TWISTS))
+    sparse = draw(st.booleans())
+
+    def entry():
+        vmin = draw(st.integers(-2, 2))
+        lead = draw(st.sampled_from([1, 2, -1, 3]))
+        if sparse:
+            return mono(lead, vmin) if draw(st.integers(0, 9)) < 7 else Series.zero()
+        return Series.from_coeffs(vmin, [lead] + draw(st.lists(_coeff, max_size=2)))
+
+    return PhiMatrix(tuple(tuple(entry() for _ in range(r)) for _ in range(r)), twist)
+
+
+def _np_outcome(run, m):
+    try:
+        return ("value", json.dumps(run(m).to_json()))
+    except (SlopeError, PrecisionError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_exact_phi())
+def test_np_phi_matrix_matches_series_solve(m):
+    """One-sided: wherever the Series solve returns a polygon on an exact
+    matrix, the determinant valuations give the same JSON."""
+    want = _np_outcome(lambda m: np_of_poly(_ref_cyclic_form(m)), m)
+    if want[0] == "value":
+        assert _np_outcome(np_phi_matrix, m) == want
+
+
+def _mat_mul(a, b):
+    return tuple(
+        tuple(
+            sum((a[i][k] * b[k][j] for k in range(len(b))), Series.zero())
+            for j in range(len(b[0]))
+        )
+        for i in range(len(a))
+    )
+
+
+def _gauge(m: PhiMatrix, upper) -> PhiMatrix:
+    """P^-1 A phi(P) for the unipotent upper triangular P over Q[x] whose
+    entries above the diagonal are ``upper`` (row by row): P^-1 is
+    sum_k (-N)^k with N = P - I nilpotent."""
+    r = m.rank
+    it = iter(upper)
+    n = tuple(
+        tuple(next(it) if j > i else Series.zero() for j in range(r)) for i in range(r)
+    )
+    ident = tuple(tuple(ONE if i == j else Series.zero() for j in range(r)) for i in range(r))
+    p_mat = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(ident, n))
+    inv, power = ident, ident
+    for k in range(1, r):
+        power = _mat_mul(power, n)
+        sign = -ONE if k % 2 else ONE
+        inv = tuple(
+            tuple(a + sign * b for a, b in zip(ra, rb)) for ra, rb in zip(inv, power)
+        )
+    phi_p = tuple(tuple(m.twist.apply(c) for c in row) for row in p_mat)
+    return PhiMatrix(_mat_mul(_mat_mul(inv, m.entries), phi_p), m.twist)
+
+
+_poly_entry = st.builds(
+    lambda cs: Series.from_coeffs(0, cs),
+    st.lists(st.integers(-2, 2), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_phi(ranks=(2, 3)), st.lists(_poly_entry, min_size=3, max_size=3))
+def test_np_phi_matrix_oracles(m, upper):
+    """On a nonsingular exact matrix: the endpoint is (r, dm_degree); a
+    gauge change by a unipotent triangular P over Q[x] keeps the polygon;
+    every candidate that is cyclic gives the same polygon."""
+    try:
+        got = np_phi_matrix(m).to_json()
+    except SlopeError:
+        with pytest.raises(SlopeError):
+            dm_degree(m)
+        return
+    assert got["endpoints"][-1] == [m.rank, str(dm_degree(m).value)]
+    assert np_phi_matrix(_gauge(m, upper)).to_json() == got
+    for e in phi._candidates(m.rank):
+        with patch.object(phi, "_candidates", lambda r: iter([e])):
+            outcome = _np_outcome(np_phi_matrix, m)
+        assert outcome in {("value", json.dumps(got)), ("SlopeError", NO_CANDIDATE)}
+
+
+def test_candidates_keep_their_order():
+    z, x = Series.zero(), mono(1, 1)
+    assert list(phi._candidates(3)) == [
+        (ONE, z, z), (z, ONE, z), (z, z, ONE),
+        (ONE, ONE, z), (ONE, x, z), (ONE, z, ONE), (ONE, z, x), (z, ONE, ONE), (z, ONE, x),
+    ]
+
+
+def test_np_phi_matrix_diagonal():
+    """A diagonal matrix gives np_diagonal; on the identity e_0, e_1 and
+    e_0 + e_1 span Phi-stable lines, and e_0 + x e_1 is cyclic."""
+    rng = random.Random(7)
+    for _ in range(20):
+        vals = [rng.randint(-3, 3) for _ in range(2)]
+        d = diagonal_phi([mono(rng.choice([1, 2, -3]), v) for v in vals], rng.choice(_PHI_TWISTS))
+        assert np_phi_matrix(d).to_json() == np_diagonal(d).to_json()
+    assert np_phi_matrix(diagonal_phi([ONE, ONE], Q2)).to_json()["segments"] == [
+        {"slope": "0", "mult": 2}
+    ]
+
+
+def test_np_phi_matrix_exact_singular():
+    x = mono(1, 1)
+    for entries in (((ONE, ONE), (ONE, ONE)), ((ONE, x), (x, x * x)), ((Series.zero(),),)):
+        with pytest.raises(SlopeError, match="^matrix determinant is zero$"):
+            np_phi_matrix(PhiMatrix(entries, Q2))
+
+
+def test_np_phi_matrix_open_determinant():
+    """A = ((3x^-2 - x^-1, -2 + 3x), (x, O(x^2))): v(det A) is 0 unless the
+    open x^2 coefficient of A_11 vanishes, and the two completions differ."""
+    a = Series.from_coeffs(-2, [3, -1])
+    b = Series.from_coeffs(0, [-2, 3])
+    m = PhiMatrix(((a, b), (mono(1, 1), Series.zero(2))), Q2)
+    with pytest.raises(PrecisionError):
+        np_phi_matrix(m)
+    completions = [PhiMatrix(((a, b), (mono(1, 1), c)), Q2) for c in (Series.zero(), mono(1, 2))]
+    slopes = [[s["slope"] for s in np_phi_matrix(c).to_json()["segments"]] for c in completions]
+    assert slopes == [["2", "-3"], ["2", "-2"]]
+
+
+@st.composite
+def _truncated_phi(draw):
+    """A phi-matrix of rank 2-3 mixing exact entries and entries known to
+    a precision."""
+    r = draw(st.integers(2, 3))
+    twist = draw(st.sampled_from(_PHI_TWISTS))
+
+    def entry():
+        vmin = draw(st.integers(-3, 1))
+        coeffs = [draw(st.sampled_from([1, 2, -1, 3]))] + draw(st.lists(_coeff, max_size=2))
+        prec = draw(st.one_of(st.none(), st.integers(vmin + 1, vmin + 6)))
+        return Series.from_coeffs(vmin, coeffs, prec)
+
+    return PhiMatrix(tuple(tuple(entry() for _ in range(r)) for _ in range(r)), twist)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_truncated_phi(), st.randoms(use_true_random=False))
+def test_np_phi_matrix_truncated_is_honest(m, rnd):
+    """Wherever the polygon of a truncated matrix is returned, exact
+    completions of its entries give the same polygon."""
+    got = _np_outcome(np_phi_matrix, m)
+    if got[0] == "value":
+        for _ in range(3):
+            assert _np_outcome(np_phi_matrix, _completion(m, rnd)) == got
 
 
 def test_fil_phi_degree():
