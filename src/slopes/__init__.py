@@ -1,5 +1,5 @@
 """Slope filtrations toolkit: exact slope arithmetic, Harder-Narasimhan
-flags, Newton polygon calculus, and five concrete backends (euclidean
+flags, Newton polygon calculus, and six concrete backends (euclidean
 lattices, twisted polynomials, formal differential operators, filtered
 vector spaces, tabulated categories, ramification data)."""
 

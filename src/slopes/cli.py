@@ -7,6 +7,15 @@ the flags it reads on each and its verdict.  All randomness is seeded (flag --se
 default 0) and recorded in the output, so identical invocations produce
 byte-identical artifacts.
 
+Each backend module (phi, diff, series, lattices, linalg, filtered, tables,
+ramification) and laws is imported inside the handler, loader, HN_OBJECTS
+decoder or law runner that uses it, so a subcommand loads only what it
+runs; at module level stand the modules the package itself loads (core,
+degrees, polygon) and errors.  main lifts Python's 4300-digit limit on
+int/str conversion for the work after argument parsing, since an output
+may need more, and restores the caller's limit when it returns; the --in
+file is still decoded under the caller's limit.
+
 Exit codes: 0 success; 2 bad input (a SlopesError) or bad usage; 3
 heuristic-only result under --require-complete, or budget exhaustion; 4
 a check whose report its law's verdict rejects (the report is still
@@ -26,62 +35,43 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import laws
 from .core import Budget, BudgetExhausted, hn_filtration
 from .degrees import LOG_POSITIVE
-from .diff import (
-    DifferentialModule,
-    DifferentialOperator,
-    gerard_levelt_irregularity,
-    irregularity_cyclic,
-    katz_rank_spectral,
-    np_diff,
-)
 from .errors import DECODE_ERRORS, SchemaError, SlopesError, integer_field, rational_field
-from .filtered import FilteredBackend, FilteredSpace
-from .lattices import EuclideanLattice, LatticeBackend
-from .phi import (
-    PhiMatrix,
-    TwistSpec,
-    TwistedPolynomial,
-    np_of_poly,
-    np_phi_matrix,
-    np_twisted,
-    slope_factor,
-    twisted_mul,
-)
 from .polygon import NewtonPolygon, polygon_combine
-from .ramification import galois_polygon, herbrand_breaks, load_ramification, swan
-from .series import PrecisionError, Series
-from .tables import ZERO_ID, TableBackend, TableError, load_table
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.input_digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        result, complete = dispatch(args)
-    except BudgetExhausted as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except SlopesError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    if args.require_complete and not complete:
-        sys.stderr.write("error: result carries a heuristic certificate\n")
-        return 3
-    payload = json.dumps(result, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    if args.svg and result.get("polygon"):
-        with open(args.svg, "w") as fh:
-            fh.write(polygon_svg(NewtonPolygon.from_json(result["polygon"])))
-    if args.command == "check" and not LAWS[args.law].verdict(result["report"], args.backend):
-        sys.stderr.write(f"error: law {args.law} fails on {args.backend}\n")
-        return 4
-    return 0
+        try:
+            result, complete = dispatch(args)
+        except BudgetExhausted as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 3
+        except SlopesError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+        if args.require_complete and not complete:
+            sys.stderr.write("error: result carries a heuristic certificate\n")
+            return 3
+        payload = json.dumps(result, sort_keys=True, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
+        if args.svg and result.get("polygon"):
+            with open(args.svg, "w") as fh:
+                fh.write(polygon_svg(NewtonPolygon.from_json(result["polygon"])))
+        if args.command == "check" and not LAWS[args.law].verdict(result["report"], args.backend):
+            sys.stderr.write(f"error: law {args.law} fails on {args.backend}\n")
+            return 4
+        return 0
+    finally:
+        sys.set_int_max_str_digits(args.input_digits)
 
 
 @functools.cache
@@ -121,10 +111,15 @@ def _budget(args) -> Budget:
 
 
 def _load(args, decode):
-    """decode(JSON of --in).  The one place that reads and decodes the
-    input file: any failure there becomes a SchemaError naming the file."""
+    """decode(JSON of --in), under the digit limit main's caller had, so
+    an input integer past it is a bad input.  The one place that reads and
+    decodes the input file: any failure there becomes a SchemaError naming
+    the file."""
     if args.infile is None:
         raise SchemaError("missing --in input file")
+    current = sys.get_int_max_str_digits()
+    # dispatch called without main keeps the limit in force
+    sys.set_int_max_str_digits(getattr(args, "input_digits", current))
     try:
         with open(args.infile) as fh:
             return decode(json.load(fh))
@@ -134,12 +129,28 @@ def _load(args, decode):
         raise
     except DECODE_ERRORS as exc:
         raise SchemaError(f"{args.infile}: {type(exc).__name__}: {exc}") from exc
+    finally:
+        sys.set_int_max_str_digits(current)
 
 
 # -- hn, np --------------------------------------------------------------------
 
 
+def _lattice_object(args, doc):
+    from .lattices import EuclideanLattice, LatticeBackend
+
+    return LatticeBackend(), EuclideanLattice.from_json(doc)
+
+
+def _filtered_object(args, doc):
+    from .filtered import FilteredBackend, FilteredSpace
+
+    return FilteredBackend(), FilteredSpace.from_json(doc)
+
+
 def _table_object(args, doc):
+    from .tables import ZERO_ID, TableBackend, TableError, load_table
+
     backend = TableBackend(load_table(doc))
     oid = args.object or next((o for o in backend.cat.objects if o != ZERO_ID), None)
     if oid is None:
@@ -152,8 +163,8 @@ def _table_object(args, doc):
 # hn backend name -> decode(args, doc) -> (backend, object); "diff" reads
 # its flag off the Newton polygon instead
 HN_OBJECTS = {
-    "lattice": lambda args, doc: (LatticeBackend(), EuclideanLattice.from_json(doc)),
-    "filtered": lambda args, doc: (FilteredBackend(), FilteredSpace.from_json(doc)),
+    "lattice": _lattice_object,
+    "filtered": _filtered_object,
     "table": _table_object,
 }
 
@@ -161,6 +172,8 @@ HN_OBJECTS = {
 def cmd_hn(args, seed: int):
     header = {"command": "hn", "backend": args.backend, "seed": seed}
     if args.backend == "diff":
+        from .diff import np_diff
+
         poly = np_diff(_load(args, _load_diff_operator))
         steps = [
             {"rank": r, "degree": str(d.value), "subobject": f"slope-part-{i}"}
@@ -175,17 +188,24 @@ def cmd_hn(args, seed: int):
 
 
 def _load_series_matrix(doc):
+    from .series import Series
+
     rows = doc["matrix"]
     if any(len(row) != len(rows) for row in rows):
         raise SchemaError(f"matrix must be square, got row lengths {[len(row) for row in rows]}")
     return tuple(tuple(Series.from_json(c) for c in row) for row in rows)
 
 
-def _load_twist(doc) -> TwistSpec:
+def _load_twist(doc):
+    from .phi import TwistSpec
+
     return TwistSpec(rational_field(doc["twist"]["q"], "q"))
 
 
-def _load_diff_operator(doc) -> DifferentialOperator:
+def _load_diff_operator(doc):
+    from .diff import DifferentialOperator
+    from .series import Series
+
     if "valuations" in doc:
         return DifferentialOperator.from_valuations(
             [None if v is None else integer_field(v, "valuation") for v in doc["valuations"]]
@@ -197,12 +217,17 @@ def _load_diff_operator(doc) -> DifferentialOperator:
 
 def _load_diff_input(doc):
     """A matrix-presented DifferentialModule or a DifferentialOperator."""
+    from .diff import DifferentialModule
+
     if "matrix" in doc:
         return DifferentialModule(_load_series_matrix(doc))
     return _load_diff_operator(doc)
 
 
-def _load_twisted(doc) -> TwistedPolynomial:
+def _load_twisted(doc):
+    from .phi import TwistedPolynomial
+    from .series import Series
+
     coeffs = [Series.from_json(c) for c in doc["coeffs"]]
     prec = doc.get("precision")
     if prec is not None:
@@ -213,6 +238,8 @@ def _load_twisted(doc) -> TwistedPolynomial:
 def _load_twisted_input(doc):
     """Coefficient valuations (leading coefficient first in the file,
     returned constant term first), a PhiMatrix or a TwistedPolynomial."""
+    from .phi import PhiMatrix
+
     if "valuations" in doc:
         return [
             None if v is None else integer_field(v, "valuation")
@@ -229,6 +256,8 @@ def cmd_np(args, seed: int):
         return {**result, "command": "np"}, complete
     header = {"command": "np", "backend": args.backend, "seed": seed}
     if args.backend == "twisted":
+        from .phi import PhiMatrix, TwistedPolynomial, np_of_poly, np_phi_matrix, np_twisted
+
         src = _load(args, _load_twisted_input)
         if isinstance(src, PhiMatrix):
             poly = np_phi_matrix(src)
@@ -237,6 +266,14 @@ def cmd_np(args, seed: int):
         else:
             poly = np_twisted(src)
         return {**header, "polygon": poly.to_json()}, True
+    from .diff import (
+        DifferentialModule,
+        gerard_levelt_irregularity,
+        irregularity_cyclic,
+        katz_rank_spectral,
+        np_diff,
+    )
+
     src = _load(args, _load_diff_input)
     if isinstance(src, DifferentialModule):
         # matrix-presented module: report the numeric invariants
@@ -262,6 +299,9 @@ def cmd_np(args, seed: int):
 
 
 def cmd_factor(args, seed: int):
+    from .phi import np_of_poly, slope_factor, twisted_mul
+    from .series import PrecisionError
+
     poly = _load(args, _load_twisted)
     prec = args.prec
     known = poly.precision()
@@ -298,6 +338,8 @@ def cmd_factor(args, seed: int):
 
 
 def cmd_swan(args, seed: int):
+    from .ramification import galois_polygon, herbrand_breaks, load_ramification, swan
+
     data, reps = _load(args, load_ramification)
     out_reps = []
     for rep in reps:
@@ -361,22 +403,33 @@ def check_reads(law: str, backend: str, given) -> set:
 
 def _table_objects(args):
     """The table of --in as a backend, and its nonzero objects."""
+    from .tables import ZERO_ID, TableBackend, load_table
+
     backend = TableBackend(_load(args, load_table))
     return backend, [o for o in backend.cat.objects if o != ZERO_ID]
 
 
 def _law_axioms(args, seed):
+    from . import laws
+    from .tables import TableBackend, load_table
+
     table = TableBackend(_load(args, load_table)) if args.backend == "table" else None
     return laws.check_degree_axioms(args.backend, args.samples, seed, table=table), True
 
 
 def _law_exactness(args, seed):
+    from . import laws
+
     if args.backend == "lattice":
+        from .lattices import EuclideanLattice, LatticeBackend
+
         backend = LatticeBackend()
         objects = [EuclideanLattice.standard(2), EuclideanLattice.standard(3)]
         if args.infile:
             objects.insert(0, _load(args, EuclideanLattice.from_json))
     elif args.backend == "filtered":
+        from .filtered import FilteredBackend
+
         rng = random.Random(seed)
         backend = FilteredBackend()
         objects = [laws.sample_filtered_space(rng, dim_max=3, n=1) for _ in range(args.samples)]
@@ -386,14 +439,20 @@ def _law_exactness(args, seed):
 
 
 def _law_dominance(args, seed):
+    from . import laws
+
     rng = random.Random(seed)
     if args.backend == "lattice":
+        from .lattices import EuclideanLattice, LatticeBackend
+
         backend = LatticeBackend()
         if args.infile:
             objects = [_load(args, EuclideanLattice.from_json)]
         else:
             objects = [laws.sample_lattice(rng) for _ in range(args.samples)]
     elif args.backend == "filtered":
+        from .filtered import FilteredBackend
+
         backend = FilteredBackend()
         objects = [laws.sample_filtered_space(rng, dim_max=3, n=2) for _ in range(args.samples)]
     else:
@@ -403,14 +462,25 @@ def _law_dominance(args, seed):
 
 
 def _law_morphism_slope(args, seed):
+    from . import laws
+
     if args.backend == "table":
+        from .tables import TableBackend, load_table
+
         return laws.morphism_slope_law(TableBackend(_load(args, load_table))), True
     return laws.morphism_slope_law_filtered(args.samples, seed), True
 
 
-def _sampled(harness, count=lambda samples: samples):
-    """run(args, seed) of a harness(count, seed) that samples its own objects."""
-    return lambda args, seed: (harness(count(args.samples), seed), True)
+def _sampled(name, count=lambda samples: samples):
+    """run(args, seed) of the harness laws.<name>(count, seed), which
+    samples its own objects."""
+
+    def run(args, seed):
+        from . import laws
+
+        return getattr(laws, name)(count(args.samples), seed), True
+
+    return run
 
 
 def _empty(*keys):
@@ -450,37 +520,37 @@ LAWS = {
         },
         _empty("dominance_failures", "uniqueness_failures"),
     ),
-    "minmax": Law(_sampled(laws.check_minmax), {"filtered": {"--samples"}}, _empty("failures")),
+    "minmax": Law(_sampled("check_minmax"), {"filtered": {"--samples"}}, _empty("failures")),
     "morphism-slope": Law(
         _law_morphism_slope,
         {"filtered": {"--samples"}, "table": {"--in"}},
         _empty("violations"),
     ),
     "tensor-mult": Law(
-        _sampled(laws.check_tensor_mult_filtered), {"filtered": {"--samples"}}, _empty("failures")
+        _sampled("check_tensor_mult_filtered"), {"filtered": {"--samples"}}, _empty("failures")
     ),
     "tensor-bounded": Law(
-        _sampled(laws.check_tensor_bounded_rank_one), {"diff": {"--samples"}}, _empty("failures")
+        _sampled("check_tensor_bounded_rank_one"), {"diff": {"--samples"}}, _empty("failures")
     ),
     "tensor-semistable": Law(
-        _sampled(laws.check_bifil_tensor_semistable),
+        _sampled("check_bifil_tensor_semistable"),
         {"filtered": {"--samples"}},
         _empty("failures"),
     ),
     "coprime-stable": Law(
-        _sampled(laws.check_coprime_stability, lambda n: max(1, n // 2)),
+        _sampled("check_coprime_stability", lambda n: max(1, n // 2)),
         {"filtered": {"--samples"}},
         _empty("failures"),
     ),
     # evidence: the exact search must decide every pair
     "bost-experiment": Law(
-        _sampled(laws.bost_experiment, lambda n: min(n, 8)),
+        _sampled("bost_experiment", lambda n: min(n, 8)),
         {"lattice": {"--samples"}},
         lambda report, backend: not report["counterexamples"]
         and report["complete_pairs"] == report["pairs"],
     ),
     "duality": Law(
-        _sampled(laws.check_duality_filtered), {"filtered": {"--samples"}}, _empty("failures")
+        _sampled("check_duality_filtered"), {"filtered": {"--samples"}}, _empty("failures")
     ),
 }
 

@@ -58,3 +58,28 @@ def test_tracing_hook_reads_its_target_result(name):
         owner = getattr(owner, part)
     args = _hook_fixtures()[name]
     tracing.EXTRAS[name](tracing.Tracer(), 0, args, owner(*args))
+
+
+def test_tracer_sees_backends_cli_imports_when_it_runs(tmp_path):
+    """cli imports each backend inside the handler that runs it, so the
+    tracer's wrappers reach it through the backend module.  Each job runs
+    once untraced before its traced run, as the traced benchmark runs it."""
+    from slopes import cli
+
+    fixtures = Path(__file__).resolve().parent.parent / "src" / "slopes" / "fixtures"
+    jobs = [
+        ["factor", "--in", str(fixtures / "twisted_two_slopes.json")],
+        ["hn", "--backend", "lattice", "--in", str(fixtures / "rank3.json")],
+    ]
+    tracer = tracing.Tracer()
+    for argv in jobs:
+        argv += ["--out", str(tmp_path / "out.json")]
+        assert cli.main(argv) == 0
+        tracer.install()
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            tracer.uninstall()
+    metrics = tracer.metrics(0.0)
+    for name in ("phi.slope_factor", "phi.split_once", "lattices.destabilizer_lattice"):
+        assert metrics[f"{name}.calls"] > 0, name

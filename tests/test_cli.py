@@ -445,6 +445,108 @@ def test_lattice_search_budget_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_outputs_pass_the_digit_limit(tmp_path, capsys):
+    """An answer longer than Python's int/str digit limit is written, an
+    input integer longer than it is still a bad input, and main hands the
+    caller its limit back."""
+    big = "1" + "0" * 2200
+    answer = tmp_path / "answer.json"
+    answer.write_text(json.dumps({"gram": [[big, "0"], ["0", "3" + big[1:]]]}))
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps({"gram": [["1" + "0" * 4400, "0"], ["0", "1"]]}))
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out = run_cli(["hn", "--backend", "lattice", "--in", str(answer)], capsys)
+        assert (code, sys.get_int_max_str_digits()) == (0, 4300)
+        assert json.loads(out)["polygon"]["endpoints"][-1][1] == {"neg_half_log": "3" + "0" * 4400}
+        code = main(["hn", "--backend", "lattice", "--in", str(given)])
+        assert (code, sys.get_int_max_str_digits()) == (2, 4300)
+        assert "Exceeds the limit" in capsys.readouterr().err
+    finally:
+        sys.set_int_max_str_digits(caller)
+
+
+# Run in a fresh interpreter: the slopes modules that import slopes.cli
+# loads, then those that main(argv) adds to them.
+_LOAD_PROBE = """
+import json, sys
+loaded = lambda: {m for m in sys.modules if m.split(".")[0] == "slopes"}
+from slopes import cli
+base = loaded()
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted(base), sorted(loaded() - base)]))
+"""
+
+
+def _probe_loads(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOAD_PROBE, *argv], capture_output=True, text=True, check=True
+    )
+    code, base, added = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(base), {m.removeprefix("slopes.") for m in added}
+
+
+def test_import_of_cli_loads_no_backend():
+    assert _probe_loads([])[1] == {
+        "slopes",
+        "slopes.cli",
+        "slopes.core",
+        "slopes.degrees",
+        "slopes.errors",
+        "slopes.polygon",
+    }
+
+
+def _laws_loads():
+    """The slopes modules that laws adds to those import slopes.cli loads."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, slopes.laws; print(' '.join(sys.modules))"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = {m for m in proc.stdout.split() if m.split(".")[0] == "slopes"}
+    return {m.removeprefix("slopes.") for m in loaded - _probe_loads([])[1]}
+
+
+@pytest.mark.parametrize(
+    "argv, backend",
+    [
+        (["factor", "--in", "twisted_two_slopes.json"], {"phi", "diff", "series"}),
+        (["np", "--backend", "twisted", "--in", "adams_sauloy.json"], {"phi", "diff", "series"}),
+        (["np", "--backend", "diff", "--in", "diff_op.json"], {"diff", "series"}),
+        (["hn", "--backend", "diff", "--in", "diff_op.json"], {"diff", "series"}),
+        (["hn", "--backend", "lattice", "--in", "rank3.json"], {"lattices", "linalg"}),
+        (
+            ["hn", "--backend", "filtered", "--in", "filtered_two_jumps.json"],
+            {"filtered", "linalg"},
+        ),
+        (["hn", "--backend", "table", "--in", "hn_chain.json", "--object", "N"], {"tables"}),
+        (["swan", "--in", "artin_schreier.json"], {"ramification"}),
+        (["check", "--law", "axioms", "--backend", "filtered", "--samples", "2"], None),
+    ],
+    ids=[
+        "factor",
+        "np-twisted",
+        "np-diff",
+        "hn-diff",
+        "hn-lattice",
+        "hn-filtered",
+        "hn-table",
+        "swan",
+        "check",
+    ],
+)
+def test_each_subcommand_loads_only_its_backend(tmp_path, argv, backend):
+    """One run of a subcommand adds to what import slopes.cli loads only the
+    backend it runs; check adds laws and what laws imports."""
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    code, _, added = _probe_loads(argv + ["--out", str(tmp_path / "out.json")])
+    assert code == 0
+    assert added == (backend if backend is not None else _laws_loads())
+
+
 def test_determinism_byte_identical(tmp_path):
     """Every command with a fixed seed writes byte-identical output."""
     cases = [
