@@ -411,9 +411,12 @@ def _table_objects(args):
 
 def _law_axioms(args, seed):
     from . import laws
-    from .tables import TableBackend, load_table
 
-    table = TableBackend(_load(args, load_table)) if args.backend == "table" else None
+    table = None
+    if args.backend == "table":
+        from .tables import TableBackend, load_table
+
+        table = TableBackend(_load(args, load_table))
     return laws.check_degree_axioms(args.backend, args.samples, seed, table=table), True
 
 

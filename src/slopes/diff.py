@@ -11,6 +11,27 @@ not something to patch around.
 The last two iterate one map, N -> N_A N + D delta(N) with A = N_A / D:
 Katz on the powers of the connection, Gérard–Levelt on the basis of each
 lattice.  Both take it through _power_step, with one precision rule.
+
+Where every entry of A is exact, each iteration stops as soon as its
+later values are fixed, by two exact rules:
+
+- Katz.  With mu = v(A) and A_0 the matrix of the x^mu coefficients,
+  A = x^mu (A_0 + O(x)).  If mu > 0, then delta(B_n) = x^mu (mu c A_0 +
+  O(x)) when B_n = x^mu (c A_0 + O(x)), while A B_n lies in x^(2 mu) and
+  so in x^(mu + 1); hence B_n = x^mu (mu^(n-1) A_0 + O(x)) and v(B_n) =
+  mu.  If mu <= 0 and A_0 is not nilpotent (A_0^r != 0), then B_n =
+  x^(n mu) (A_0^n + O(x)) by induction: A B_n = x^((n + 1) mu)
+  (A_0^(n+1) + O(x)), and delta(B_n) lies in x^((n + 1) mu + 1), in
+  x^(n mu) when mu < 0 and, when mu = 0, in x because delta kills the
+  constant A_0^n.  As A_0^n != 0, v(B_n) = n mu.  Either way the powers
+  need not run.
+- Gérard–Levelt.  If dim(V_p/V_0) = c r with c >= 1 and no entry of a
+  basis of V_p has valuation below -c, then V_p lies in x^-c V_0 with the
+  same index over V_0, so V_p = x^-c V_0.  Since nabla(x^-c v) = x^-c
+  (nabla v - c v), F(V) = V + nabla(V) commutes with x^-c, so V_(p+i) =
+  x^-c V_i and dim(V_(p+i)/V_0) = dim(V_i/V_0) + c r for every i: the
+  run stops after step p.  A zero increment, V_(k+1) = V_k, is the same
+  rule with shift 0 and period 1, and holds on any input.
 """
 
 from __future__ import annotations
@@ -373,30 +394,67 @@ def katz_rank_spectral(
     )
 
 
+def _exact(a) -> bool:
+    """Whether every entry of the integer matrix a is exact."""
+    return all(p == math.inf for row in a for _, _, p in row)
+
+
+def _leading_valuations(a, n_max: int):
+    """[v(B_1), ..., v(B_n_max)] read off the leading matrix A_0 of A =
+    a / d, by the module docstring's Katz rule: mu for every n when mu =
+    v(A) > 0, n mu when mu <= 0 and A_0^r != 0.  None when an entry of a
+    is not exact, a is zero, or mu <= 0 and A_0 is nilpotent: then only
+    the powers tell.  A_0^r is taken on the numerators, d^r A_0^r."""
+    if not _exact(a):
+        return None
+    mu = min((v for row in a for v, nums, _ in row if nums), default=None)
+    if mu is None:
+        return None
+    if mu > 0:
+        return [mu] * n_max
+    lead = [[nums[0] if nums and v == mu else 0 for v, nums, _ in row] for row in a]
+    power = lead
+    for _ in range(len(a) - 1):
+        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*lead)] for row in power]
+    if not any(any(row) for row in power):
+        return None
+    return [n * mu for n in range(1, n_max + 1)]
+
+
 def _katz_run(a, d: int, n_max: int, window: int, keep: int):
     """(estimate, diagnostics) of the powers of A = a / d, a from
-    _integer_matrix, keeping keep terms above the running minimum."""
-    rows = _sparse_rows(a)
-    vals: list[Optional[int]] = []
-    b = [list(col) for col in zip(*a)]  # columns of B_n = N_n / d^n
-    for _n in range(1, n_max + 1):
-        v = _window_valuation(b)
-        if v is None:
-            # zero as far as known: v(B_n) is at least the window bottom,
-            # and superadditivity of power valuations then pins rho = 0
-            # provided that bottom is positive.
-            return Fraction(0), {
-                "valuations": vals,
-                "ratios": [],
-                "windowed": [],
-                "window": 0,
-                "converged": True,
-            }
-        vals.append(v)
-        # keep a bounded window above the running minimum
-        b = [[_cut(e, v + keep) for e in col] for col in b]
-        if _n < n_max:
-            b = _power_step(rows, b, d)
+    _integer_matrix, keeping keep terms above the running minimum.
+
+    When _leading_valuations fixes every v(B_n), that is, when A is exact
+    and v(A) > 0 or its leading matrix is not nilpotent, no power is
+    formed.  The valuations are those the powers give: with A exact, the
+    entries of B_(n+1) are known below x^(v(B_n) + keep + min(0, v(A))),
+    above the v(B_(n+1)) the rule names, so the powers certify it at every
+    keep.  Either way the estimate and diagnostics come from the
+    valuations alone."""
+    vals = _leading_valuations(a, n_max)
+    if vals is None:
+        rows = _sparse_rows(a)
+        vals = []
+        b = [list(col) for col in zip(*a)]  # columns of B_n = N_n / d^n
+        for _n in range(1, n_max + 1):
+            v = _window_valuation(b)
+            if v is None:
+                # zero as far as known: v(B_n) is at least the window
+                # bottom, and superadditivity of power valuations then
+                # pins rho = 0 provided that bottom is positive.
+                return Fraction(0), {
+                    "valuations": vals,
+                    "ratios": [],
+                    "windowed": [],
+                    "window": 0,
+                    "converged": True,
+                }
+            vals.append(v)
+            # keep a bounded window above the running minimum
+            b = [[_cut(e, v + keep) for e in col] for col in b]
+            if _n < n_max:
+                b = _power_step(rows, b, d)
     ratios = [Fraction(-vals[n - 1], n) for n in range(1, n_max + 1)]
     w = min(window, n_max - 1)
     windowed = []
@@ -576,9 +634,12 @@ def gerard_levelt_irregularity(
     and is exact wherever A is.  A zero increment means V_{k+1} = V_k, and
     then every later lattice is V_k again: the run stops there and repeats
     the last dimension up to n_max, so a regular module (v(A) >= 0) takes
-    one step.  With A = N_A / D as in the Katz powers, the image of a
-    column is N_A col + D delta(col), a constant multiple of nabla(col)
-    that spans the same lattice.
+    one step.  Where A is exact, the run also stops at the first V_p =
+    x^-c V_0 and fills every later dimension from the earlier ones
+    (_gl_run); a rank-one module stops after one step.  With A = N_A / D
+    as in the Katz powers, the image of a column is N_A col + D
+    delta(col), a constant multiple of nabla(col) that spans the same
+    lattice.
 
     No working precision is chosen, so one run gives the result or the
     error, which names the input's own precision: there is no retry.  An
@@ -608,8 +669,18 @@ def _gl_run(na, d: int, n_max: int):
 
     The basis columns are mapped by _power_step, the step of the Katz
     powers, with its rule that an exact zero factor costs no precision;
-    each image column is divided by the gcd of its numerators."""
+    each image column is divided by the gcd of its numerators.
+
+    The run stops once V_p = x^-c V_q for some q < p, and fills dims[t] =
+    dims[t - (p - q)] + c r, since V_(p+i) = x^-c V_(q+i) (module
+    docstring).  Two cases are read off each step at no extra reduction:
+    a zero increment, V_p = V_(p-1) with c = 0, on any input; and, when A
+    is exact, V_p = x^-c V_0, where dim(V_p/V_0) = c r, c >= 1, and no
+    entry of the basis of V_p has valuation below -c.  That basis, cut at
+    x^1, lies in V_p and spans it, so it lies in x^-c V_0 exactly when
+    its entries do."""
     r = len(na)
+    exact = _exact(na)
     rows = _sparse_rows(na)
     basis = [[(0, [1] if i == j else [], math.inf) for i in range(r)] for j in range(r)]
     dims = []
@@ -617,10 +688,16 @@ def _gl_run(na, d: int, n_max: int):
         gens = basis + [_primitive(col) for col in _power_step(rows, basis, d)]
         total, basis = _reduce_columns(gens, r)
         dims.append(-total)
+        c, rem = divmod(dims[-1], r)
         if dims[-1] == (dims[-2] if step else 0):
-            # a zero increment: V_{k+1} = V_k, and so is every later lattice
-            dims += dims[-1:] * (n_max - len(dims))
-            break
+            period, gain = 1, 0  # V_p = V_(p-1)
+        elif exact and not rem and all(v >= -c for col in basis for v, nums, _ in col if nums):
+            period, gain = step + 1, dims[-1]  # V_p = x^-c V_0
+        else:
+            continue
+        for t in range(len(dims), n_max):
+            dims.append(dims[t - period] + gain)
+        break
     increments = [dims[0]] + [b - a2 for a2, b in zip(dims, dims[1:])]
     quarter = max(1, n_max // 4)
     tail = increments[-quarter:]

@@ -10,34 +10,21 @@ tabulated morphism and decides nothing.
 
 Everything is seeded and deterministic; reports are plain dicts ready for
 JSON emission.  Heuristic certificates are propagated, never upgraded.
+
+Each backend module (diff, filtered, lattices, linalg, series, tables) is
+imported inside the sampler or runner that uses it, so a law loads only
+the backends it runs on; at module level stand the modules the package
+itself loads (core, degrees, polygon).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import linalg
 from .core import Budget, hn_filtration, is_semistable
 from .degrees import SlopeKey
-from .diff import rank_one_break
-from .filtered import (
-    FilteredBackend,
-    FilteredSpace,
-    Filtration,
-    degree_filtered,
-    dual_filtered,
-    induced_filtration,
-    tensor_filtered,
-)
-from .lattices import (
-    EuclideanLattice,
-    LatticeBackend,
-    Sublattice,
-    destabilizer_lattice,
-    saturate,
-    tensor_lattice,
-)
 from .polygon import (
     DUAL,
     TENSOR_MULT,
@@ -46,8 +33,13 @@ from .polygon import (
     polygon_dominates,
     polygon_of_flag,
 )
-from .series import Series
-from .tables import TableBackend, ZERO_ID
+
+if TYPE_CHECKING:
+    from .filtered import FilteredSpace, Filtration
+    from .lattices import EuclideanLattice, Sublattice
+    from .linalg import Mat
+    from .series import Series
+    from .tables import TableBackend
 
 
 # -- samplers ---------------------------------------------------------------------
@@ -59,6 +51,8 @@ def sample_filtered_space(
     n: int = 2,
     integer_jumps: bool = False,
 ) -> FilteredSpace:
+    from .filtered import FilteredSpace
+
     dim = rng.randint(1, dim_max)
     fils = []
     for _ in range(n):
@@ -67,6 +61,9 @@ def sample_filtered_space(
 
 
 def _sample_chain(rng: random.Random, dim: int, integer_jumps: bool) -> Filtration:
+    from . import linalg
+    from .filtered import Filtration
+
     basis = _random_basis(rng, dim)
     nsteps = rng.randint(1, min(dim, 3))
     dims = sorted(rng.sample(range(1, dim + 1), nsteps))
@@ -90,6 +87,8 @@ def _sample_jumps(rng: random.Random, k: int, integer_jumps: bool):
 
 
 def _random_basis(rng: random.Random, dim: int) -> list:
+    from . import linalg
+
     while True:
         rows = [
             tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
@@ -100,6 +99,9 @@ def _random_basis(rng: random.Random, dim: int) -> list:
 
 
 def sample_lattice(rng: random.Random, rank_max: int = 3) -> EuclideanLattice:
+    from . import linalg
+    from .lattices import EuclideanLattice
+
     r = rng.randint(1, rank_max)
     while True:
         a = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
@@ -110,6 +112,9 @@ def sample_lattice(rng: random.Random, rank_max: int = 3) -> EuclideanLattice:
 
 
 def sample_saturated_sub(rng: random.Random, lat: EuclideanLattice) -> Sublattice:
+    from . import linalg
+    from .lattices import saturate
+
     r = lat.rank
     k = rng.randint(1, max(1, r - 1))
     while True:
@@ -119,7 +124,9 @@ def sample_saturated_sub(rng: random.Random, lat: EuclideanLattice) -> Sublattic
             return saturate(lat, cols)
 
 
-def _random_subspace(rng: random.Random, dim: int) -> linalg.Mat:
+def _random_subspace(rng: random.Random, dim: int) -> Mat:
+    from . import linalg
+
     k = rng.randint(1, dim)
     rows = [
         tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(k)
@@ -139,6 +146,8 @@ def check_degree_axioms(
     violations = []
     checked = 0
     if backend == "filtered":
+        from .filtered import FilteredBackend, FilteredSpace, Filtration, degree_filtered
+
         for i in range(samples):
             v = sample_filtered_space(rng)
             s = _random_subspace(rng, v.dim)
@@ -160,6 +169,8 @@ def check_degree_axioms(
             if mu_v.cmp(mu_w) > 0:
                 violations.append({"kind": "epi-monic", "index": i})
     elif backend == "lattice":
+        from .lattices import EuclideanLattice, LatticeBackend
+
         for i in range(samples):
             lat = sample_lattice(rng)
             if lat.rank < 2:
@@ -210,6 +221,8 @@ def _additivity(backend, obj, sub, where: dict) -> list:
 
 
 def _shrunk_gram(rng: random.Random, lat: EuclideanLattice):
+    from . import linalg
+
     r = lat.rank
     v = tuple(Fraction(rng.randint(-1, 1)) for _ in range(r))
     if all(x == 0 for x in v):
@@ -263,6 +276,8 @@ def gr_kernel_demo(backend: TableBackend, morphism) -> dict:
     Per graded slope, an isomorphism needs
     mult(source) - mult(target) <= mult(kernel) <= mult(source).
     """
+    from .tables import ZERO_ID
+
     if morphism.kernel is None:
         raise ValueError("morphism fixture lacks declared kernel data")
     budget = Budget()
@@ -326,6 +341,8 @@ def morphism_slope_law(backend: TableBackend) -> dict:
 def _filtration_compatible(v: FilteredSpace, w: FilteredSpace, mat) -> bool:
     """mat rows map v-coordinates to w; compatible iff every step lands in
     the matching step of w."""
+    from . import linalg
+
     for fv, fw in zip(v.filtrations, w.filtrations):
         for jump, step in fv.steps:
             image = linalg.rref([linalg.mat_vec(linalg.transpose(mat), row) for row in step])
@@ -343,6 +360,8 @@ def _filtration_compatible(v: FilteredSpace, w: FilteredSpace, mat) -> bool:
 def morphism_slope_law_filtered(samples: int, seed: int) -> dict:
     """Sampled nonzero filtration-compatible maps between certified
     semistable spaces satisfy mu(source) <= mu(target)."""
+    from .filtered import FilteredBackend
+
     rng = random.Random(seed)
     backend = FilteredBackend()
     budget = Budget()
@@ -499,6 +518,8 @@ def check_flag_laws(backend, objects, budget: Budget = Budget()):
 def check_tensor_mult_filtered(samples: int, seed: int, dim_max: int = 3) -> dict:
     """n = 1 filtered spaces: tensor polygon equals the pairwise-sum
     polygon (the tautological filtration is tensor-multiplicative)."""
+    from .filtered import FilteredBackend, tensor_filtered
+
     rng = random.Random(seed)
     backend = FilteredBackend()
     budget = Budget()
@@ -522,6 +543,8 @@ def check_tensor_bounded_rank_one(samples: int, seed: int) -> dict:
     """Rank-one connections: the break of a tensor product (sum of the
     connection forms) is at most the larger break, and the dual (negated
     form) has the same break."""
+    from .diff import rank_one_break
+
     rng = random.Random(seed)
     failures = []
     for i in range(samples):
@@ -537,6 +560,8 @@ def check_tensor_bounded_rank_one(samples: int, seed: int) -> dict:
 
 
 def _random_series(rng: random.Random) -> Series:
+    from .series import Series
+
     vmin = rng.randint(-4, 1)
     coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
     return Series.from_coeffs(vmin, coeffs)
@@ -544,6 +569,8 @@ def _random_series(rng: random.Random) -> Series:
 
 def check_duality_filtered(samples: int, seed: int, dim_max: int = 3) -> dict:
     """Dual polygon = negated-reversed polygon; double dual = identity."""
+    from .filtered import FilteredBackend, degree_filtered, dual_filtered
+
     rng = random.Random(seed)
     backend = FilteredBackend()
     budget = Budget()
@@ -572,6 +599,9 @@ def sample_multiline_space(rng: random.Random) -> FilteredSpace:
     so coprime fixtures need more chains; in dimension 2 the destabilizer
     search stays certified-complete for any number of them.
     """
+    from . import linalg
+    from .filtered import FilteredSpace, Filtration
+
     n = rng.choice((3, 3, 5))
     lines = []
     while len(lines) < n:
@@ -593,6 +623,8 @@ def check_coprime_stability(samples: int, seed: int) -> dict:
     """Certified-semistable integer-jump spaces with gcd(deg, dim) = 1 have
     no proper strict subobject of equal slope (they are stable)."""
     from math import gcd
+
+    from .filtered import FilteredBackend, degree_filtered
 
     rng = random.Random(seed)
     budget = Budget()
@@ -627,6 +659,8 @@ def check_bifil_tensor_semistable(samples: int, seed: int) -> dict:
     """Evidence run: tensors of certified-semistable integer-jump
     two-filtration spaces stay semistable (asserted only on complete
     certificates; gathers evidence, decides nothing)."""
+    from .filtered import FilteredBackend, tensor_filtered
+
     rng = random.Random(seed)
     backend = FilteredBackend()
     budget = Budget()
@@ -653,6 +687,8 @@ def check_bifil_tensor_semistable(samples: int, seed: int) -> dict:
 
 def check_minmax(samples: int, seed: int) -> dict:
     """Lemma-style min-max slope bounds on sampled short exact sequences."""
+    from .filtered import degree_filtered, induced_filtration
+
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -684,6 +720,8 @@ def bost_experiment(samples: int, seed: int) -> dict:
     Report only.  Each sampled pair's Kronecker product gets the exact
     destabilizer search; a destabilizing sublattice is a counterexample.
     """
+    from .lattices import destabilizer_lattice, tensor_lattice
+
     rng = random.Random(seed)
     found = 0
     tried = 0

@@ -498,18 +498,6 @@ def test_import_of_cli_loads_no_backend():
     }
 
 
-def _laws_loads():
-    """The slopes modules that laws adds to those import slopes.cli loads."""
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, slopes.laws; print(' '.join(sys.modules))"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    loaded = {m for m in proc.stdout.split() if m.split(".")[0] == "slopes"}
-    return {m.removeprefix("slopes.") for m in loaded - _probe_loads([])[1]}
-
-
 @pytest.mark.parametrize(
     "argv, backend",
     [
@@ -524,7 +512,14 @@ def _laws_loads():
         ),
         (["hn", "--backend", "table", "--in", "hn_chain.json", "--object", "N"], {"tables"}),
         (["swan", "--in", "artin_schreier.json"], {"ramification"}),
-        (["check", "--law", "axioms", "--backend", "filtered", "--samples", "2"], None),
+        (
+            ["check", "--law", "axioms", "--backend", "filtered", "--samples", "2"],
+            {"laws", "filtered", "linalg"},
+        ),
+        (
+            ["check", "--law", "axioms", "--backend", "table", "--in", "eq5_2.json"],
+            {"laws", "tables"},
+        ),
     ],
     ids=[
         "factor",
@@ -536,15 +531,16 @@ def _laws_loads():
         "hn-table",
         "swan",
         "check",
+        "check-table",
     ],
 )
 def test_each_subcommand_loads_only_its_backend(tmp_path, argv, backend):
     """One run of a subcommand adds to what import slopes.cli loads only the
-    backend it runs; check adds laws and what laws imports."""
+    backend it runs; check adds laws and the backend its law runs on."""
     argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
     code, _, added = _probe_loads(argv + ["--out", str(tmp_path / "out.json")])
     assert code == 0
-    assert added == (backend if backend is not None else _laws_loads())
+    assert added == backend
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import slopes.diff as diff_mod
 from slopes.diff import (
@@ -326,11 +326,40 @@ def test_gerard_levelt_stops_at_its_fixed_point(monkeypatch):
             assert all(n == 2 * r for n, r in sizes)
 
 
-def test_katz_calls_its_traced_names(monkeypatch):
-    """The names the benchmark trace wraps stay live: katz_rank_spectral
-    enters _katz_run once, and _katz_run calls diff._power_step through
-    the module global once per power after the first, n_max - 1 times,
-    on companion modules of the benchmark's shape."""
+@pytest.mark.parametrize(
+    "vals, reductions",
+    [
+        ((-3,), 1),
+        ((-1, None), 2),
+        ((-1, None, None), 3),
+        ((-1, -1), 12),
+        ((-2, -2, -2), 12),
+        ((-3, -1), 12),
+    ],
+    ids=str,
+)
+def test_gerard_levelt_stops_at_a_shifted_lattice(monkeypatch, vals, reductions):
+    """On an exact module, V_p = x^-c V_0 fixes every later lattice, V_(p+i)
+    = x^-c V_i: the run stops after step p and gives the dims of the
+    Series reference's 12 steps.  Where no V_p is x^-c V_0, all 12 steps
+    run."""
+    calls = []
+    real_reduce = diff_mod._reduce_columns
+
+    def counting_reduce(cols, r):
+        calls.append(r)
+        return real_reduce(cols, r)
+
+    m = companion(op(*vals))
+    expected = _ref_gerard_levelt(m, 12)
+    monkeypatch.setattr(diff_mod, "_reduce_columns", counting_reduce)
+    assert gerard_levelt_irregularity(m, 12) == expected
+    assert len(calls) == reductions
+
+
+def _count_katz_calls(monkeypatch):
+    """Counts of the calls to diff._katz_run and diff._power_step through
+    their module globals."""
     counts = {"run": 0, "step": 0}
     real_run, real_step = diff_mod._katz_run, diff_mod._power_step
 
@@ -344,13 +373,38 @@ def test_katz_calls_its_traced_names(monkeypatch):
 
     monkeypatch.setattr(diff_mod, "_katz_run", counting_run)
     monkeypatch.setattr(diff_mod, "_power_step", counting_step)
-    for vals, rho in (((-2, -2, -2), 2), ((None, None, None, -1), 1)):
+    return counts
+
+
+def test_katz_calls_its_traced_names(monkeypatch):
+    """The names the benchmark trace wraps stay live: katz_rank_spectral
+    enters _katz_run once, and _katz_run calls diff._power_step through
+    the module global once per power after the first, n_max - 1 times,
+    on companion modules of the benchmark's shape whose leading matrix is
+    nilpotent."""
+    counts = _count_katz_calls(monkeypatch)
+    for vals, rho in (((-1, None), Fraction(1, 2)), ((-1, None, None), Fraction(1, 3))):
         m = companion(op(*vals))
         for n_max in (64, 24):
             counts.update(run=0, step=0)
             est, diag = katz_rank_spectral(m, n_max)
             assert est == rho and diag["converged"]
             assert counts == {"run": 1, "step": n_max - 1}
+
+
+@pytest.mark.parametrize("vals", [(-2, -2, -2), (None, None, None, -1), (0, 2), (2,)], ids=str)
+def test_katz_reads_the_leading_matrix(monkeypatch, vals):
+    """An exact A whose leading matrix is not nilpotent, or with v(A) > 0,
+    fixes every v(B_n): katz_rank_spectral still enters _katz_run once,
+    but no power is formed, and the estimate and diagnostics are the
+    Series powers' at both keeps."""
+    m = companion(op(*vals))
+    counts = _count_katz_calls(monkeypatch)
+    for keep in (4, 16):
+        assert _int_katz_run(m, 64, 12, keep) == _ref_katz_run(m, 64, 12, keep)
+    counts.update(run=0)
+    assert katz_rank_spectral(m) == _ref_katz_run(m, 64, 12, 16)
+    assert counts == {"run": 1, "step": 0}
 
 
 def test_katz_exact_zeros_keep_precision():
@@ -578,6 +632,46 @@ def test_katz_run_matches_series_powers(module, n_max, keep):
     assert _outcome(_int_katz_run, module, n_max, 12, keep) == _outcome(
         _ref_katz_run, module, n_max, 12, keep
     )
+
+
+def _leading_fixes_powers(module):
+    """Whether v(A) > 0, or else the matrix A_0 of the x^v(A) coefficients
+    of A has A_0^r != 0, by Fraction arithmetic on the Series entries."""
+    a, r = module.matrix, module.rank
+    mu = _matrix_min_valuation(a)
+    if mu is None or mu > 0:
+        return mu is not None
+    lead = [[c.coeff(mu) for c in row] for row in a]
+    power = lead
+    for _ in range(r - 1):
+        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*lead)] for row in power]
+    return any(x != 0 for row in power for x in row)
+
+
+@st.composite
+def _leading_modules(draw):
+    """Exact modules of rank 1 to 4 whose leading matrix fixes every
+    v(B_n)."""
+    r = draw(st.integers(1, 4))
+    entry = st.one_of(
+        st.just(Series.zero()),
+        st.builds(Series.from_coeffs, st.integers(-3, 2), st.lists(_coeff, max_size=4)),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r))
+    module = DifferentialModule(tuple(tuple(row) for row in rows))
+    assume(_leading_fixes_powers(module))
+    return module
+
+
+@settings(max_examples=150, deadline=None)
+@given(_leading_modules(), st.integers(2, 24), st.sampled_from([4, 16]))
+def test_katz_leading_matrix_matches_series_powers(module, n_max, keep):
+    """Wherever A is exact and v(A) > 0 or its leading matrix is not
+    nilpotent, _katz_run reads every v(B_n) off that matrix, and gives the
+    Series powers' estimate and diagnostics."""
+    a = _integer_matrix(module.matrix)[0]
+    assert diff_mod._leading_valuations(a, n_max) is not None
+    assert _int_katz_run(module, n_max, 12, keep) == _ref_katz_run(module, n_max, 12, keep)
 
 
 def _katz_doubling(module, n_max):
